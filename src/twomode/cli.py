@@ -11,8 +11,6 @@ import json
 import math
 import os
 import sys
-import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +32,7 @@ from .core import (
     two_mode_squeezed_cm,
     vacuum_cm,
 )
-from .measures import entanglement, squeezing
+from .measures import entanglement, negativity, squeezing
 from .protocols import (
     NotPassiveError,
     SingularBlockError,
@@ -44,6 +42,8 @@ from .protocols import (
     flip_strategy,
     greedy_rate_walk,
     run_protocol,
+    uniform_grid,
+    write_text_atomic,
 )
 from .rates import optimal_entanglement_rate, optimal_squeezing_rate, squeezing_capability
 from .simulate import (
@@ -56,25 +56,11 @@ from .simulate import (
     synthesize_plan,
 )
 
-__all__ = ["main", "RunConfig", "reproduce_figures"]
+__all__ = ["main", "reproduce_figures"]
 
 _PRESETS = {"h0": H0, "hbs": HBS, "htms": HTMS}
 
 _FIG_HEADER = "t,E0_opt,E0_tms,E0_bare,rate_opt,rate_tms,rate_bare,rate_vacuum_ref,N_bound"
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation of the ``run`` subcommand."""
-
-    hamiltonian: np.ndarray
-    state: np.ndarray
-    strategy: str
-    t: float
-    dt: float
-    steps: int
-    out: str | None
-    fmt: str
 
 
 def _load_json(path: str):
@@ -108,24 +94,10 @@ def _parse_state(spec: str) -> np.ndarray:
     return assert_valid_cm(matrix_from_list(data))
 
 
-def _write_text(path: str, text: str) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(payload, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
-        _write_text(out, text)
+        write_text_atomic(out, text)
     else:
         sys.stdout.write(text)
 
@@ -154,7 +126,7 @@ def _cmd_tmin(args) -> int:
     value = min_simulation_time(k, kp, args.t)
     text = repr(float(value)) + "\n"
     if args.out:
-        _write_text(args.out, text)
+        write_text_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -183,13 +155,10 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_measure(args) -> int:
     gamma = _parse_state(args.state)
-    sq = squeezing(gamma).to_dict()
-    payload = dict(sq)
+    payload = squeezing(gamma).to_dict()
     try:
         payload.update(entanglement(gamma).to_dict())
     except NotPureError:
-        from .measures import negativity
-
         payload["negativity"] = negativity(gamma)
         payload["pure"] = False
     _emit(payload, args.out)
@@ -236,74 +205,42 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _uniform_grid(t: float, dt: float) -> np.ndarray:
-    n = max(1, int(math.ceil(t / dt - 1e-12)))
-    times = np.minimum(np.arange(n + 1) * dt, t)
-    times[-1] = t
-    return times
+def _flow_trajectory(gamma0, flow_k, times, native_k) -> Trajectory:
+    """CMs ``S(t) gamma0 S(t)^T`` along the flow of ``flow_k`` (flip limit: ``(K + JKJ)/2``)."""
+    times = np.asarray(times, dtype=float)
+    flows = evolve(flow_k, times)
+    out = flows @ assert_valid_cm(gamma0) @ flows.transpose(0, 2, 1)
+    return Trajectory(times=times, cms=(out + out.transpose(0, 2, 1)) / 2.0, native_k=native_k)
 
 
-def _tms_simulation_trajectory(gamma0, k, times) -> Trajectory:
-    """Exact limit of the flip strategy: flow of ``(K + JKJ)/2`` on a grid."""
-    keff = flip_effective_coupling(k)
-    cms = [apply_symplectic(evolve(keff, t), gamma0) for t in times]
-    return Trajectory(times=np.asarray(times, dtype=float), cms=cms, native_k=k)
-
-
-def _run_config(config: RunConfig) -> Trajectory:
-    if config.strategy == "bare":
-        times = _uniform_grid(config.t, config.dt)
-        steps = tuple(
-            ProtocolStep(LocalRotationPair(), times[i + 1] - times[i])
-            for i in range(times.size - 1)
-        )
-        return run_protocol(config.state, Protocol(config.hamiltonian, steps))
-    if config.strategy == "flip":
-        return run_protocol(
-            config.state, flip_strategy(config.hamiltonian, config.t, config.steps)
-        )
-    if config.strategy == "greedy":
-        return greedy_rate_walk(
-            config.state, config.hamiltonian, _uniform_grid(config.t, config.dt)
-        )
-    if config.strategy == "tms":
-        return _tms_simulation_trajectory(
-            config.state, config.hamiltonian, _uniform_grid(config.t, config.dt)
-        )
-    if config.strategy.startswith("file:"):
-        protocol = Protocol.from_dict(_load_json(config.strategy[5:]))
-        return run_protocol(config.state, protocol)
-    raise ValueError(f"unknown strategy {config.strategy!r}")
+def _run_trajectory(args) -> Trajectory:
+    k = _parse_hamiltonian(args.hamiltonian)
+    state = _parse_state(args.state)
+    if args.strategy.startswith("file:"):
+        return run_protocol(state, Protocol.from_dict(_load_json(args.strategy[5:])))
+    if args.t <= 0:
+        raise ValueError("run needs t > 0")
+    if args.strategy == "flip":
+        return run_protocol(state, flip_strategy(k, args.t, args.steps))
+    times = uniform_grid(args.t, args.dt)
+    if args.strategy == "bare":
+        steps = tuple(ProtocolStep(LocalRotationPair(), d) for d in np.diff(times).tolist())
+        return run_protocol(state, Protocol(k, steps))
+    if args.strategy == "greedy":
+        return greedy_rate_walk(state, k, times)
+    if args.strategy == "tms":
+        return _flow_trajectory(state, flip_effective_coupling(k), times, k)
+    raise ValueError(f"unknown strategy {args.strategy!r}")
 
 
 def _cmd_run(args) -> int:
-    if args.t <= 0 and not args.strategy.startswith("file:"):
-        raise ValueError("run needs t > 0")
-    config = RunConfig(
-        hamiltonian=_parse_hamiltonian(args.hamiltonian),
-        state=_parse_state(args.state),
-        strategy=args.strategy,
-        t=args.t,
-        dt=args.dt,
-        steps=args.steps,
-        out=args.out,
-        fmt=args.format,
-    )
-    traj = _run_config(config)
-    if config.fmt == "csv":
-        if config.out:
-            traj.to_csv(config.out)
-        else:
-            from .protocols import CSV_HEADER
-
-            sys.stdout.write(CSV_HEADER + "\n")
-            for row in traj.reports():
-                sys.stdout.write(
-                    ",".join(repr(row[k]) for k in ("t", "E0", "negativity", "S", "Q", "rate"))
-                    + "\n"
-                )
+    traj = _run_trajectory(args)
+    if args.format == "json":
+        _emit(traj.reports(), args.out)
+    elif args.out:
+        traj.to_csv(args.out)
     else:
-        _emit(traj.reports(), config.out)
+        sys.stdout.write(traj.csv_text())
     return 0
 
 
@@ -314,25 +251,13 @@ def _cmd_run(args) -> int:
 
 def _figure_rows(gamma0, k, times, r1: float, r2: float, lock_band=None) -> list[str]:
     cap = squeezing_capability(k)
-    greedy = greedy_rate_walk(gamma0, k, times, lock_band=lock_band)
-    tms = _tms_simulation_trajectory(gamma0, k, times)
-    rows = []
-    for i, t in enumerate(times):
-        bare_cm = apply_symplectic(evolve(k, t), gamma0)
-        e_opt = entanglement(greedy.cms[i]).r
-        e_tms = entanglement(tms.cms[i]).r
-        e_bare = entanglement(bare_cm).r
-        rate_opt = float(greedy.rates[i])
-        rate_tms = optimal_entanglement_rate(tms.cms[i], k).rate
-        rate_bare = optimal_entanglement_rate(bare_cm, k).rate
-        bound = math.exp(cap * t + (r1 + r2) / 2.0)
-        rows.append(
-            ",".join(
-                repr(float(v))
-                for v in (t, e_opt, e_tms, e_bare, rate_opt, rate_tms, rate_bare, cap, bound)
-            )
-        )
-    return rows
+    greedy = greedy_rate_walk(gamma0, k, times, lock_band=lock_band).columns()
+    tms = _flow_trajectory(gamma0, flip_effective_coupling(k), times, k).columns()
+    bare = _flow_trajectory(gamma0, k, times, k).columns()
+    columns = [times] + [c[key] for key in ("E0", "rate") for c in (greedy, tms, bare)]
+    columns += [np.full(len(times), cap), np.exp(cap * times + (r1 + r2) / 2.0)]
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return [",".join(map(repr, row)) for row in rows]
 
 
 def reproduce_figures(which: str, outdir: str) -> str:
@@ -362,7 +287,7 @@ def reproduce_figures(which: str, outdir: str) -> str:
         path = os.path.join(outdir, "fig3.csv")
     else:
         raise ValueError(f"unknown figure {which!r}; choose fig1 or fig3")
-    _write_text(path, "\n".join([_FIG_HEADER] + rows) + "\n")
+    write_text_atomic(path, "\n".join([_FIG_HEADER] + rows) + "\n")
     return path
 
 

@@ -58,6 +58,9 @@ __all__ = [
     "two_mode_squeezed_cm",
     "squeezed_product_cm",
     "cm_blocks",
+    "det2",
+    "CMStack",
+    "valid_cm_stack",
     "assert_valid_cm",
     "is_pure",
     "assert_pure",
@@ -93,6 +96,9 @@ PURITY_TOL = 1e-9
 
 #: Cross-block norm below which a pure CM counts as a product state.
 PRODUCT_TOL = 1e-10
+
+#: Gap below which the two smallest CM eigenvalues count as degenerate.
+DEGENERACY_TOL = 1e-10
 
 
 class NotPureError(ValueError):
@@ -273,8 +279,8 @@ def generator(k) -> Generator:
     return Generator(M=m, L=l, L_tilde=lt, alpha=-float(np.linalg.det(l)))
 
 
-def _cosh_sinc(alpha: float, t: float) -> tuple[float, float]:
-    """Return ``(cosh(w t), sinh(w t)/w)`` for ``w = sqrt(alpha)``.
+def _cosh_sinc(alpha: float, t):
+    """Return ``(cosh(w t), sinh(w t)/w)`` for ``w = sqrt(alpha)``, ``t`` scalar or array.
 
     Both branches of the square root and the removable singularity at
     ``alpha = 0`` are handled; the degenerate branch uses a short Taylor
@@ -282,34 +288,36 @@ def _cosh_sinc(alpha: float, t: float) -> tuple[float, float]:
     """
     if alpha > _ALPHA_TOL:
         w = math.sqrt(alpha)
-        return math.cosh(w * t), math.sinh(w * t) / w
+        return np.cosh(w * t), np.sinh(w * t) / w
     if alpha < -_ALPHA_TOL:
         w = math.sqrt(-alpha)
-        return math.cos(w * t), math.sin(w * t) / w
+        return np.cos(w * t), np.sin(w * t) / w
     x = alpha * t * t
     c = 1.0 + x / 2.0 + x * x / 24.0
     s = t * (1.0 + x / 6.0 + x * x / 120.0)
     return c, s
 
 
-def evolve(k, t: float) -> np.ndarray:
+def evolve(k, t) -> np.ndarray:
     """Symplectic matrix ``S(t) = exp(M t)`` generated by the coupling ``K``.
 
     Parameters
     ----------
     k : array_like
         2x2 coupling matrix.
-    t : float
-        Interaction time; may be negative.
+    t : float or array_like
+        Interaction time; may be negative.  An array of times gives the
+        stack of flows ``S(t) = c(t) I + s(t) M`` over it.
 
     Returns
     -------
     ndarray
-        4x4 symplectic matrix acting on ``(X1, P1, X2, P2)``.
+        4x4 symplectic matrix acting on ``(X1, P1, X2, P2)``, or a stack of
+        them of shape ``t.shape + (4, 4)``.
     """
     gen = generator(k)
-    c, s = _cosh_sinc(gen.alpha, float(t))
-    return c * np.eye(4) + s * gen.M
+    c, s = _cosh_sinc(gen.alpha, np.asarray(t, dtype=float))
+    return np.multiply.outer(c, np.eye(4)) + np.multiply.outer(s, gen.M)
 
 
 @dataclass(frozen=True)
@@ -422,21 +430,55 @@ def cm_blocks(gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return gamma[:2, :2], gamma[2:, 2:], gamma[:2, 2:]
 
 
+def det2(m) -> np.ndarray:
+    """Closed-form determinants of a stack of 2x2 matrices, shape ``(..., 2, 2)``."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+class CMStack(NamedTuple):
+    """Symmetrised ``(N, 4, 4)`` CMs with ascending spectra and determinants."""
+
+    cms: np.ndarray
+    eigenvalues: np.ndarray
+    dets: np.ndarray
+
+
+def valid_cm_stack(cms, tol: float = 1e-10, pure: bool = False) -> CMStack:
+    """Validate an ``(N, 4, 4)`` stack (or one 4x4 CM) in one vectorised pass.
+
+    Checks finiteness, symmetry to ``tol`` times each matrix's largest entry
+    (at least 1), positive definiteness, ``det >= 1`` and, with ``pure``,
+    ``|det - 1| <= PURITY_TOL`` (:class:`NotPureError`; else ``ValueError``).
+    """
+    cms = np.asarray(cms, dtype=float)
+    if cms.ndim == 2:
+        cms = cms[None]
+    if cms.ndim != 3 or cms.shape[1:] != (4, 4):
+        raise ValueError(f"covariance matrices must be 4x4, got {cms.shape[1:]}")
+    if not np.isfinite(cms).all():
+        raise ValueError("covariance matrix must be finite")
+    transposed = cms.transpose(0, 2, 1)
+    scale = np.maximum(np.abs(cms).max(axis=(1, 2)), 1.0)
+    if (np.abs(cms - transposed).max(axis=(1, 2)) > tol * scale).any():
+        raise ValueError("covariance matrix is not symmetric")
+    cms = (cms + transposed) / 2.0
+    eigenvalues = np.linalg.eigvalsh(cms)
+    if (eigenvalues[:, 0] <= 0.0).any():
+        raise ValueError("covariance matrix is not positive definite")
+    dets = np.linalg.det(cms)
+    if (dets < 1.0 - 1e-9).any():
+        raise ValueError("covariance matrix violates det >= 1")
+    if pure:
+        assert_pure(cms)
+    return CMStack(cms, eigenvalues, dets)
+
+
 def assert_valid_cm(gamma, tol: float = 1e-10) -> np.ndarray:
     """Validate symmetry, positive definiteness and ``det(gamma) >= 1``."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (4, 4):
         raise ValueError(f"covariance matrix must be 4x4, got {gamma.shape}")
-    if not np.all(np.isfinite(gamma)):
-        raise ValueError("covariance matrix must be finite")
-    scale = max(1.0, float(np.max(np.abs(gamma))))
-    if np.max(np.abs(gamma - gamma.T)) > tol * scale:
-        raise ValueError("covariance matrix is not symmetric")
-    if np.min(np.linalg.eigvalsh(gamma)) <= 0.0:
-        raise ValueError("covariance matrix is not positive definite")
-    if np.linalg.det(gamma) < 1.0 - 1e-9:
-        raise ValueError("covariance matrix violates det >= 1")
-    return (gamma + gamma.T) / 2.0
+    return valid_cm_stack(gamma, tol).cms[0]
 
 
 def is_pure(gamma, tol: float = PURITY_TOL) -> bool:
@@ -445,11 +487,12 @@ def is_pure(gamma, tol: float = PURITY_TOL) -> bool:
 
 
 def assert_pure(gamma, tol: float = PURITY_TOL) -> np.ndarray:
+    """Raise :class:`NotPureError` unless every CM (one, or a stack) has ``det = 1``."""
     gamma = np.asarray(gamma, dtype=float)
-    if not is_pure(gamma, tol):
-        raise NotPureError(
-            "state is not pure: det(gamma) = %.12g" % float(np.linalg.det(gamma))
-        )
+    dets = np.atleast_1d(np.linalg.det(gamma))
+    bad = np.abs(dets - 1.0) > tol
+    if bad.any():
+        raise NotPureError("state is not pure: det(gamma) = %.12g" % dets[np.argmax(bad)])
     return gamma
 
 

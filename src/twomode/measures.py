@@ -1,10 +1,11 @@
 """Entanglement and squeezing quantifiers for two-mode Gaussian states.
 
-Entanglement of a pure state is fully captured by the two-mode squeezing
-parameter ``r`` of its standard form; ``r`` equals the logarithmic
-negativity.  The negativity itself is computed from the partially transposed
-CM, which also works for mixed states.  Squeezing is the inverse smallest
-eigenvalue of the CM.
+Each quantity is computed once, vectorised over a stack of CMs, from the
+2x2 blocks of ``[[A, C], [C^T, B]]`` or the spectrum; the scalar functions
+are batches of one.  The log-negativity of a pure state is
+``E0 = acosh(sqrt(det A))``, the standard-form parameter ``r``.  The
+negativity comes from the partial transpose and also works for mixed
+states.  Squeezing is the inverse smallest eigenvalue of the CM.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import J2, assert_pure, assert_valid_cm, cm_blocks, pure_standard_form
+from .core import DEGENERACY_TOL, assert_valid_cm, det2, valid_cm_stack
+from .rates import _rate_column
 
 __all__ = [
     "EntanglementReport",
@@ -22,44 +24,53 @@ __all__ = [
     "negativity",
     "entanglement",
     "squeezing",
-    "ENTROPY_CONVENTION_NOTE",
+    "report_columns",
 ]
 
-#: diag(1, 1, 1, -1): sign flip of P2 implementing partial transposition.
-_LAMBDA = np.diag([1.0, 1.0, 1.0, -1.0])
 
-#: Gap below which the two smallest CM eigenvalues count as degenerate.
-DEGENERACY_TOL = 1e-10
+def _log_negativity(a: np.ndarray) -> np.ndarray:
+    """``E0 = acosh(sqrt(det A))`` of pure states from their ``A`` blocks."""
+    return np.arccosh(np.sqrt(np.maximum(det2(a), 1.0)))
 
-ENTROPY_CONVENTION_NOTE = (
-    "entropy uses cosh(r) = sqrt(det A); entropy_alt uses the alternative "
-    "parameterisation r = acosh(sqrt(det A))/2 — the two conventions do not "
-    "agree and both values are reported"
-)
+
+def _negativity(cms: np.ndarray, dets: np.ndarray) -> np.ndarray:
+    """Inverse smallest symplectic eigenvalue of the partial transposes.
+
+    ``nu~^2 = (D - sqrt(D^2 - 4 det gamma)) / 2`` with ``D = det A + det B -
+    2 det C`` (Vidal & Werner, PRA 65, 032314 (2002)), evaluated as
+    ``2 det gamma / (D + sqrt(...))``, which does not cancel for large ``D``.
+    """
+    a, b, c = cms[:, :2, :2], cms[:, 2:, 2:], cms[:, :2, 2:]
+    delta = det2(a) + det2(b) - 2.0 * det2(c)
+    root = np.sqrt(np.maximum(delta * delta - 4.0 * dets, 0.0))
+    return np.sqrt((delta + root) / (2.0 * dets))
+
+
+def report_columns(cms, k, rates=None) -> dict[str, np.ndarray]:
+    """Per-node columns ``E0``, ``negativity``, ``S``, ``Q`` and ``rate``.
+
+    ``cms`` is an ``(N, 4, 4)`` stack of pure CMs, validated once as a
+    whole; ``rate`` is the optimal entanglement rate under the coupling
+    ``k`` unless precomputed ``rates`` are given.
+    """
+    stack = valid_cm_stack(cms, pure=True)
+    lam = stack.eigenvalues[:, 0]
+    return {
+        "E0": _log_negativity(stack.cms[:, :2, :2]),
+        "negativity": _negativity(stack.cms, stack.dets),
+        "S": 1.0 / lam,
+        "Q": -np.log(lam) + 0.0,
+        "rate": _rate_column(stack.cms, k) if rates is None else np.asarray(rates, dtype=float),
+    }
 
 
 def negativity(gamma) -> float:
     """Inverse smallest symplectic eigenvalue of the partially transposed CM.
 
-    Computed as ``[min spec(J2^T gt J2 gt)]^(-1/2)`` with ``gt = L gamma L``
-    and ``L = diag(1, 1, 1, -1)``.  The product has real positive spectrum
-    (the squared symplectic eigenvalues of ``gt``), but it is not a normal
-    matrix, so the spectrum rather than the singular values must be used.
-    Values above 1 witness entanglement; for pure states
-    ``negativity = exp(r)``.
+    Values above 1 witness entanglement; for pure states it is ``exp(E0)``.
     """
-    gamma = assert_valid_cm(gamma)
-    gt = _LAMBDA @ gamma @ _LAMBDA
-    spec = np.abs(np.linalg.eigvals(J2.T @ gt @ J2 @ gt))
-    return float(np.min(spec)) ** -0.5
-
-
-def _entropy_of(rr: float) -> float:
-    ch2 = math.cosh(rr) ** 2
-    sh2 = math.sinh(rr) ** 2
-    if sh2 <= 0.0:
-        return 0.0
-    return ch2 * math.log(ch2) - sh2 * math.log(sh2)
+    stack = valid_cm_stack(gamma)
+    return float(_negativity(stack.cms, stack.dets)[0])
 
 
 @dataclass(frozen=True)
@@ -69,17 +80,14 @@ class EntanglementReport:
     ``r`` is the standard-form two-mode squeezing parameter and equals the
     log-negativity; ``det_a = cosh(r)^2`` is the determinant of the reduced
     CM (an inverse-purity measure); ``negativity = exp(r)``.  ``entropy`` is
-    the entropy of entanglement with ``cosh(r) = sqrt(det A)``;
-    ``entropy_alt`` uses the halved parameterisation (see
-    ``ENTROPY_CONVENTION_NOTE``).
+    the von Neumann entropy of either reduced state, whose Schmidt spectrum
+    is ``(1 - q) q^n`` with ``q = tanh(r/2)^2``.
     """
 
     r: float
     negativity: float
     det_a: float
     entropy: float
-    entropy_alt: float
-    convention_warning: str = ENTROPY_CONVENTION_NOTE
 
     @property
     def log_negativity(self) -> float:
@@ -92,8 +100,16 @@ class EntanglementReport:
             "Ep": self.det_a,
             "negativity": self.negativity,
             "entropy": self.entropy,
-            "entropy_alt": self.entropy_alt,
         }
+
+
+def _entropy(nu: float) -> float:
+    """Entropy of a reduced state with symplectic eigenvalue ``nu = cosh r``:
+    ``cosh^2 x log cosh^2 x - sinh^2 x log sinh^2 x`` at ``x = r/2``."""
+    plus, minus = (nu + 1.0) / 2.0, (nu - 1.0) / 2.0
+    if minus <= 0.0:
+        return 0.0
+    return plus * math.log(plus) - minus * math.log(minus)
 
 
 def entanglement(gamma) -> EntanglementReport:
@@ -105,17 +121,14 @@ def entanglement(gamma) -> EntanglementReport:
         If ``det(gamma)`` deviates from 1; use :func:`negativity` for mixed
         states.
     """
-    gamma = assert_valid_cm(gamma)
-    assert_pure(gamma)
-    a, _, _ = cm_blocks(gamma)
-    det_a = max(float(np.linalg.det(a)), 1.0)
-    r = pure_standard_form(gamma).r
+    stack = valid_cm_stack(gamma, pure=True)
+    a = stack.cms[:, :2, :2]
+    det_a = max(float(det2(a)[0]), 1.0)
     return EntanglementReport(
-        r=r,
-        negativity=negativity(gamma),
+        r=float(_log_negativity(a)[0]),
+        negativity=float(_negativity(stack.cms, stack.dets)[0]),
         det_a=det_a,
-        entropy=_entropy_of(r),
-        entropy_alt=_entropy_of(math.acosh(math.sqrt(det_a)) / 2.0),
+        entropy=_entropy(math.sqrt(det_a)),
     )
 
 

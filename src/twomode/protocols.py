@@ -2,16 +2,19 @@
 following, attainability bounds, ancilla extensions and Gaussian measurements.
 
 A protocol alternates instantaneous local rotations with windows of the
-native coupling.  Running one from a pure state produces a trajectory of
-covariance matrices; all per-node quantifiers (entanglement, negativity,
-squeezing, instantaneous optimal rate) are derived lazily from the stored
-CMs so that long runs stay cheap when only the final state matters.
+native coupling.  Running one from a pure state produces a trajectory: an
+``(N, 4, 4)`` stack of covariance matrices.  The per-node quantifiers
+(entanglement, negativity, squeezing, instantaneous optimal rate) are
+computed on request, vectorised over the whole stack, so long runs stay
+cheap when only the final state matters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +25,19 @@ from .core import (
     apply_symplectic,
     assert_valid_cm,
     evolve,
+    generator,
     pure_standard_form,
     restricted_svd,
+    valid_cm_stack,
 )
-from .measures import entanglement, squeezing
-from .rates import optimal_entanglement_rate
+from .measures import report_columns
+from .rates import (
+    _local_squeezing,
+    _optimal_rotations,
+    _rate_column,
+    _y_stack,
+    optimal_entanglement_rate,
+)
 from .simulate import Protocol, ProtocolStep
 
 __all__ = [
@@ -37,11 +48,13 @@ __all__ = [
     "run_protocol",
     "flip_strategy",
     "flip_effective_coupling",
+    "uniform_grid",
     "greedy_rate_strategy",
     "greedy_rate_walk",
     "finite_time_bounds",
     "extend_with_ancillas",
     "gaussian_measurement",
+    "write_text_atomic",
 ]
 
 _FLIP = LocalRotationPair(math.pi / 2.0, 3.0 * math.pi / 2.0)
@@ -57,21 +70,33 @@ class SingularBlockError(ValueError):
     """Measured block of an extended CM is numerically singular."""
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Atomic write: temp file in the target directory, then rename."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 @dataclass
 class Trajectory:
     """Time-ordered covariance matrices produced by a strategy.
 
-    ``rates`` holds the instantaneous optimal entanglement rate of the state
-    at each node (the rate available to a rate-greedy continuation); it is
-    filled eagerly by the greedy strategy and computed on demand otherwise.
-    Report columns are cached after the first request.
+    ``cms`` is an ``(N, 4, 4)`` array.  ``rates`` holds the instantaneous
+    optimal entanglement rate of the state at each node (the rate available
+    to a rate-greedy continuation); it is filled by the greedy strategy and
+    computed on request otherwise.
     """
 
     times: np.ndarray
-    cms: list[np.ndarray]
+    cms: np.ndarray
     native_k: np.ndarray
     rates: np.ndarray | None = None
-    _rows: list[dict] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.cms)
@@ -80,56 +105,43 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.cms[-1]
 
+    def columns(self) -> dict[str, np.ndarray]:
+        """Report columns ``t, E0, negativity, S, Q, rate`` over all nodes."""
+        cols = report_columns(self.cms, self.native_k, self.rates)
+        return {"t": np.asarray(self.times, dtype=float), **cols}
+
     def reports(self) -> list[dict]:
         """Per-node quantifiers: t, E0, negativity, S, Q and rate."""
-        if self._rows is None:
-            rows = []
-            for i, (t, cm) in enumerate(zip(self.times, self.cms)):
-                ent = entanglement(cm)
-                sq = squeezing(cm)
-                if self.rates is not None:
-                    rate = float(self.rates[i])
-                else:
-                    rate = optimal_entanglement_rate(cm, self.native_k).rate
-                rows.append(
-                    {
-                        "t": float(t),
-                        "E0": ent.r,
-                        "negativity": ent.negativity,
-                        "S": sq.squeezing,
-                        "Q": sq.q,
-                        "rate": rate,
-                    }
-                )
-            self._rows = rows
-        return self._rows
+        cols = self.columns()
+        return [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in cols.values()))]
+
+    def csv_text(self) -> str:
+        """The report rows as ``t,E0,negativity,S,Q,rate`` CSV text."""
+        cols = self.columns()
+        rows = zip(*(cols[key].tolist() for key in CSV_HEADER.split(",")))
+        return "\n".join([CSV_HEADER, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
     def to_csv(self, path) -> None:
-        """Write the report rows as ``t,E0,negativity,S,Q,rate`` CSV."""
-        lines = [CSV_HEADER]
-        for row in self.reports():
-            lines.append(
-                ",".join(repr(row[key]) for key in ("t", "E0", "negativity", "S", "Q", "rate"))
-            )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Write the report rows as ``t,E0,negativity,S,Q,rate`` CSV, atomically."""
+        write_text_atomic(path, self.csv_text())
 
 
 def run_protocol(gamma0, protocol: Protocol) -> Trajectory:
-    """Execute a protocol step by step, recording the CM after every window."""
-    gamma = assert_valid_cm(gamma0)
+    """Execute a protocol step by step, recording the CM after every window.
+
+    Each distinct step is fused once into the matrix "rotation, then flow".
+    """
     k = _as_k(protocol.native_k)
-    times = [0.0]
-    cms = [gamma]
-    t = 0.0
-    for step in protocol.steps:
-        gamma = apply_symplectic(step.rotation.matrix, gamma)
-        gamma = apply_symplectic(evolve(k, step.duration), gamma)
-        t += step.duration
-        times.append(t)
-        cms.append(gamma)
+    cms = np.empty((len(protocol.steps) + 1, 4, 4))
+    cms[0] = gamma = assert_valid_cm(gamma0)
+    fused: dict[tuple[float, float, float], np.ndarray] = {}
+    for i, step in enumerate(protocol.steps, start=1):
+        key = (step.rotation.phi1, step.rotation.phi2, step.duration)
+        if key not in fused:
+            fused[key] = evolve(k, step.duration) @ step.rotation.matrix
+        cms[i] = gamma = apply_symplectic(fused[key], gamma)
     cms[-1] = apply_symplectic(protocol.final.matrix, cms[-1])
-    return Trajectory(times=np.asarray(times), cms=cms, native_k=k)
+    return Trajectory(np.cumsum([0.0, *(step.duration for step in protocol.steps)]), cms, k)
 
 
 def flip_effective_coupling(k) -> np.ndarray:
@@ -159,15 +171,9 @@ def flip_strategy(k, t: float, steps: int) -> Protocol:
     return Protocol(k, tuple(schedule), final)
 
 
-def _polar_rotation(s_mat: np.ndarray) -> np.ndarray:
-    """Orthogonal polar factor of a 2x2 matrix with positive determinant."""
-    u, _, vt = np.linalg.svd(s_mat)
-    o = u @ vt
-    if np.linalg.det(o) < 0:
-        u = u.copy()
-        u[:, 1] = -u[:, 1]
-        o = u @ vt
-    return o
+def _polar_angle(m: np.ndarray) -> float:
+    """Angle of the rotation (polar) factor of a 2x2 matrix with positive determinant."""
+    return math.atan2(m[1, 0] - m[0, 1], m[0, 0] + m[1, 1])
 
 
 def _neutral_flip_base(gamma, k) -> LocalRotationPair:
@@ -182,14 +188,9 @@ def _neutral_flip_base(gamma, k) -> LocalRotationPair:
     with the state.
     """
     form = pure_standard_form(gamma)
-    o1 = _polar_rotation(form.S1)
-    o2 = _polar_rotation(form.S2)
-    undo = np.zeros((4, 4))
-    undo[:2, :2] = o1.T
-    undo[2:, 2:] = o2.T
-    aligned = apply_symplectic(undo, gamma)
-    base = optimal_entanglement_rate(aligned, k).rotations
-    return LocalRotationPair.from_matrices(base.block1 @ o1.T, base.block2 @ o2.T)
+    undo = LocalRotationPair(-_polar_angle(form.S1), -_polar_angle(form.S2))
+    aligned = apply_symplectic(undo.matrix, gamma)
+    return optimal_entanglement_rate(aligned, k).rotations.compose(undo)
 
 
 def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajectory:
@@ -206,46 +207,49 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
     quarter-turn pattern, which holds the realised rate at the plateau
     value.  The band defaults to ``20 * max(dt)`` and only affects the
     applied controls; the reported rates stay the closed-form optimum of
-    each visited state.
+    each visited state, computed while the finished walk is validated.
     """
     k = _as_k(k)
-    gamma = assert_valid_cm(gamma0)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1-d grid")
     if lock_band is None:
         lock_band = 20.0 * float(np.max(np.diff(times))) if times.size > 1 else 0.0
-    cms = [gamma]
-    rates = []
-    locked = False
-    for i in range(times.size - 1):
-        plan = optimal_entanglement_rate(gamma, k)
-        rates.append(plan.rate)
-        if plan.l > lock_band:
-            pair = plan.rotations
+    cms = np.empty((times.size, 4, 4))
+    cms[0] = valid_cm_stack(gamma0, pure=True).cms[0]
+    lbar1, _, lbar2 = restricted_svd(generator(k).L)
+    steps = np.diff(times).tolist()
+    flows = {dt: evolve(k, dt) for dt in set(steps)}
+    locked, flip = False, _FLIP.matrix
+    for i, dt in enumerate(steps):
+        gamma = cms[i]
+        ys = _y_stack(gamma[None])
+        if _local_squeezing(gamma[None], ys)[0] > lock_band:
+            rotation = _optimal_rotations(gamma, ys, lbar1, lbar2).matrix
             locked = False
         elif not locked:
-            pair = _neutral_flip_base(gamma, k)
+            rotation = _neutral_flip_base(gamma, k).matrix
             locked = True
         else:
-            pair = _FLIP
-        gamma = apply_symplectic(pair.matrix, gamma)
-        gamma = apply_symplectic(evolve(k, times[i + 1] - times[i]), gamma)
-        cms.append(gamma)
-    rates.append(optimal_entanglement_rate(gamma, k).rate)
-    return Trajectory(times=times, cms=cms, native_k=k, rates=np.asarray(rates))
+            rotation = flip
+        cms[i + 1] = apply_symplectic(flows[dt] @ rotation, gamma)
+    rates = _rate_column(valid_cm_stack(cms, pure=True).cms, k)
+    return Trajectory(times=times, cms=cms, native_k=k, rates=rates)
+
+
+def uniform_grid(t: float, dt: float) -> np.ndarray:
+    """Grid ``0, dt, 2 dt, ..., t`` of at least two nodes; the last step may be partial."""
+    if not (dt > 0 and 0 < t < math.inf):
+        raise ValueError("t and dt must be positive and t finite")
+    n = max(1, int(math.ceil(t / dt - 1e-12)))
+    return np.append(np.minimum(np.arange(n) * dt, t), t)
 
 
 def greedy_rate_strategy(
     gamma0, k, t: float, dt: float = 1e-3, lock_band: float | None = None
 ) -> Trajectory:
     """Rate-greedy strategy on a uniform grid of step ``dt`` (final step partial)."""
-    if dt <= 0 or t <= 0:
-        raise ValueError("t and dt must be positive")
-    n = int(math.ceil(t / dt - 1e-12))
-    times = np.minimum(np.arange(n + 1) * dt, t)
-    times[-1] = t
-    return greedy_rate_walk(gamma0, k, times, lock_band=lock_band)
+    return greedy_rate_walk(gamma0, k, uniform_grid(t, dt), lock_band=lock_band)
 
 
 def finite_time_bounds(k, t: float, r1: float = 0.0, r2: float = 0.0) -> tuple[float, float]:
@@ -270,13 +274,6 @@ def finite_time_bounds(k, t: float, r1: float = 0.0, r2: float = 0.0) -> tuple[f
 # ---------------------------------------------------------------------------
 # Ancillas and Gaussian measurements
 # ---------------------------------------------------------------------------
-
-
-def _symplectic_form(n_modes: int) -> np.ndarray:
-    out = np.zeros((2 * n_modes, 2 * n_modes))
-    for m in range(n_modes):
-        out[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = J
-    return out
 
 
 @dataclass(frozen=True)
@@ -328,7 +325,7 @@ def extend_with_ancillas(gamma, n_anc: int, o=None, tol: float = 1e-10) -> Exten
         raise ValueError(f"passive matrix must be {dim}x{dim}, got {o.shape}")
     if np.max(np.abs(o @ o.T - np.eye(dim))) > tol:
         raise NotPassiveError("matrix is not orthogonal")
-    form = _symplectic_form(2 + n_anc)
+    form = np.kron(np.eye(2 + n_anc), J)
     if np.max(np.abs(o @ form @ o.T - form)) > tol:
         raise NotPassiveError("matrix is not symplectic")
     big = np.eye(dim)

@@ -27,19 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEGENERACY_TOL,
     J,
     SIGMA_Z,
     LocalRotationPair,
     _as_k,
     _rotation_diagonalising,
-    cm_blocks,
-    assert_pure,
     assert_valid_cm,
+    det2,
     generator,
-    pure_standard_form,
     restricted_svd,
+    valid_cm_stack,
 )
-from .measures import DEGENERACY_TOL
 
 __all__ = [
     "EntanglementRatePlan",
@@ -52,28 +51,64 @@ __all__ = [
 ]
 
 #: Below this value of ``-det(C)`` the cross block counts as vanishing and the
-#: first-order rate formulas switch to the standard-form path.
+#: local squeezing parameter switches to the product-state form.
 _DETC_TOL = 1e-14
+
+
+def _sigma_max(m: np.ndarray) -> np.ndarray:
+    """Largest singular value ``q + r`` of each matrix in a ``(N, 2, 2)`` stack.
+
+    ``(q + r, q - r)`` are the restricted singular values: their squares sum
+    to ``||M||_F^2`` and their product is ``det M``.  ``q + r`` never cancels.
+    """
+    q = np.hypot(m[:, 0, 0] + m[:, 1, 1], m[:, 1, 0] - m[:, 0, 1])
+    r = np.hypot(m[:, 0, 0] - m[:, 1, 1], m[:, 1, 0] + m[:, 0, 1])
+    return (q + r) / 2.0
+
+
+def _y_stack(cms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Y = sqrt(det A / -det C) C^T A^-1`` per CM; product rows hold no ``Y``."""
+    a, c = cms[:, :2, :2], cms[:, :2, 2:]
+    det_c = det2(c)
+    product = -det_c < _DETC_TOL
+    adj_a = np.trace(a, axis1=1, axis2=2)[:, None, None] * np.eye(2) - a  # tr(A) I - A
+    scale = 1.0 / np.sqrt(det2(a) * np.where(product, 1.0, -det_c))
+    return scale[:, None, None] * (c.transpose(0, 2, 1) @ adj_a), product
+
+
+def _local_squeezing(cms: np.ndarray, ys=None) -> np.ndarray:
+    """Local squeezing parameter ``l`` of each validated pure CM in a stack.
+
+    ``exp(l) = sigma_max(Y)``; product states take the canonical orientation,
+    ``l = (log lambda_max(A) + log lambda_max(B)) / 2``.  ``ys = _y_stack(cms)``.
+    """
+    y, product = _y_stack(cms) if ys is None else ys
+    l = np.log(np.maximum(_sigma_max(y), 1.0))
+    if product.any():
+        lam = _sigma_max(cms[:, :2, :2]) * _sigma_max(cms[:, 2:, 2:])
+        l = np.where(product, 0.5 * np.log(lam), l)
+    return l
+
+
+def _rate(l, s1: float, s2: float):
+    return s1 * np.exp(l) - s2 * np.exp(-l)
+
+
+def _rate_column(cms: np.ndarray, k) -> np.ndarray:
+    """Optimal entanglement rate of each validated pure CM in a stack."""
+    _, svals, _ = restricted_svd(generator(k).L)
+    return _rate(_local_squeezing(cms), svals.s1, svals.s2)
 
 
 def local_squeezing_parameter(gamma) -> float:
     """Local squeezing parameter ``l >= 0`` of a pure state.
 
-    Determined by ``cosh(2l) = tr[(S1^T S1)^-1 sz (S2^T S2) sz] / 2`` from the
-    local parts of the pure-state standard form.  For product states the
-    local parts are only fixed up to rotations and the canonical orientation
-    gives the maximal value ``l = d1 + d2`` (sum of the single-mode squeezing
-    exponents).
+    ``cosh(2l) = tr[(S1^T S1)^-1 sz (S2^T S2) sz] / 2`` with the local parts of
+    the pure-state standard form.  For product states, whose local parts are
+    fixed only up to rotations, the canonical orientation gives the maximal
+    value ``l = d1 + d2`` (sum of the single-mode squeezing exponents).
     """
-    form = pure_standard_form(gamma)
-    if form.is_product:
-        d1 = 0.5 * math.log(float(np.linalg.svd(form.S1, compute_uv=False)[0]) ** 2)
-        d2 = 0.5 * math.log(float(np.linalg.svd(form.S2, compute_uv=False)[0]) ** 2)
-        return d1 + d2
-    p1 = form.S1.T @ form.S1
-    p2 = form.S2.T @ form.S2
-    x = 0.5 * float(np.trace(np.linalg.inv(p1) @ SIGMA_Z @ p2 @ SIGMA_Z))
-    return 0.5 * math.acosh(max(x, 1.0))
+    return float(_local_squeezing(valid_cm_stack(gamma, pure=True).cms)[0])
 
 
 @dataclass(frozen=True)
@@ -85,7 +120,7 @@ class EntanglementRatePlan:
     two-mode squeezing parameter at ``rate`` to first order.  ``Y`` is the
     determinant-(-1) matrix ``sqrt(det A / -det C) C^T A^-1`` whose restricted
     singular values are ``(exp(l), -exp(-l))``; it is None for product
-    states, where ``l`` comes from the standard form instead.
+    states, where ``l`` comes from the local blocks instead.
     """
 
     rate: float
@@ -106,13 +141,16 @@ class EntanglementRatePlan:
         }
 
 
-def _y_matrix(gamma) -> np.ndarray | None:
-    a, _, c = cm_blocks(np.asarray(gamma, dtype=float))
-    det_c = float(np.linalg.det(c))
-    if -det_c < _DETC_TOL:
-        return None
-    det_a = float(np.linalg.det(a))
-    return math.sqrt(det_a / -det_c) * (c.T @ np.linalg.inv(a))
+def _optimal_rotations(gamma, ys, lbar1, lbar2) -> LocalRotationPair:
+    """Optimal pre-rotations of a valid pure CM with ``ys = _y_stack(gamma[None])``."""
+    y, product = ys
+    if not product[0]:
+        ry, _, sy = restricted_svd(y[0])
+        return LocalRotationPair.from_matrices(lbar1 @ sy, lbar2.T @ ry.T)
+    # Product state: the local factors satisfy S1 S1^T = A and S2 S2^T = B.
+    g1, _ = _rotation_diagonalising(gamma[:2, :2], descending=False)
+    g2, _ = _rotation_diagonalising(gamma[2:, 2:], descending=True)
+    return LocalRotationPair.from_matrices(lbar1 @ g1.T, lbar2.T @ g2.T)
 
 
 def optimal_entanglement_rate(gamma, k) -> EntanglementRatePlan:
@@ -124,33 +162,17 @@ def optimal_entanglement_rate(gamma, k) -> EntanglementRatePlan:
     axes of the two modes against the generator frame.
     """
     k = _as_k(k)
-    gamma = assert_valid_cm(gamma)
-    assert_pure(gamma)
-    gen = generator(k)
-    lbar1, svals, lbar2 = restricted_svd(gen.L)
-    s1, s2 = svals.s1, svals.s2
-
-    y = _y_matrix(gamma)
-    if y is not None:
-        ry, ys, sy = restricted_svd(y)
-        l = math.log(max(ys.s1, 1.0))
-        o1 = lbar1 @ sy
-        o2 = lbar2.T @ ry.T
-    else:
-        form = pure_standard_form(gamma)
-        l = local_squeezing_parameter(gamma)
-        g1, _ = _rotation_diagonalising(form.S1 @ form.S1.T, descending=False)
-        g2, _ = _rotation_diagonalising(form.S2 @ form.S2.T, descending=True)
-        o1 = lbar1 @ g1.T
-        o2 = lbar2.T @ g2.T
-    rate = s1 * math.exp(l) - s2 * math.exp(-l)
+    stack = valid_cm_stack(gamma, pure=True)
+    lbar1, svals, lbar2 = restricted_svd(generator(k).L)
+    ys = _y_stack(stack.cms)
+    l = float(_local_squeezing(stack.cms, ys)[0])
     return EntanglementRatePlan(
-        rate=rate,
+        rate=float(_rate(l, svals.s1, svals.s2)),
         l=l,
-        rotations=LocalRotationPair.from_matrices(o1, o2),
-        Y=y,
-        s1=s1,
-        s2=s2,
+        rotations=_optimal_rotations(stack.cms[0], ys, lbar1, lbar2),
+        Y=None if ys[1][0] else ys[0][0],
+        s1=svals.s1,
+        s2=svals.s2,
     )
 
 
@@ -162,15 +184,13 @@ def entanglement_rate(gamma, k, o1, o2) -> float:
     state (the formula is singular for product states).
     """
     k = _as_k(k)
-    gamma = assert_valid_cm(gamma)
-    assert_pure(gamma)
-    y = _y_matrix(gamma)
-    if y is None:
+    y, product = _y_stack(valid_cm_stack(gamma, pure=True).cms)
+    if product[0]:
         raise ValueError("entanglement_rate needs an entangled state (det C < 0)")
     gen = generator(k)
     o1 = np.asarray(o1, dtype=float)
     o2 = np.asarray(o2, dtype=float)
-    return float(np.trace(o1.T @ gen.L @ o2 @ y))
+    return float(np.trace(o1.T @ gen.L @ o2 @ y[0]))
 
 
 def squeezing_capability(k) -> float:

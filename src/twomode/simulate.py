@@ -268,7 +268,9 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
 
     terms = []
     for w, (ri, si) in zip(weights, _BASE_PAIRS):
-        if w <= 0.0:
+        # Weights at round-off level (from remainder/2 and +-f) would only
+        # add Trotter windows of near-zero duration.
+        if w <= _SLACK:
             continue
         # State rotations composed with the outer SVD factors of both
         # couplings: O1 = R_K R_i^T R'^T, O2 = S_K^T S_i S'.

@@ -78,18 +78,15 @@ def grid_entanglement_rate(gamma, k, n_grid=360, dt=1e-6):
     c = gamma[:2, 2:]
     rots = _rotation_stack(n_grid)
 
-    a_rot = np.einsum("nij,jk,nlk->nil", rots, a, rots)  # (n, 2, 2)
-    b_rot = np.einsum("nij,jk,nlk->nil", rots, b, rots)
-    c_rot = np.einsum("nij,jk,mlk->nmil", rots, c, rots)  # (n, m, 2, 2)
-
+    # Evolved block A(dt) = s11 A_n s11^T + X_nm + X_nm^T + s12 B_m s12^T for
+    # mode-1 rotation n and mode-2 rotation m, with X_nm = s11 R_n C R_m^T s12^T.
     s = evolve(k, dt)
-    s11, s12 = s[:2, :2], s[:2, 2:]
-    a_dt = (
-        np.einsum("ij,njk,lk->nil", s11, a_rot, s11)[:, None]
-        + np.einsum("ij,nmjk,lk->nmil", s11, c_rot, s12)
-        + np.einsum("ij,nmkj,lk->nmil", s12, c_rot, s11)
-        + np.einsum("ij,njk,lk->nil", s12, b_rot, s12)[None, :]
-    )
+    p = s[:2, :2] @ rots  # (n, 2, 2): s11 R_n
+    q = s[:2, 2:] @ rots  # (m, 2, 2): s12 R_m
+    a_part = p @ a @ p.transpose(0, 2, 1)
+    b_part = q @ b @ q.transpose(0, 2, 1)
+    x = np.einsum("nij,mkj->nmik", p @ c, q, optimize=True)
+    a_dt = a_part[:, None] + x + x.transpose(0, 1, 3, 2) + b_part[None, :]
     det = a_dt[..., 0, 0] * a_dt[..., 1, 1] - a_dt[..., 0, 1] * a_dt[..., 1, 0]
     r0 = np.arccosh(np.sqrt(max(np.linalg.det(a), 1.0)))
     r_dt = np.arccosh(np.sqrt(np.maximum(det, 1.0)))

@@ -174,6 +174,26 @@ class TestRunCommand:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+    @pytest.mark.parametrize("strategy", ["greedy", "tms", "bare"])
+    @pytest.mark.parametrize("grid", [("0.1", "0"), ("0.1", "-0.001"), ("inf", "0.001")])
+    def test_invalid_grid_is_validation_error(self, capsys, strategy, grid):
+        t, dt = grid
+        code, out, err = run_cli(
+            capsys, "run", "--hamiltonian", "h0", "--strategy", strategy, f"--t={t}", f"--dt={dt}"
+        )
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+    def test_stdout_and_file_csv_identical(self, capsys, tmp_path):
+        argv = ["run", "--hamiltonian", "h0", "--state", "squeezed:0.4", "--t", "0.05"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "traj.csv"
+        run_cli(capsys, *argv, "--out", str(path))
+        assert out == path.read_text()
+
+
 class TestGateCommands:
     def test_decompose_then_compile(self, capsys, tmp_path):
         gate_path = tmp_path / "gate.json"

@@ -48,16 +48,21 @@ class TestEntanglementReport:
         with pytest.raises(NotPureError):
             entanglement(1.5 * np.eye(4))
 
-    def test_entropy_conventions_both_reported(self):
-        report = entanglement(two_mode_squeezed_cm(0.5))
-        # The two parameterisations genuinely disagree; both must be present.
-        assert report.entropy > report.entropy_alt > 0.0
-        assert "entropy_alt" in report.to_dict()
-        assert report.convention_warning
+    def test_entropy_matches_fock_spectrum(self, rng):
+        """Schmidt spectrum of a pure state: lambda_n = (1 - q) q^n, q = tanh(r/2)^2."""
+        states = [two_mode_squeezed_cm(x) for x in (0.3, 0.7, 1.2)]
+        states += [random_pure_cm(rng) for _ in range(20)]
+        for g in states:
+            report = entanglement(g)
+            q = np.tanh(report.r / 2.0) ** 2
+            lam = (1.0 - q) * q ** np.arange(20000)
+            lam = lam[lam > 0.0]
+            oracle = float(-np.sum(lam * np.log(lam)))
+            assert report.entropy == pytest.approx(oracle, rel=1e-10, abs=1e-10)
 
     def test_serialisation_fields(self):
         payload = entanglement(two_mode_squeezed_cm(0.3)).to_dict()
-        assert set(payload) == {"r", "E0", "Ep", "negativity", "entropy", "entropy_alt"}
+        assert set(payload) == {"r", "E0", "Ep", "negativity", "entropy"}
         assert payload["E0"] == payload["r"]
 
 

@@ -84,6 +84,24 @@ class TestRunProtocol:
         assert len(lines) == len(traj) + 1
 
 
+    def test_csv_export_is_atomic(self, tmp_path, monkeypatch):
+        """A failed write leaves the previous file and no temporary behind."""
+        import twomode.protocols
+
+        path = tmp_path / "traj.csv"
+        path.write_text("previous\n")
+        traj = run_protocol(vacuum_cm(), flip_strategy(H0, 0.3, 10))
+
+        def fail(*args):
+            raise OSError("simulated failure")
+
+        monkeypatch.setattr(twomode.protocols.os, "replace", fail)
+        with pytest.raises(OSError):
+            traj.to_csv(path)
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+
+
 class TestFlipStrategy:
     def test_converges_to_two_mode_squeezed_values(self):
         traj = run_protocol(vacuum_cm(), flip_strategy(H0, 1.0, 4000))

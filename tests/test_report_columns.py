@@ -1,0 +1,180 @@
+"""Stacked report kernel and step cache against per-node reference loops.
+
+The references are written out node by node with general-purpose NumPy
+linear algebra (spectra, SVDs, the pure-state standard form), so they share
+no closed form with the stacked kernel.
+"""
+
+import numpy as np
+import pytest
+
+from helpers import random_coupling, random_pure_cm, random_rotation_pair
+from twomode.cli import _flow_trajectory
+from twomode.core import (
+    J2,
+    H0,
+    LocalRotationPair,
+    NotPureError,
+    apply_symplectic,
+    assert_valid_cm,
+    evolve,
+    generator,
+    pure_standard_form,
+    restricted_svd,
+    squeezed_product_cm,
+    vacuum_cm,
+)
+from twomode.measures import entanglement, negativity, report_columns, squeezing
+from twomode.protocols import (
+    flip_effective_coupling,
+    flip_strategy,
+    greedy_rate_strategy,
+    run_protocol,
+)
+from twomode.rates import optimal_entanglement_rate
+from twomode.simulate import Protocol, ProtocolStep
+
+_PARTIAL_TRANSPOSE = np.diag([1.0, 1.0, 1.0, -1.0])
+
+
+def reference_columns(cms, k):
+    """Per-node loop over the reference implementations of every column."""
+    _, svals, _ = restricted_svd(generator(k).L)
+    rows = []
+    for g in cms:
+        gt = _PARTIAL_TRANSPOSE @ g @ _PARTIAL_TRANSPOSE
+        spec = np.abs(np.linalg.eigvals(J2.T @ gt @ J2 @ gt))
+        lam = np.linalg.eigh(g)[0][0]
+        a, c = g[:2, :2], g[:2, 2:]
+        if -np.linalg.det(c) < 1e-14:
+            form = pure_standard_form(g)
+            l = sum(np.log(np.linalg.svd(s, compute_uv=False)[0]) for s in (form.S1, form.S2))
+        else:
+            y = np.sqrt(np.linalg.det(a) / -np.linalg.det(c)) * (c.T @ np.linalg.inv(a))
+            l = np.log(max(np.linalg.svd(y, compute_uv=False)[0], 1.0))
+        rows.append(
+            (
+                pure_standard_form(g).r,
+                float(np.min(spec)) ** -0.5,
+                1.0 / lam,
+                -np.log(lam),
+                svals.s1 * np.exp(l) - svals.s2 * np.exp(-l),
+            )
+        )
+    return dict(zip(("E0", "negativity", "S", "Q", "rate"), np.array(rows).T))
+
+
+def assert_columns_match(cols, ref):
+    assert np.max(np.abs(cols["E0"] - ref["E0"])) <= 1e-7
+    for key in ("negativity", "S", "Q", "rate"):
+        scale = np.maximum(1.0, np.abs(ref[key]))
+        assert np.max(np.abs(cols[key] - ref[key]) / scale) <= 1e-7, key
+
+
+def _random_start(rng):
+    r1, r2 = rng.uniform(0.0, 0.8, size=2)
+    return apply_symplectic(random_rotation_pair(rng).matrix, squeezed_product_cm(r1, r2))
+
+
+class TestColumnsMatchReferenceLoops:
+    def test_random_pure_states(self, rng):
+        cms = np.array([random_pure_cm(rng) for _ in range(300)])
+        k = random_coupling(rng)
+        assert_columns_match(report_columns(cms, k), reference_columns(cms, k))
+
+    def test_flip_trajectory(self, rng):
+        k = random_coupling(rng)
+        traj = run_protocol(_random_start(rng), flip_strategy(k, 1.0, 200))
+        assert_columns_match(report_columns(traj.cms, k), reference_columns(traj.cms, k))
+
+    def test_greedy_trajectory(self, rng):
+        k = random_coupling(rng)
+        traj = greedy_rate_strategy(_random_start(rng), k, 0.5, 2e-3)
+        ref = reference_columns(traj.cms, k)
+        assert_columns_match(traj.columns(), ref)
+        assert np.max(np.abs(traj.rates - ref["rate"]) / np.maximum(1.0, ref["rate"])) <= 1e-7
+
+    def test_tms_and_bare_trajectories(self, rng):
+        k = random_coupling(rng)
+        times = np.linspace(0.0, 1.0, 201)
+        gamma0 = _random_start(rng)
+        for traj in (
+            _flow_trajectory(gamma0, flip_effective_coupling(k), times, k),
+            _flow_trajectory(gamma0, k, times, k),
+        ):
+            assert_columns_match(traj.columns(), reference_columns(traj.cms, k))
+
+    def test_scalar_functions_are_batches_of_one(self, rng):
+        k = random_coupling(rng)
+        cms = np.array([random_pure_cm(rng) for _ in range(20)] + [squeezed_product_cm(0.3, 0.1)])
+        cols = report_columns(cms, k)
+        for i, g in enumerate(cms):
+            assert entanglement(g).r == pytest.approx(cols["E0"][i], rel=1e-14, abs=1e-14)
+            assert negativity(g) == pytest.approx(cols["negativity"][i], rel=1e-14)
+            assert squeezing(g).squeezing == pytest.approx(cols["S"][i], rel=1e-12)
+            assert optimal_entanglement_rate(g, k).rate == pytest.approx(cols["rate"][i], rel=1e-14)
+
+
+class TestStackValidation:
+    @pytest.fixture
+    def stack(self, rng):
+        return np.array([random_pure_cm(rng) for _ in range(10)])
+
+    def test_one_mixed_node_raises_not_pure(self, stack):
+        stack[4] = 1.5 * np.eye(4)
+        with pytest.raises(NotPureError):
+            report_columns(stack, H0)
+
+    @pytest.mark.parametrize("defect", ["asymmetric", "non-finite", "not positive definite"])
+    def test_one_invalid_node_raises_value_error(self, stack, defect):
+        bad = stack[6].copy()
+        if defect == "asymmetric":
+            bad[0, 3] += 1e-3
+        elif defect == "non-finite":
+            bad[2, 2] = np.nan
+        else:
+            bad = np.diag([-1.0, -1.0, 1.0, 1.0])
+        stack[6] = bad
+        with pytest.raises(ValueError) as excinfo:
+            report_columns(stack, H0)
+        assert not isinstance(excinfo.value, NotPureError)
+        with pytest.raises(ValueError):
+            assert_valid_cm(bad)
+
+    def test_greedy_walk_rejects_mixed_start(self):
+        with pytest.raises(NotPureError):
+            greedy_rate_strategy(1.5 * np.eye(4), H0, 0.01, 1e-3)
+
+
+class TestStepCache:
+    def test_matches_uncached_step_products(self, rng):
+        k = random_coupling(rng)
+        pairs = [random_rotation_pair(rng) for _ in range(3)] + [LocalRotationPair()]
+        durations = [0.01, 0.02, 0.005]
+        steps = tuple(ProtocolStep(pairs[i % 4], durations[i % 3]) for i in range(300))
+        protocol = Protocol(k, steps, random_rotation_pair(rng))
+        gamma0 = random_pure_cm(rng)
+        traj = run_protocol(gamma0, protocol)
+        gamma = gamma0
+        for i, step in enumerate(steps, start=1):
+            gamma = apply_symplectic(step.rotation.matrix, gamma)
+            gamma = apply_symplectic(evolve(k, step.duration), gamma)
+            if i < len(steps):
+                assert np.max(np.abs(traj.cms[i] - gamma)) <= 1e-12 * np.max(np.abs(gamma))
+        gamma = apply_symplectic(protocol.final.matrix, gamma)
+        assert np.max(np.abs(traj.final - gamma)) <= 1e-12 * np.max(np.abs(gamma))
+        assert np.allclose(traj.times, np.cumsum([0.0] + [s.duration for s in steps]))
+
+    def test_flip_strategy_builds_two_fused_steps(self, monkeypatch):
+        import twomode.protocols
+
+        durations = []
+
+        def counting_evolve(k, t):
+            durations.append(t)
+            return evolve(k, t)
+
+        monkeypatch.setattr(twomode.protocols, "evolve", counting_evolve)
+        traj = run_protocol(vacuum_cm(), flip_strategy(H0, 1.0, 1000))
+        assert len(durations) == 2
+        assert traj.cms.shape == (1001, 4, 4)

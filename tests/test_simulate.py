@@ -134,6 +134,26 @@ class TestSynthesizePlan:
             scale = max(1.0, float(np.max(np.abs(kp))))
             assert np.max(np.abs(effective_hamiltonian(plan) - kp)) < 1e-10 * scale
 
+    def test_no_round_off_weights_at_minimal_time(self, rng):
+        """Round-off weights are dropped, so every term carries real time.
+
+        Each compiled gate then costs exactly ``slices * len(terms)`` steps.
+        """
+        from twomode.gates import BeamSplitterGate, GateSequence, compile_to_native
+
+        for _ in range(200):
+            k, kp = random_coupling(rng), random_coupling(rng)
+            _, s, _ = restricted_svd(k)
+            if s.s1 - abs(s.s2) < 1e-6:
+                continue
+            plan = synthesize_plan(k, kp, 1.0)
+            assert min(t.weight for t in plan.terms) > 1e-12
+            scale = max(1.0, float(np.max(np.abs(kp))))
+            assert np.max(np.abs(effective_hamiltonian(plan) - kp)) < 1e-9 * scale
+            gate_plan = synthesize_plan(k, HBS, 0.4)
+            protocol = compile_to_native(GateSequence((BeamSplitterGate(0.4),)), k, slices=50)
+            assert len(protocol.steps) == 50 * len(gate_plan.terms)
+
     def test_extra_time_is_allowed(self, rng):
         k, kp = H0, kmatrix(a=0.4, b=0.1)
         plan = synthesize_plan(k, kp, 1.0, t=3.0)
