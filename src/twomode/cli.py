@@ -1,7 +1,8 @@
 """Command-line front end: batch computations, strategy runs, figure data.
 
-Exit codes: 0 on success, 2 on usage/validation errors, 3 on numeric errors
-(degenerate couplings, infeasible times, singular measurement blocks).
+Exit codes: 0 on success, 2 on usage/validation errors (including non-finite
+numeric arguments), 3 on numeric errors (degenerate couplings, infeasible
+times, singular measurement blocks, overflow, non-finite results).
 """
 
 from __future__ import annotations
@@ -76,18 +77,25 @@ def _parse_hamiltonian(spec: str) -> np.ndarray:
     return k_from_dict(data)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_state(spec: str) -> np.ndarray:
     kind, _, arg = spec.partition(":")
     kind = kind.lower()
     if kind == "vacuum":
         return vacuum_cm()
     if kind == "squeezed":
-        parts = [float(x) for x in arg.split(",")] if arg else [0.0]
+        parts = [_finite_float(x) for x in arg.split(",")] if arg else [0.0]
         r1 = parts[0]
         r2 = parts[1] if len(parts) > 1 else 0.0
         return squeezed_product_cm(r1, r2)
     if kind == "tms":
-        return two_mode_squeezed_cm(float(arg))
+        return two_mode_squeezed_cm(_finite_float(arg))
     data = _load_json(spec)
     if isinstance(data, dict):
         data = data["cm"]
@@ -95,7 +103,11 @@ def _parse_state(spec: str) -> np.ndarray:
 
 
 def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    """Write strict JSON; a NaN or infinite result is a numeric error (exit 3)."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FloatingPointError("result is not finite") from exc
     if out:
         write_text_atomic(out, text)
     else:
@@ -123,12 +135,7 @@ def _cmd_simcheck(args) -> int:
 def _cmd_tmin(args) -> int:
     k = _parse_hamiltonian(args.hamiltonian)
     kp = _parse_hamiltonian(args.target)
-    value = min_simulation_time(k, kp, args.t)
-    text = repr(float(value)) + "\n"
-    if args.out:
-        write_text_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(float(min_simulation_time(k, kp, args.t)), args.out)
     return 0
 
 
@@ -404,12 +411,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{name} must be a finite number, got {value}")
+        # NumPy overflow and NaN raise FloatingPointError (exit 3).
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except (
         DegenerateHamiltonianError,
         InfeasibleTimeError,
         SingularBlockError,
         NotPassiveError,
+        ArithmeticError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -77,7 +77,6 @@ J = np.array([[0.0, -1.0], [1.0, 0.0]])
 J2 = np.block([[J, np.zeros((2, 2))], [np.zeros((2, 2)), J]])
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 #: Position-position coupling ``X1 X2`` (the natural atom-light interaction).
 H0 = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -188,10 +187,8 @@ class LocalRotationPair:
 
     @staticmethod
     def from_matrices(r1: np.ndarray, r2: np.ndarray) -> "LocalRotationPair":
-        """Recover angles from two SO(2) matrices."""
-        return LocalRotationPair(
-            math.atan2(r1[1, 0], r1[0, 0]), math.atan2(r2[1, 0], r2[0, 0])
-        )
+        """Recover angles in ``(-pi, pi]`` from two SO(2) matrices."""
+        return LocalRotationPair(*_rsvd_angles(np.stack([r1, r2]))[3].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -220,33 +217,55 @@ class RestrictedSVD(NamedTuple):
     S: np.ndarray
 
 
+def _wrap(phi):
+    """Angles shifted by whole turns into ``(-pi, pi]``."""
+    phi = np.asarray(phi, dtype=float)
+    return phi - 2.0 * math.pi * np.ceil(phi / (2.0 * math.pi) - 0.5)
+
+
+#: Maps ``(m00, m01, m10, m11)`` to ``(a, c, b, d)``: the conformal part ``(a, b) =
+#: (m00 + m11, m10 - m01)`` and the anticonformal part ``(c, d) = (m00 - m11, m10 + m01)``.
+_SPLIT = np.array([[1, 1, 0, 0], [0, 0, -1, 1], [0, 0, 1, 1], [1, -1, 0, 0]], dtype=float)
+
+
+def _rsvd_angles(m):
+    """Closed-form restricted SVD ``M = R(theta) diag(s1, s2) R(psi)`` of ``(..., 2, 2)`` stacks.
+
+    ``M = q R(alpha) + r R(beta) sz`` with ``q, r >= 0`` gives ``s1 = q + r``,
+    ``s2 = q - r``, ``theta = (alpha + beta)/2`` on the branch ``(-pi/2, pi/2]``
+    and ``psi = theta - beta``.  A degenerate spectrum, ``min(q, r) <= 0.5e-12
+    s1`` (``sigma1 - sigma2 <= 1e-12 s1``), takes ``theta = 0`` and ``psi =
+    alpha`` (``-beta`` if ``r > q``).  So a rotation ``R(phi)`` gives ``psi =
+    phi``, and a symmetric positive definite matrix has descending eigenvalues
+    ``(s1, s2)`` with eigenvectors ``R(theta)``.  Returns ``(theta, s1, s2,
+    psi)``, each of shape ``m.shape[:-2]``; the zero matrix gives zeros.
+    """
+    m = np.asarray(m, dtype=float)
+    x = m.reshape(m.shape[:-2] + (4,)) @ _SPLIT
+    h = np.hypot(x[..., :2], x[..., 2:]) / 2.0
+    angle = np.arctan2(x[..., 2:], x[..., :2])
+    q, r, alpha, beta = h[..., 0], h[..., 1], angle[..., 0], angle[..., 1]
+    s1 = q + r
+    degenerate = np.minimum(q, r) <= 0.5e-12 * s1
+    theta = np.where(degenerate, 0.0, _wrap(alpha + beta) / 2.0)
+    psi = np.where(degenerate & (r <= q), alpha, theta - beta)
+    return theta, s1, q - r, psi
+
+
 def restricted_svd(k) -> RestrictedSVD:
     """Decompose ``K = R diag(s1, s2) S`` with both factors special orthogonal.
 
-    Determinant-(-1) factors of the ordinary SVD are folded into the sign of
-    the second singular value.  For (numerically) equal singular values the
+    The factors and values come in closed form from the conformal split of
+    ``K`` (see :func:`_rsvd_angles`), with ``R = R(theta)`` for ``theta`` in
+    ``(-pi/2, pi/2]``.  For (numerically) equal singular values the
     factorisation is not unique; the left factor is then fixed to the
     identity, which makes presets such as ``K = I -> (I, (1, 1), I)``
     deterministic.
     """
-    k = _as_k(k)
-    u, sig, vt = np.linalg.svd(k)
-    s1 = float(sig[0])
-
-    if s1 <= 1e-300:
-        return RestrictedSVD(np.eye(2), RestrictedSingularValues(0.0, 0.0), np.eye(2))
-    if sig[0] - sig[1] <= 1e-12 * s1:
-        # Degenerate spectrum: K is s1 times an orthogonal matrix.
-        sign = 1.0 if np.linalg.det(k) >= 0 else -1.0
-        s = np.diag([1.0 / s1, sign / s1]) @ k
-        return RestrictedSVD(np.eye(2), RestrictedSingularValues(s1, sign * s1), s)
-
-    du = float(np.sign(np.linalg.det(u)))
-    dv = float(np.sign(np.linalg.det(vt)))
-    r = u @ np.diag([1.0, du])
-    s = np.diag([1.0, dv]) @ vt
-    s2 = du * dv * float(sig[1])
-    return RestrictedSVD(r, RestrictedSingularValues(s1, s2), s)
+    theta, s1, s2, psi = _rsvd_angles(_as_k(k))
+    return RestrictedSVD(
+        rotation(theta), RestrictedSingularValues(float(s1), float(s2)), rotation(psi)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +295,7 @@ def generator(k) -> Generator:
     m = np.zeros((4, 4))
     m[:2, 2:] = l
     m[2:, :2] = lt
-    return Generator(M=m, L=l, L_tilde=lt, alpha=-float(np.linalg.det(l)))
+    return Generator(M=m, L=l, L_tilde=lt, alpha=-float(det2(l)))
 
 
 def _cosh_sinc(alpha: float, t):
@@ -542,29 +561,13 @@ class PureStateStandardForm:
         return (out + out.T) / 2.0
 
 
-def _rotation_diagonalising(p: np.ndarray, descending: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation ``O`` and eigenvalues ``w`` with ``p = O diag(w) O^T``.
-
-    ``numpy.linalg.eigh`` returns ascending eigenvalues; the column order is
-    flipped on request and the determinant fixed to +1.
-    """
-    w, v = np.linalg.eigh((p + p.T) / 2.0)
-    if descending:
-        w = w[::-1]
-        v = v[:, ::-1]
-    if np.linalg.det(v) < 0:
-        v = v.copy()
-        v[:, 1] = -v[:, 1]
-    return v, w
-
-
 def pure_standard_form(gamma, tol: float = PURITY_TOL) -> PureStateStandardForm:
     """Compute the pure-state standard form of a two-mode CM.
 
     The local factors are built as ``S_k = O_k D_k O_k'``: ``O_k``
     diagonalises the reduced block (``A`` or ``B``), ``D_k`` holds the local
     squeezing read off the eigenvalue ratio, and the inner rotations come
-    from the SVD of ``D1^-1 O1^T C O2 D2^-1``.  ``cosh(r)`` is
+    from the restricted SVD of ``D1^-1 O1^T C O2 D2^-1``.  ``cosh(r)`` is
     ``sqrt(det A)``.
 
     Raises
@@ -576,25 +579,22 @@ def pure_standard_form(gamma, tol: float = PURITY_TOL) -> PureStateStandardForm:
     assert_pure(gamma, tol)
     a, b, c = cm_blocks(gamma)
 
-    cosh_r = math.sqrt(max(float(np.linalg.det(a)), 1.0))
+    cosh_r = math.sqrt(max(float(det2(a)), 1.0))
     r = math.acosh(cosh_r)
     product = bool(np.max(np.abs(c)) <= PRODUCT_TOL)
 
+    # R(theta_k) diagonalises A and B with descending eigenvalues (w1_k, w2_k).
+    theta, w1, w2, _ = _rsvd_angles(np.stack([a, b]) / (1.0 if product else cosh_r))
+    o1, o2 = rotation(theta[0]), rotation(theta[1])
+    d1, d2 = np.sqrt(np.maximum(np.stack([w1, w2], axis=1), 1e-300))
     if product:
         # S_k only enter through S_k S_k^T = A (resp. B); fix the rotation
         # freedom by the canonical orientation described in the class docstring.
-        o1, w1 = _rotation_diagonalising(a, descending=True)
-        o2, w2 = _rotation_diagonalising(b, descending=True)
-        d1 = np.diag(np.sqrt(np.maximum(w1, 1e-300)))
-        d2 = np.diag(np.sqrt(np.maximum(w2, 1e-300)))
-        return PureStateStandardForm(S1=o1 @ d1 @ J, S2=o2 @ d2, r=0.0, is_product=True)
+        return PureStateStandardForm(
+            S1=o1 @ np.diag(d1) @ J, S2=o2 @ np.diag(d2), r=0.0, is_product=True
+        )
 
-    o1, w1 = _rotation_diagonalising(a / cosh_r, descending=True)
-    o2, w2 = _rotation_diagonalising(b / cosh_r, descending=True)
-    d1 = np.sqrt(np.maximum(w1, 1e-300))
-    d2 = np.sqrt(np.maximum(w2, 1e-300))
-    z = np.diag(1.0 / d1) @ o1.T @ c @ o2 @ np.diag(1.0 / d2)
-    o1p, _, o2pt = restricted_svd(z)
-    s1 = o1 @ np.diag(d1) @ o1p
-    s2 = o2 @ np.diag(d2) @ o2pt.T
+    inner1, _, _, inner2 = _rsvd_angles((o1.T @ c @ o2) / np.outer(d1, d2))
+    s1 = o1 @ np.diag(d1) @ rotation(inner1)
+    s2 = o2 @ np.diag(d2) @ rotation(-inner2)
     return PureStateStandardForm(S1=s1, S2=s2, r=r, is_product=False)

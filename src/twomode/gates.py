@@ -30,6 +30,8 @@ from .core import (
     J2,
     LocalRotationPair,
     _as_k,
+    _rsvd_angles,
+    _wrap,
     assert_symplectic,
     evolve,
     restricted_svd,
@@ -251,16 +253,6 @@ class PassiveDecomposition:
         )
 
 
-def _passive_to_unitary(o: np.ndarray) -> np.ndarray:
-    """2x2 unitary representing a passive matrix on the mode amplitudes."""
-    return np.array(
-        [
-            [o[0, 0] + 1j * o[1, 0], o[0, 2] + 1j * o[1, 2]],
-            [o[2, 0] + 1j * o[3, 0], o[2, 2] + 1j * o[3, 2]],
-        ]
-    )
-
-
 def passive_decompose(o, tol: float = 1e-10) -> PassiveDecomposition:
     """Split a passive matrix into rotations around one beam splitter.
 
@@ -274,19 +266,19 @@ def passive_decompose(o, tol: float = 1e-10) -> PassiveDecomposition:
     if np.max(np.abs(o @ J2 @ o.T - J2)) > tol:
         raise ValueError("input is not symplectic at the required tolerance")
 
-    u = _passive_to_unitary(o)
-    theta = math.atan2(abs(u[1, 0]), abs(u[0, 0]))
-    cos_ok = abs(u[0, 0]) > 1e-9
-    sin_ok = abs(u[1, 0]) > 1e-9
-
-    xi1 = float(np.angle(u[0, 0])) if cos_ok else 0.0
-    xi2 = float(np.angle(u[1, 0])) if sin_ok else 0.0
-    if cos_ok:
-        eta2 = float(np.angle(u[1, 1])) - xi2
-    else:
-        eta2 = float(np.angle(-u[0, 1])) - xi1
+    # The 2x2 blocks are conformal, |u_ij| R(arg u_ij), with u the unitary on
+    # the mode amplitudes: |u_ij| = (s1 + s2)/2 and arg u_ij = theta + psi.
+    theta, s1, s2, psi = _rsvd_angles(np.stack([o[:2, :2], o[2:, :2], o[2:, 2:], -o[:2, 2:]]))
+    xi1, xi2, arg11, arg01 = _wrap(theta + psi).tolist()  # u00, u10, u11, -u01
+    cos_u, sin_u = ((s1[:2] + s2[:2]) / 2.0).tolist()
+    cos_ok, sin_ok = cos_u > 1e-9, sin_u > 1e-9
+    xi1 = xi1 if cos_ok else 0.0
+    xi2 = xi2 if sin_ok else 0.0
+    eta2 = arg11 - xi2 if cos_ok else arg01 - xi1
     return PassiveDecomposition(
-        rot_out=LocalRotationPair(xi1, xi2), t_bs=theta, rot_in=LocalRotationPair(0.0, eta2)
+        rot_out=LocalRotationPair(xi1, xi2),
+        t_bs=math.atan2(sin_u, cos_u),
+        rot_in=LocalRotationPair(0.0, eta2),
     )
 
 

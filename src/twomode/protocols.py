@@ -22,6 +22,7 @@ from .core import (
     J,
     LocalRotationPair,
     _as_k,
+    _rsvd_angles,
     apply_symplectic,
     assert_valid_cm,
     evolve,
@@ -162,18 +163,12 @@ def flip_strategy(k, t: float, steps: int) -> Protocol:
         raise ValueError("steps must be >= 1")
     k = _as_k(k)
     dt = t / steps
-    schedule = [ProtocolStep(LocalRotationPair(), dt)]
-    schedule.extend(ProtocolStep(_FLIP, dt) for _ in range(steps - 1))
+    schedule = (ProtocolStep(LocalRotationPair(), dt),) + (ProtocolStep(_FLIP, dt),) * (steps - 1)
     two_pi = 2.0 * math.pi
     final = LocalRotationPair(
         (-(steps - 1) * _FLIP.phi1) % two_pi, (-(steps - 1) * _FLIP.phi2) % two_pi
     )
-    return Protocol(k, tuple(schedule), final)
-
-
-def _polar_angle(m: np.ndarray) -> float:
-    """Angle of the rotation (polar) factor of a 2x2 matrix with positive determinant."""
-    return math.atan2(m[1, 0] - m[0, 1], m[0, 0] + m[1, 1])
+    return Protocol(k, schedule, final)
 
 
 def _neutral_flip_base(gamma, k) -> LocalRotationPair:
@@ -188,7 +183,8 @@ def _neutral_flip_base(gamma, k) -> LocalRotationPair:
     with the state.
     """
     form = pure_standard_form(gamma)
-    undo = LocalRotationPair(-_polar_angle(form.S1), -_polar_angle(form.S2))
+    theta, _, _, psi = _rsvd_angles(np.stack([form.S1, form.S2]))
+    undo = LocalRotationPair(*(-(theta + psi)).tolist())  # polar angles theta + psi
     aligned = apply_symplectic(undo.matrix, gamma)
     return optimal_entanglement_rate(aligned, k).rotations.compose(undo)
 
@@ -217,7 +213,7 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
         lock_band = 20.0 * float(np.max(np.diff(times))) if times.size > 1 else 0.0
     cms = np.empty((times.size, 4, 4))
     cms[0] = valid_cm_stack(gamma0, pure=True).cms[0]
-    lbar1, _, lbar2 = restricted_svd(generator(k).L)
+    theta_l, _, _, psi_l = (float(x) for x in _rsvd_angles(generator(k).L))
     steps = np.diff(times).tolist()
     flows = {dt: evolve(k, dt) for dt in set(steps)}
     locked, flip = False, _FLIP.matrix
@@ -225,7 +221,7 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
         gamma = cms[i]
         ys = _y_stack(gamma[None])
         if _local_squeezing(gamma[None], ys)[0] > lock_band:
-            rotation = _optimal_rotations(gamma, ys, lbar1, lbar2).matrix
+            rotation = _optimal_rotations(gamma, ys, theta_l, psi_l).matrix
             locked = False
         elif not locked:
             rotation = _neutral_flip_base(gamma, k).matrix

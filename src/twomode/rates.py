@@ -32,7 +32,8 @@ from .core import (
     SIGMA_Z,
     LocalRotationPair,
     _as_k,
-    _rotation_diagonalising,
+    _rsvd_angles,
+    _wrap,
     assert_valid_cm,
     det2,
     generator,
@@ -54,39 +55,33 @@ __all__ = [
 #: local squeezing parameter switches to the product-state form.
 _DETC_TOL = 1e-14
 
-
-def _sigma_max(m: np.ndarray) -> np.ndarray:
-    """Largest singular value ``q + r`` of each matrix in a ``(N, 2, 2)`` stack.
-
-    ``(q + r, q - r)`` are the restricted singular values: their squares sum
-    to ``||M||_F^2`` and their product is ``det M``.  ``q + r`` never cancels.
-    """
-    q = np.hypot(m[:, 0, 0] + m[:, 1, 1], m[:, 1, 0] - m[:, 0, 1])
-    r = np.hypot(m[:, 0, 0] - m[:, 1, 1], m[:, 1, 0] + m[:, 0, 1])
-    return (q + r) / 2.0
+_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-def _y_stack(cms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``Y = sqrt(det A / -det C) C^T A^-1`` per CM; product rows hold no ``Y``."""
+def _y_stack(cms: np.ndarray):
+    """``(Y, product, _rsvd_angles(Y))`` with ``Y = sqrt(det A / -det C) C^T A^-1``
+    per CM; product rows hold no ``Y``."""
     a, c = cms[:, :2, :2], cms[:, :2, 2:]
     det_c = det2(c)
     product = -det_c < _DETC_TOL
-    adj_a = np.trace(a, axis1=1, axis2=2)[:, None, None] * np.eye(2) - a  # tr(A) I - A
     scale = 1.0 / np.sqrt(det2(a) * np.where(product, 1.0, -det_c))
-    return scale[:, None, None] * (c.transpose(0, 2, 1) @ adj_a), product
+    adj_a = a.transpose(0, 2, 1)[:, ::-1, ::-1] * _COFACTOR_SIGNS  # [[a11, -a01], [-a10, a00]]
+    y = scale[:, None, None] * (c.transpose(0, 2, 1) @ adj_a)
+    return y, product, _rsvd_angles(y)
 
 
 def _local_squeezing(cms: np.ndarray, ys=None) -> np.ndarray:
     """Local squeezing parameter ``l`` of each validated pure CM in a stack.
 
-    ``exp(l) = sigma_max(Y)``; product states take the canonical orientation,
+    ``exp(l) = s1(Y)``; product states take the canonical orientation,
     ``l = (log lambda_max(A) + log lambda_max(B)) / 2``.  ``ys = _y_stack(cms)``.
     """
-    y, product = _y_stack(cms) if ys is None else ys
-    l = np.log(np.maximum(_sigma_max(y), 1.0))
+    _, product, (_, s1, _, _) = _y_stack(cms) if ys is None else ys
+    l = np.log(np.maximum(s1, 1.0))
     if product.any():
-        lam = _sigma_max(cms[:, :2, :2]) * _sigma_max(cms[:, 2:, 2:])
-        l = np.where(product, 0.5 * np.log(lam), l)
+        blocks = cms[product]
+        lam = _rsvd_angles(blocks[:, :2, :2])[1] * _rsvd_angles(blocks[:, 2:, 2:])[1]
+        l[product] = 0.5 * np.log(lam)
     return l
 
 
@@ -141,16 +136,17 @@ class EntanglementRatePlan:
         }
 
 
-def _optimal_rotations(gamma, ys, lbar1, lbar2) -> LocalRotationPair:
-    """Optimal pre-rotations of a valid pure CM with ``ys = _y_stack(gamma[None])``."""
-    y, product = ys
+def _optimal_rotations(gamma, ys, theta_l: float, psi_l: float) -> LocalRotationPair:
+    """Optimal pre-rotations of a valid pure CM with ``ys = _y_stack(gamma[None])``;
+    ``(theta_l, psi_l)`` are the restricted SVD angles of the generator ``L``."""
+    _, product, (theta_y, _, _, psi_y) = ys
     if not product[0]:
-        ry, _, sy = restricted_svd(y[0])
-        return LocalRotationPair.from_matrices(lbar1 @ sy, lbar2.T @ ry.T)
-    # Product state: the local factors satisfy S1 S1^T = A and S2 S2^T = B.
-    g1, _ = _rotation_diagonalising(gamma[:2, :2], descending=False)
-    g2, _ = _rotation_diagonalising(gamma[2:, 2:], descending=True)
-    return LocalRotationPair.from_matrices(lbar1 @ g1.T, lbar2.T @ g2.T)
+        return LocalRotationPair(float(theta_l + psi_y[0]), float(-psi_l - theta_y[0]))
+    # Product state: the local factors satisfy S1 S1^T = A and S2 S2^T = B;
+    # R(theta_A + pi/2) orders A's eigenvalues ascending, R(theta_B) orders
+    # B's descending.
+    theta_a, theta_b = _rsvd_angles(np.stack([gamma[:2, :2], gamma[2:, 2:]]))[0].tolist()
+    return LocalRotationPair(theta_l - theta_a - math.pi / 2.0, -psi_l - theta_b)
 
 
 def optimal_entanglement_rate(gamma, k) -> EntanglementRatePlan:
@@ -163,16 +159,17 @@ def optimal_entanglement_rate(gamma, k) -> EntanglementRatePlan:
     """
     k = _as_k(k)
     stack = valid_cm_stack(gamma, pure=True)
-    lbar1, svals, lbar2 = restricted_svd(generator(k).L)
+    theta_l, s1, s2, psi_l = (float(x) for x in _rsvd_angles(generator(k).L))
     ys = _y_stack(stack.cms)
     l = float(_local_squeezing(stack.cms, ys)[0])
+    rotations = _optimal_rotations(stack.cms[0], ys, theta_l, psi_l)
     return EntanglementRatePlan(
-        rate=float(_rate(l, svals.s1, svals.s2)),
+        rate=float(_rate(l, s1, s2)),
         l=l,
-        rotations=_optimal_rotations(stack.cms[0], ys, lbar1, lbar2),
+        rotations=LocalRotationPair(*_wrap([rotations.phi1, rotations.phi2]).tolist()),
         Y=None if ys[1][0] else ys[0][0],
-        s1=svals.s1,
-        s2=svals.s2,
+        s1=s1,
+        s2=s2,
     )
 
 
@@ -184,7 +181,7 @@ def entanglement_rate(gamma, k, o1, o2) -> float:
     state (the formula is singular for product states).
     """
     k = _as_k(k)
-    y, product = _y_stack(valid_cm_stack(gamma, pure=True).cms)
+    y, product, _ = _y_stack(valid_cm_stack(gamma, pure=True).cms)
     if product[0]:
         raise ValueError("entanglement_rate needs an entangled state (det C < 0)")
     gen = generator(k)

@@ -23,13 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    J,
     LocalRotationPair,
+    RestrictedSingularValues,
     _as_k,
+    _rsvd_angles,
+    _wrap,
     k_from_dict,
     k_to_dict,
     restricted_svd,
-    rotation,
 )
 
 __all__ = [
@@ -186,13 +187,13 @@ class SimulationPlan:
         )
 
 
-# The four Hadamard-product rotation pairs that span every achievable
-# diagonal: (R_i, S_i) with R_i diag(s1, s2) S_i diagonal.
+# Angles of the four Hadamard-product rotation pairs that span every
+# achievable diagonal: (R_i, S_i) with R_i diag(s1, s2) S_i diagonal.
 _BASE_PAIRS = (
-    (np.eye(2), np.eye(2)),
-    (np.eye(2), -np.eye(2)),
-    (J.T, J),
-    (J.T, J.T),
+    (0.0, 0.0),
+    (0.0, math.pi),
+    (-math.pi / 2.0, math.pi / 2.0),
+    (-math.pi / 2.0, -math.pi / 2.0),
 )
 
 
@@ -217,8 +218,12 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
     """
     k = _as_k(k)
     k_target = _as_k(k_target)
-    rk, s, sk = restricted_svd(k)
-    rp, sp, spr = restricted_svd(k_target)
+    theta, s1, s2, psi = np.array(_rsvd_angles(np.stack([k, k_target]))).tolist()
+    s, sp = map(RestrictedSingularValues, s1, s2)
+    # State rotations composed with the outer SVD factors of both couplings,
+    # O1 = R_K R_i^T R'^T and O2 = S_K^T S_i S', as angles.
+    offset = [theta[0] - theta[1], psi[1] - psi[0]]
+    angles = _wrap(np.array(_BASE_PAIRS) * [-1.0, 1.0] + offset).tolist()
 
     if s.s1 - abs(s.s2) <= _DEG_TOL * max(s.s1, 1.0):
         rho = _proportionality(s, sp)
@@ -237,7 +242,7 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
                 PlanTerm(0.5, LocalRotationPair(0.0, math.pi)),
             )
             return SimulationPlan(k, k_target, float(t), float(t_target), terms)
-        pair = LocalRotationPair.from_matrices(rk @ rp.T, sk.T @ spr)
+        pair = LocalRotationPair(*angles[0])  # R_i = S_i = I
         return SimulationPlan(k, k_target, float(t), float(t_target), (PlanTerm(1.0, pair),))
 
     if t is None:
@@ -266,18 +271,12 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
         max(-f, 0.0),
     ]
 
-    terms = []
-    for w, (ri, si) in zip(weights, _BASE_PAIRS):
-        # Weights at round-off level (from remainder/2 and +-f) would only
-        # add Trotter windows of near-zero duration.
-        if w <= _SLACK:
-            continue
-        # State rotations composed with the outer SVD factors of both
-        # couplings: O1 = R_K R_i^T R'^T, O2 = S_K^T S_i S'.
-        o1 = rk @ ri.T @ rp.T
-        o2 = sk.T @ si @ spr
-        terms.append(PlanTerm(w, LocalRotationPair.from_matrices(o1, o2)))
-    return SimulationPlan(k, k_target, float(t), float(t_target), tuple(terms))
+    # Weights at round-off level (from remainder/2 and +-f) would only add
+    # Trotter windows of near-zero duration.
+    terms = tuple(
+        PlanTerm(w, LocalRotationPair(*pair)) for w, pair in zip(weights, angles) if w > _SLACK
+    )
+    return SimulationPlan(k, k_target, float(t), float(t_target), terms)
 
 
 def effective_hamiltonian(plan: SimulationPlan) -> np.ndarray:
@@ -372,11 +371,13 @@ def plan_to_protocol(plan: SimulationPlan, slices: int) -> Protocol:
     if not terms:
         return Protocol(plan.native_k, (), LocalRotationPair())
 
-    steps = []
-    prev = LocalRotationPair()
-    for _ in range(slices):
-        for term in terms:
-            quotient = term.rotations.compose(prev.inverse())
-            steps.append(ProtocolStep(quotient, term.weight * plan.t / slices))
-            prev = term.rotations
-    return Protocol(plan.native_k, tuple(steps), prev.inverse())
+    # A slice holds at most four distinct steps: build the first slice and
+    # the repeating cycle once, then share the frozen steps.
+    prevs = [LocalRotationPair(), *(term.rotations for term in terms)]
+    first = tuple(
+        ProtocolStep(term.rotations.compose(prev.inverse()), term.weight * plan.t / slices)
+        for term, prev in zip(terms, prevs)
+    )
+    entry = ProtocolStep(terms[0].rotations.compose(prevs[-1].inverse()), first[0].duration)
+    cycle = (entry, *first[1:])
+    return Protocol(plan.native_k, first + cycle * (slices - 1), prevs[-1].inverse())

@@ -106,3 +106,39 @@ def grid_squeezing_rate(gamma, k, n_grid=720, dt=1e-6):
     lam = np.linalg.eigvalsh(evolved)[:, 0]
     q0 = -np.log(np.linalg.eigvalsh(gamma)[0])
     return float(np.max(-np.log(lam) - q0)) / dt
+
+
+def lapack_restricted_svd(k):
+    """Oracle ``K = R diag(s1, s2) S`` from LAPACK's SVD with determinant fixes.
+
+    Returns ``(R, (s1, s2), S)``.  Equal singular values (to 1e-12 relative)
+    take ``R = I``; the zero matrix gives identities and ``(0, 0)``.
+    """
+    k = np.asarray(k, dtype=float)
+    u, sig, vt = np.linalg.svd(k)
+    s1 = float(sig[0])
+    if s1 <= 1e-300:
+        return np.eye(2), (0.0, 0.0), np.eye(2)
+    if sig[0] - sig[1] <= 1e-12 * s1:
+        sign = 1.0 if np.linalg.det(k) >= 0 else -1.0
+        return np.eye(2), (s1, sign * s1), np.diag([1.0 / s1, sign / s1]) @ k
+    du = float(np.sign(np.linalg.det(u)))
+    dv = float(np.sign(np.linalg.det(vt)))
+    return u @ np.diag([1.0, du]), (s1, du * dv * float(sig[1])), np.diag([1.0, dv]) @ vt
+
+
+def reference_plan_to_protocol(plan, slices):
+    """Per-window reference loop for ``simulate.plan_to_protocol``."""
+    from twomode.simulate import Protocol, ProtocolStep
+
+    terms = [t for t in plan.terms if t.weight > 0.0]
+    if not terms:
+        return Protocol(plan.native_k, (), LocalRotationPair())
+    steps = []
+    prev = LocalRotationPair()
+    for _ in range(slices):
+        for term in terms:
+            quotient = term.rotations.compose(prev.inverse())
+            steps.append(ProtocolStep(quotient, term.weight * plan.t / slices))
+            prev = term.rotations
+    return Protocol(plan.native_k, tuple(steps), prev.inverse())

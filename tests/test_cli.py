@@ -1,9 +1,13 @@
 """Tests for the command-line interface: outputs, formats, exit codes."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twomode.cli import main, reproduce_figures
 from twomode.core import HBS, evolve, matrix_to_list, k_to_dict, kmatrix
@@ -236,6 +240,79 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["definitely-not-a-command"])
         assert excinfo.value.code == 2
+
+
+def run_cli_code(argv):
+    """Exit code and stdout of ``main(argv)``, counting argparse exits."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+class TestNumericContract:
+    """Overflow and non-finite results exit 3; non-finite arguments exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["measure", "--state", "squeezed:1000"], 3),
+            (["measure", "--state", "tms:400"], 3),
+            (["bounds", "--hamiltonian", "preset:h0", "--t", "1e6"], 3),
+            (["evolve", "--hamiltonian", "preset:htms", "--t", "800"], 3),
+            (["evolve", "--hamiltonian", "h0", "--t", "inf"], 2),
+            (["evolve", "--hamiltonian", "h0", "--t", "nan"], 2),
+            (["tmin", "--hamiltonian", "h0", "--target", "hbs", "--t", "nan"], 2),
+            (["plan", "--hamiltonian", "h0", "--target", "htms", "--total", "nan"], 2),
+            (["tmin", "--hamiltonian", "h0", "--target", "hbs", "--t", "1e308"], 3),
+            (["measure", "--state", "squeezed:nan"], 2),
+            (["measure", "--state", "tms:inf"], 2),
+        ],
+    )
+    def test_exit_codes(self, argv, expected):
+        code, out = run_cli_code(argv)
+        assert code == expected
+        assert out == ""
+
+    _TEMPLATES = (
+        ("tmin", "--hamiltonian", "h0", "--target", "htms", "--t={}"),
+        ("plan", "--hamiltonian", "h0", "--target", "htms", "--t={}", "--total={}"),
+        ("evolve", "--hamiltonian", "preset:htms", "--t={}"),
+        ("evolve", "--hamiltonian", "hbs", "--t={}", "--state", "squeezed:{},{}"),
+        ("bounds", "--hamiltonian", "h0", "--t={}", "--r1={}", "--r2={}"),
+        ("measure", "--state", "squeezed:{},{}"),
+        ("measure", "--state", "tms:{}"),
+        ("rates", "--hamiltonian", "h0", "--state", "squeezed:{},{}"),
+        ("rates", "--hamiltonian", "htms", "--state", "tms:{}"),
+    )
+    _FLOATS = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(min_value=-30.0, max_value=30.0),
+        st.sampled_from([1e308, -1e308, 5e-324, 0.0, 800.0, 1e6]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_float_arguments(self, data):
+        """Any float argument gives exit 0, 2 or 3, and exit 0 prints strict JSON."""
+        template = data.draw(st.sampled_from(self._TEMPLATES))
+        argv = [
+            arg.format(*(repr(data.draw(self._FLOATS)) for _ in range(arg.count("{}"))))
+            for arg in template
+        ]
+        code, out = run_cli_code(argv)
+        assert code in (0, 2, 3), argv
+        if code == 0:
+            json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert out == "", argv
 
 
 class TestFigures:

@@ -6,15 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import random_coupling, random_pure_cm, random_rotation_pair, random_symplectic
+from helpers import (
+    lapack_restricted_svd,
+    random_coupling,
+    random_pure_cm,
+    random_rotation_pair,
+    random_symplectic,
+)
 from twomode.core import (
     H0,
     HBS,
     HTMS,
     J,
     J2,
+    SIGMA_Z,
     LocalRotationPair,
     NotPureError,
+    _rsvd_angles,
     apply_symplectic,
     assert_valid_cm,
     evolve,
@@ -28,6 +36,7 @@ from twomode.core import (
     matrix_to_list,
     pure_standard_form,
     restricted_svd,
+    rotation,
     squeezed_product_cm,
     standard_form_evolution,
     two_mode_squeezed_cm,
@@ -83,6 +92,51 @@ class TestRestrictedSVD:
             pair = random_rotation_pair(rng)
             _, svals, _ = restricted_svd(pair.block1.T @ k @ pair.block2)
             assert np.allclose([svals.s1, svals.s2], [ref.s1, ref.s2], atol=1e-12)
+
+
+def _kernel_cases(rng) -> np.ndarray:
+    """Random, rank-1, s1 = s2, s1 = -s2 and zero couplings at scales 1e-8 .. 1e8."""
+    cases = [random_coupling(rng) for _ in range(400)]
+    cases += [np.outer(rng.normal(size=2), rng.normal(size=2)) for _ in range(200)]
+    conformal = [rng.uniform(0.1, 3.0) * rotation(rng.uniform(-4.0, 4.0)) for _ in range(200)]
+    cases += conformal[:100] + [m @ SIGMA_Z for m in conformal[100:]]  # s1 = s2, s1 = -s2
+    cases += [np.zeros((2, 2)), np.eye(2), H0, HBS, HTMS]
+    base = np.array(cases)
+    return np.concatenate([base * 10.0**e for e in range(-8, 9, 2)])
+
+
+class TestRestrictedSVDKernel:
+    """The closed-form kernel against LAPACK's SVD (``helpers.lapack_restricted_svd``)."""
+
+    def test_matches_lapack_oracle(self, rng):
+        ms = _kernel_cases(rng)
+        theta, s1, s2, psi = _rsvd_angles(ms)
+        assert np.all((-np.pi / 2.0 < theta) & (theta <= np.pi / 2.0))
+        for m, t, v1, v2, p in zip(ms, theta, s1, s2, psi):
+            r_o, (o1, o2), s_o = lapack_restricted_svd(m)
+            assert abs(v1 - o1) <= 1e-12 * max(1.0, v1)
+            assert abs(v2 - o2) <= 1e-12 * max(1.0, v1)
+            r, s = rotation(t), rotation(p)
+            assert np.max(np.abs(r @ np.diag([v1, v2]) @ s - m)) <= 4e-15 * v1
+            gap = o1 - abs(o2)
+            if gap <= 1e-12 * o1:
+                # Degenerate spectrum (and zero): the left factor is fixed to I.
+                assert t == 0.0
+                continue
+            # Unique up to the joint sign (R, S) -> (-R, -S); vectors carry
+            # round-off amplified by s1 / gap.
+            tol = 1e-12 * o1 / gap
+            sign = 1.0 if np.max(np.abs(r - r_o)) <= tol else -1.0
+            assert np.max(np.abs(r - sign * r_o)) <= tol
+            assert np.max(np.abs(s - sign * s_o)) <= tol
+
+    def test_stacked_equals_per_matrix_bitwise(self, rng):
+        ms = _kernel_cases(rng)
+        stacked = np.stack(_rsvd_angles(ms), axis=1)
+        single = np.array([[float(x) for x in _rsvd_angles(m)] for m in ms])
+        assert np.array_equal(stacked, single)
+        grid = ms[:60].reshape(3, 20, 2, 2)
+        assert np.array_equal(np.stack(_rsvd_angles(grid), axis=-1).reshape(60, 4), single[:60])
 
 
 class TestGenerator:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_coupling, random_rotation_pair
+from helpers import random_coupling, random_rotation_pair, reference_plan_to_protocol
 from twomode.core import (
     H0,
     HBS,
@@ -264,6 +264,29 @@ class TestPlanToProtocol:
             coarse_err = np.linalg.norm(coarse.final - target)
             assert fine_err < coarse_err
             assert fine_err < 5e-2 * max(1.0, np.linalg.norm(target))
+
+    def test_matches_per_window_reference(self, rng):
+        """Shared slice steps equal the per-window loop, value for value and in JSON."""
+        plans = [synthesize_plan(H0, HTMS, 0.3), synthesize_plan(HBS, np.zeros((2, 2)), 1.0)]
+        for _ in range(20):
+            k, kp = random_coupling(rng), random_coupling(rng)
+            plans.append(synthesize_plan(k, kp, rng.uniform(0.1, 1.0)))
+            plans.append(synthesize_plan(k, k, rng.uniform(0.1, 1.0)))
+        plans.append(
+            SimulationPlan(
+                H0, H0, 1.0, 1.0, tuple(PlanTerm(0.25, random_rotation_pair(rng)) for _ in range(4))
+            )
+        )
+        for plan in plans:
+            for slices in range(1, 6):
+                got, ref = plan_to_protocol(plan, slices), reference_plan_to_protocol(plan, slices)
+                rows = [
+                    [(s.rotation.phi1, s.rotation.phi2, s.duration) for s in p.steps]
+                    for p in (got, ref)
+                ]
+                assert rows[0] == rows[1]
+                assert got.final == ref.final
+                assert got.to_json() == ref.to_json()
 
     def test_protocol_json_roundtrip(self):
         protocol = plan_to_protocol(synthesize_plan(H0, HBS, 0.5), 3)
