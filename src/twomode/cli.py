@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 on usage/validation errors (including non-finite
 numeric arguments), 3 on numeric errors (degenerate couplings, infeasible
-times, singular measurement blocks, overflow, non-finite results).
+times, singular measurement blocks, overflow, non-finite results, inputs out
+of the supported range, requests too large to allocate).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .core import (
     H0,
     HBS,
     HTMS,
-    LocalRotationPair,
     NotPureError,
     apply_symplectic,
     assert_valid_cm,
@@ -38,6 +38,7 @@ from .protocols import (
     NotPassiveError,
     SingularBlockError,
     Trajectory,
+    csv_text,
     finite_time_bounds,
     flip_effective_coupling,
     flip_strategy,
@@ -51,7 +52,6 @@ from .simulate import (
     DegenerateHamiltonianError,
     InfeasibleTimeError,
     Protocol,
-    ProtocolStep,
     can_simulate_efficiently,
     min_simulation_time,
     synthesize_plan,
@@ -60,6 +60,9 @@ from .simulate import (
 __all__ = ["main", "reproduce_figures"]
 
 _PRESETS = {"h0": H0, "hbs": HBS, "htms": HTMS}
+
+#: Largest ``|T|`` for ``--state tms:T``; beyond it ``|det gamma - 1|`` nears the purity tolerance.
+_TMS_MAX = 3.25
 
 _FIG_HEADER = "t,E0_opt,E0_tms,E0_bare,rate_opt,rate_tms,rate_bare,rate_vacuum_ref,N_bound"
 
@@ -95,7 +98,10 @@ def _parse_state(spec: str) -> np.ndarray:
         r2 = parts[1] if len(parts) > 1 else 0.0
         return squeezed_product_cm(r1, r2)
     if kind == "tms":
-        return two_mode_squeezed_cm(_finite_float(arg))
+        t = _finite_float(arg)
+        if abs(t) > _TMS_MAX:
+            raise OverflowError(f"tms:T needs |T| <= {_TMS_MAX} (r = 2T), got {arg}")
+        return two_mode_squeezed_cm(t)
     data = _load_json(spec)
     if isinstance(data, dict):
         data = data["cm"]
@@ -115,52 +121,47 @@ def _emit(payload, out: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns its JSON payload, or None once it has
+# written its own text output.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_rsv(args) -> int:
+def _cmd_rsv(args):
     _, svals, _ = restricted_svd(_parse_hamiltonian(args.hamiltonian))
-    _emit({"s1": svals.s1, "s2": svals.s2}, args.out)
-    return 0
+    return {"s1": svals.s1, "s2": svals.s2}
 
 
-def _cmd_simcheck(args) -> int:
+def _cmd_simcheck(args):
     k = _parse_hamiltonian(args.hamiltonian)
     kp = _parse_hamiltonian(args.target)
-    _emit({"efficient": can_simulate_efficiently(k, kp)}, args.out)
-    return 0
+    return {"efficient": can_simulate_efficiently(k, kp)}
 
 
-def _cmd_tmin(args) -> int:
+def _cmd_tmin(args):
     k = _parse_hamiltonian(args.hamiltonian)
     kp = _parse_hamiltonian(args.target)
-    _emit(float(min_simulation_time(k, kp, args.t)), args.out)
-    return 0
+    return float(min_simulation_time(k, kp, args.t))
 
 
-def _cmd_plan(args) -> int:
+def _cmd_plan(args):
     plan = synthesize_plan(
         _parse_hamiltonian(args.hamiltonian),
         _parse_hamiltonian(args.target),
         args.t,
         t=args.total,
     )
-    _emit(plan.to_dict(), args.out)
-    return 0
+    return plan.to_dict()
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_evolve(args):
     s = evolve(_parse_hamiltonian(args.hamiltonian), args.t)
-    if args.state is not None:
-        gamma = apply_symplectic(s, _parse_state(args.state))
-        _emit({"cm": matrix_to_list(gamma)}, args.out)
-    else:
-        _emit({"symplectic": matrix_to_list(s)}, args.out)
-    return 0
+    if args.state is None:
+        return {"symplectic": matrix_to_list(s)}
+    gamma = apply_symplectic(s, _parse_state(args.state))
+    return {"cm": matrix_to_list(gamma)}
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(args):
     gamma = _parse_state(args.state)
     payload = squeezing(gamma).to_dict()
     try:
@@ -168,16 +169,15 @@ def _cmd_measure(args) -> int:
     except NotPureError:
         payload["negativity"] = negativity(gamma)
         payload["pure"] = False
-    _emit(payload, args.out)
-    return 0
+    return payload
 
 
-def _cmd_rates(args) -> int:
+def _cmd_rates(args):
     gamma = _parse_state(args.state)
     k = _parse_hamiltonian(args.hamiltonian)
     ent = optimal_entanglement_rate(gamma, k)
     sq = optimal_squeezing_rate(gamma, k)
-    payload = {
+    return {
         "entanglement_rate": ent.rate,
         "l": ent.l,
         "phi1": float(ent.rotations.phi1),
@@ -186,30 +186,24 @@ def _cmd_rates(args) -> int:
         "C_S": sq.capability,
         "g_S": sq.squeezability,
     }
-    _emit(payload, args.out)
-    return 0
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     s_bound, n_bound = finite_time_bounds(
         _parse_hamiltonian(args.hamiltonian), args.t, args.r1, args.r2
     )
-    _emit({"S_bound": s_bound, "N_bound": n_bound}, args.out)
-    return 0
+    return {"S_bound": s_bound, "N_bound": n_bound}
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     target = matrix_from_list(_load_json(args.gate))
-    seq = gates.decompose_gate(target)
-    _emit(seq.to_list(), args.out)
-    return 0
+    return gates.decompose_gate(target).to_list()
 
 
-def _cmd_compile(args) -> int:
+def _cmd_compile(args):
     seq = gates.GateSequence.from_list(_load_json(args.gate))
     protocol = gates.compile_to_native(seq, _parse_hamiltonian(args.hamiltonian), slices=args.slices)
-    _emit(protocol.to_dict(), args.out)
-    return 0
+    return protocol.to_dict()
 
 
 def _flow_trajectory(gamma0, flow_k, times, native_k) -> Trajectory:
@@ -231,8 +225,7 @@ def _run_trajectory(args) -> Trajectory:
         return run_protocol(state, flip_strategy(k, args.t, args.steps))
     times = uniform_grid(args.t, args.dt)
     if args.strategy == "bare":
-        steps = tuple(ProtocolStep(LocalRotationPair(), d) for d in np.diff(times).tolist())
-        return run_protocol(state, Protocol(k, steps))
+        return _flow_trajectory(state, k, times, k)
     if args.strategy == "greedy":
         return greedy_rate_walk(state, k, times)
     if args.strategy == "tms":
@@ -240,15 +233,15 @@ def _run_trajectory(args) -> Trajectory:
     raise ValueError(f"unknown strategy {args.strategy!r}")
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args):
     traj = _run_trajectory(args)
     if args.format == "json":
-        _emit(traj.reports(), args.out)
-    elif args.out:
+        return traj.reports()
+    if args.out:
         traj.to_csv(args.out)
     else:
         sys.stdout.write(traj.csv_text())
-    return 0
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +249,14 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _figure_rows(gamma0, k, times, r1: float, r2: float, lock_band=None) -> list[str]:
+def _figure_rows(gamma0, k, times, r1: float, r2: float) -> list[np.ndarray]:
+    """The figure columns in ``_FIG_HEADER`` order."""
     cap = squeezing_capability(k)
-    greedy = greedy_rate_walk(gamma0, k, times, lock_band=lock_band).columns()
+    greedy = greedy_rate_walk(gamma0, k, times).columns()
     tms = _flow_trajectory(gamma0, flip_effective_coupling(k), times, k).columns()
     bare = _flow_trajectory(gamma0, k, times, k).columns()
     columns = [times] + [c[key] for key in ("E0", "rate") for c in (greedy, tms, bare)]
-    columns += [np.full(len(times), cap), np.exp(cap * times + (r1 + r2) / 2.0)]
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    return [",".join(map(repr, row)) for row in rows]
+    return columns + [np.full(len(times), cap), np.exp(cap * times + (r1 + r2) / 2.0)]
 
 
 def reproduce_figures(which: str, outdir: str) -> str:
@@ -282,27 +274,26 @@ def reproduce_figures(which: str, outdir: str) -> str:
     if which == "fig1":
         gamma0 = squeezed_product_cm(0.0, 2.5)
         times = np.round(np.arange(0, 1500 + 1) * 1e-3, 9)
-        rows = _figure_rows(gamma0, H0, times, 2.5, 0.0)
-        path = os.path.join(outdir, "fig1.csv")
+        columns = _figure_rows(gamma0, H0, times, 2.5, 0.0)
     elif which == "fig3":
         s_r = np.diag([math.e, 1.0 / math.e, math.e, 1.0 / math.e])
         gamma0 = apply_symplectic(s_r, two_mode_squeezed_cm(0.5e-3))
         fine = np.arange(0, 100 + 1) * 1e-4
         coarse = 0.01 + np.arange(1, 990 + 1) * 1e-3
         times = np.round(np.concatenate([fine, coarse]), 9)
-        rows = _figure_rows(gamma0, H0, times, 2.0, 2.0)
-        path = os.path.join(outdir, "fig3.csv")
+        columns = _figure_rows(gamma0, H0, times, 2.0, 2.0)
     else:
         raise ValueError(f"unknown figure {which!r}; choose fig1 or fig3")
-    write_text_atomic(path, "\n".join([_FIG_HEADER] + rows) + "\n")
+    path = os.path.join(outdir, f"{which}.csv")
+    write_text_atomic(path, csv_text(_FIG_HEADER, columns))
     return path
 
 
-def _cmd_figures(args) -> int:
+def _cmd_figures(args):
     for which in args.which:
         path = reproduce_figures(which, args.outdir)
         sys.stdout.write(path + "\n")
-    return 0
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -316,55 +307,48 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bilinear two-mode continuous-variable dynamics toolbox",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+
+    def command(name, func, help, parents=(out,)):
+        p = sub.add_parser(name, help=help, parents=list(parents))
+        p.set_defaults(func=func)
+        return p
 
     def add_h(p, name="--hamiltonian"):
         p.add_argument(name, required=True, help="coupling: file or preset:h0|hbs|htms")
 
-    p = sub.add_parser("rsv", help="restricted singular values of a coupling")
+    p = command("rsv", _cmd_rsv, "restricted singular values of a coupling")
     add_h(p)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_rsv)
 
-    p = sub.add_parser("simcheck", help="can the coupling simulate the target at unit cost?")
+    p = command("simcheck", _cmd_simcheck, "can the coupling simulate the target at unit cost?")
     add_h(p)
     p.add_argument("--target", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_simcheck)
 
-    p = sub.add_parser("tmin", help="minimal interaction time to simulate the target")
+    p = command("tmin", _cmd_tmin, "minimal interaction time to simulate the target")
     add_h(p)
     p.add_argument("--target", required=True)
     p.add_argument("--t", type=float, default=1.0, help="simulated duration")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_tmin)
 
-    p = sub.add_parser("plan", help="explicit simulation plan for a target coupling")
+    p = command("plan", _cmd_plan, "explicit simulation plan for a target coupling")
     add_h(p)
     p.add_argument("--target", required=True)
     p.add_argument("--t", type=float, default=1.0, help="simulated duration")
     p.add_argument("--total", type=float, default=None, help="interaction time (default: minimal)")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_plan)
 
-    p = sub.add_parser("evolve", help="flow matrix of a coupling (optionally applied to a state)")
+    p = command("evolve", _cmd_evolve, "flow matrix of a coupling (optionally applied to a state)")
     add_h(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--state")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("measure", help="entanglement and squeezing of a state")
+    p = command("measure", _cmd_measure, "entanglement and squeezing of a state")
     p.add_argument("--state", required=True, help="vacuum | squeezed:R[,R2] | tms:T | file")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_measure)
 
-    p = sub.add_parser("rates", help="optimal entanglement and squeezing rates")
+    p = command("rates", _cmd_rates, "optimal entanglement and squeezing rates")
     add_h(p)
     p.add_argument("--state", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_rates)
 
-    p = sub.add_parser("run", help="run a strategy and export the trajectory")
+    p = command("run", _cmd_run, "run a strategy and export the trajectory")
     add_h(p)
     p.add_argument("--state", default="vacuum")
     p.add_argument(
@@ -375,34 +359,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--steps", type=int, default=1000, help="windows for the flip strategy")
-    p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("bounds", help="squeezing/negativity bounds after finite time")
+    p = command("bounds", _cmd_bounds, "squeezing/negativity bounds after finite time")
     add_h(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--r1", type=float, default=0.0)
     p.add_argument("--r2", type=float, default=0.0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("decompose", help="decompose a symplectic matrix into native gates")
+    p = command("decompose", _cmd_decompose, "decompose a symplectic matrix into native gates")
     p.add_argument("--gate", required=True, help="JSON file with a row-major 16-entry matrix")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("compile", help="compile a gate sequence onto a native coupling")
+    p = command("compile", _cmd_compile, "compile a gate sequence onto a native coupling")
     add_h(p)
     p.add_argument("--gate", required=True, help="JSON file with a gate list")
     p.add_argument("--slices", type=int, default=200)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_compile)
 
-    p = sub.add_parser("figures", help="reproduce figure data as CSV")
+    p = command("figures", _cmd_figures, "reproduce figure data as CSV", parents=())
     p.add_argument("--which", nargs="+", choices=("fig1", "fig3"), required=True)
     p.add_argument("--outdir", default=".")
-    p.set_defaults(func=_cmd_figures)
 
     return parser
 
@@ -416,15 +391,19 @@ def main(argv=None) -> int:
                 raise ValueError(f"--{name} must be a finite number, got {value}")
         # NumPy overflow and NaN raise FloatingPointError (exit 3).
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            payload = args.func(args)
+        if payload is not None:
+            _emit(payload, args.out)
+        return 0
     except (
         DegenerateHamiltonianError,
         InfeasibleTimeError,
         SingularBlockError,
         NotPassiveError,
         ArithmeticError,
+        MemoryError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     except (NotPureError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -77,42 +77,39 @@ class RotationGate:
 
 
 @dataclass(frozen=True)
-class BeamSplitterGate:
+class _CouplingGate:
+    """Flow of a fixed coupling for time ``t`` (barred: generated by ``K J``)."""
+
+    t: float
+    barred: bool = False
+    _kind: ClassVar[str]
+    _base: ClassVar[np.ndarray]
+
+    @property
+    def coupling(self) -> np.ndarray:
+        return self._base @ J if self.barred else self._base
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return evolve(self.coupling, self.t)
+
+    def to_dict(self) -> dict:
+        return {"kind": self._kind, "t": float(self.t), "barred": self.barred}
+
+
+class BeamSplitterGate(_CouplingGate):
     """Beam splitter of angle ``t`` (barred: conjugated by the mode-2 quarter turn)."""
 
-    t: float
-    barred: bool = False
-
-    @property
-    def coupling(self) -> np.ndarray:
-        return HBS @ J if self.barred else HBS
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return evolve(self.coupling, self.t)
-
-    def to_dict(self) -> dict:
-        return {"kind": "bs", "t": float(self.t), "barred": self.barred}
+    _kind, _base = "bs", HBS
 
 
-@dataclass(frozen=True)
-class TwoModeSqueezerGate:
+class TwoModeSqueezerGate(_CouplingGate):
     """Two-mode squeezer of strength ``t`` (barred: mode-2 quarter turn folded in)."""
 
-    t: float
-    barred: bool = False
+    _kind, _base = "tms", HTMS
 
-    @property
-    def coupling(self) -> np.ndarray:
-        return HTMS @ J if self.barred else HTMS
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return evolve(self.coupling, self.t)
-
-    def to_dict(self) -> dict:
-        return {"kind": "tms", "t": float(self.t), "barred": self.barred}
-
+_COUPLING_GATES = {cls._kind: cls for cls in (BeamSplitterGate, TwoModeSqueezerGate)}
 
 GatePrimitive = Union[RotationGate, BeamSplitterGate, TwoModeSqueezerGate]
 
@@ -146,10 +143,8 @@ class GateSequence:
             kind = item["kind"]
             if kind == "rot":
                 gates.append(RotationGate(LocalRotationPair(float(item["phi1"]), float(item["phi2"]))))
-            elif kind == "bs":
-                gates.append(BeamSplitterGate(float(item["t"]), bool(item.get("barred", False))))
-            elif kind == "tms":
-                gates.append(TwoModeSqueezerGate(float(item["t"]), bool(item.get("barred", False))))
+            elif kind in _COUPLING_GATES:
+                gates.append(_COUPLING_GATES[kind](float(item["t"]), bool(item.get("barred", False))))
             else:
                 raise ValueError(f"unknown gate kind {kind!r}")
         return GateSequence(tuple(gates))
@@ -199,7 +194,10 @@ def _top_eigenpairs(w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if np.linalg.norm(cand) < 0.5:
             cand = basis[:, 1] - (basis[:, 1] @ v_lam) * v_lam
         v_mu = cand / np.linalg.norm(cand)
-    return v_lam, v_mu
+    # Near a passive input all four eigenvalues cluster at 1 and eigh mixes
+    # their vectors; ``v_mu`` must stay orthogonal to ``v_lam`` and ``J2 v_lam``.
+    v_mu = v_mu - (v_mu @ v_lam) * v_lam - (v_mu @ J2 @ v_lam) * (J2 @ v_lam)
+    return v_lam, v_mu / np.linalg.norm(v_mu)
 
 
 def euler_decompose(s) -> EulerDecomposition:
@@ -328,41 +326,17 @@ def decompose_gate(s) -> GateSequence:
     """
     dec = euler_decompose(s)
     bar = _BAR.matrix
-    b_plus = evolve(HBS, math.pi / 4.0)
-    b_minus = evolve(HBS, -math.pi / 4.0)
-    bbar_plus = evolve(HBS @ J, math.pi / 4.0)
-    bbar_minus = evolve(HBS @ J, -math.pi / 4.0)
-
-    a0 = abs(dec.alpha) <= _SQUEEZE_TOL
-    b0 = abs(dec.beta) <= _SQUEEZE_TOL
-
-    if a0 and b0:
-        return GateSequence(passive_decompose(dec.O @ dec.O_tilde).gates())
-    if b0:
-        p1 = dec.O @ bbar_minus
-        p0 = bbar_plus @ dec.O_tilde
-        middle: GatePrimitive = TwoModeSqueezerGate(dec.alpha)
-        return GateSequence(
-            passive_decompose(p0).gates() + (middle,) + passive_decompose(p1).gates()
-        )
-    if a0:
-        p1 = dec.O @ b_plus @ bar.T
-        p0 = bar @ b_minus @ dec.O_tilde
-        middle = TwoModeSqueezerGate(dec.beta)
-        return GateSequence(
-            passive_decompose(p0).gates() + (middle,) + passive_decompose(p1).gates()
-        )
-
-    p2 = dec.O @ bbar_minus
-    p1 = bbar_plus @ b_plus @ bar.T
-    p0 = bar @ b_minus @ dec.O_tilde
-    return GateSequence(
-        passive_decompose(p0).gates()
-        + (TwoModeSqueezerGate(dec.beta),)
-        + passive_decompose(p1).gates()
-        + (TwoModeSqueezerGate(dec.alpha),)
-        + passive_decompose(p2).gates()
+    stages = (
+        (dec.beta, bar @ evolve(HBS, -math.pi / 4.0), evolve(HBS, math.pi / 4.0) @ bar.T),
+        (dec.alpha, evolve(HBS @ J, math.pi / 4.0), evolve(HBS @ J, -math.pi / 4.0)),
     )
+    out: tuple[GatePrimitive, ...] = ()
+    acc = dec.O_tilde
+    for strength, entry, exit_ in stages:
+        if abs(strength) > _SQUEEZE_TOL:
+            out += passive_decompose(entry @ acc).gates() + (TwoModeSqueezerGate(strength),)
+            acc = exit_
+    return GateSequence(out + passive_decompose(dec.O @ acc).gates())
 
 
 # ---------------------------------------------------------------------------

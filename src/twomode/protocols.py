@@ -84,6 +84,12 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
+def csv_text(header: str, columns) -> str:
+    """CSV text: the header line, then one row of shortest round-trip floats per node."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
 @dataclass
 class Trajectory:
     """Time-ordered covariance matrices produced by a strategy.
@@ -119,8 +125,7 @@ class Trajectory:
     def csv_text(self) -> str:
         """The report rows as ``t,E0,negativity,S,Q,rate`` CSV text."""
         cols = self.columns()
-        rows = zip(*(cols[key].tolist() for key in CSV_HEADER.split(",")))
-        return "\n".join([CSV_HEADER, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+        return csv_text(CSV_HEADER, [cols[key] for key in CSV_HEADER.split(",")])
 
     def to_csv(self, path) -> None:
         """Write the report rows as ``t,E0,negativity,S,Q,rate`` CSV, atomically."""

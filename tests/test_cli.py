@@ -9,8 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import expm
+
+from helpers import random_pure_cm
 from twomode.cli import main, reproduce_figures
-from twomode.core import HBS, evolve, matrix_to_list, k_to_dict, kmatrix
+from twomode.core import (
+    HBS,
+    J2,
+    evolve,
+    generator,
+    k_to_dict,
+    kmatrix,
+    matrix_to_list,
+    two_mode_squeezed_cm,
+)
+from twomode.protocols import Trajectory
 from twomode.simulate import Protocol
 
 
@@ -313,6 +326,113 @@ class TestNumericContract:
             json.loads(out, parse_constant=_reject_constant)
         else:
             assert out == "", argv
+
+
+class TestInputRange:
+    """Inputs outside the supported numeric range, and requests too large to
+    allocate, are numeric errors (exit 3) without a traceback."""
+
+    def test_tms_at_range_edge_is_pure(self):
+        code, out = run_cli_code(["measure", "--state", "tms:3.25"])
+        assert code == 0
+        payload = json.loads(out)
+        assert "pure" not in payload  # the key appears on the mixed-state fallback only
+        assert payload["r"] == pytest.approx(6.5, rel=1e-9)
+
+    @pytest.mark.parametrize("spec", ["tms:3.3", "tms:4.5", "tms:-3.3"])
+    def test_tms_past_range_is_numeric_error(self, spec):
+        for argv in (["measure", "--state", spec], ["rates", "--hamiltonian", "h0", "--state", spec]):
+            assert run_cli_code(argv) == (3, "")
+
+    # Both requests ask for at least 1e18 elements, so they fail at once.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--hamiltonian", "preset:h0", "--strategy", "greedy", "--t", "1e6", "--dt", "1e-12"],
+            ["run", "--hamiltonian", "h0", "--strategy", "flip", "--steps", "1000000000000000000"],
+        ],
+        ids=["greedy-grid", "flip-steps"],
+    )
+    def test_unallocatable_request_is_numeric_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.strip() != "error:"
+        assert "Traceback" not in err
+
+
+def _csv_columns(text):
+    lines = text.strip().split("\n")
+    assert lines[0] == "t,E0,negativity,S,Q,rate"
+    return np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+
+
+class TestPathsThroughMain:
+    def test_bare_is_the_expm_flow(self, capsys, tmp_path):
+        rng = np.random.default_rng(11)
+        k = kmatrix(*rng.normal(size=4))
+        gamma0 = random_pure_cm(rng)
+        k_path, state_path = tmp_path / "k.json", tmp_path / "state.json"
+        k_path.write_text(json.dumps(k_to_dict(k)))
+        state_path.write_text(json.dumps({"cm": matrix_to_list(gamma0)}))
+        argv = ["run", "--hamiltonian", str(k_path), "--strategy", "bare", "--t", "0.8", "--dt", "0.01"]
+        for start, state in (("vacuum", np.eye(4)), (str(state_path), gamma0)):
+            code, out, _ = run_cli(capsys, *argv, "--state", start)
+            assert code == 0
+            rows = _csv_columns(out)
+            flows = np.array([expm(generator(k).M * t) for t in rows[:, 0]])
+            cms = flows @ state @ flows.transpose(0, 2, 1)
+            ref = Trajectory(rows[:, 0], (cms + cms.transpose(0, 2, 1)) / 2.0, k).columns()
+            ref = np.column_stack(list(ref.values()))
+            assert rows.shape == (81, 6)
+            assert np.max(np.abs(rows - ref) / np.maximum(1.0, np.abs(ref))) < 1e-9
+
+    def test_tms_from_vacuum_saturates_the_bound(self, capsys):
+        """Under H0 (s1 - s2 = 1) the flip limit gives E0 = Q = t and N = S = e^t."""
+        code, out, _ = run_cli(capsys, "run", "--hamiltonian", "h0", "--strategy", "tms", "--t", "1", "--dt", "0.05")
+        assert code == 0
+        t, e0, neg, s, q, rate = _csv_columns(out).T
+        assert len(t) == 21
+        assert np.allclose(e0, t, atol=1e-12) and np.allclose(q, t, atol=1e-12)
+        assert np.allclose(neg, np.exp(t), rtol=1e-12) and np.allclose(s, np.exp(t), rtol=1e-12)
+        assert np.allclose(rate, 1.0, rtol=1e-12)
+
+    def test_state_file_forms(self, capsys, tmp_path):
+        """A state file holds ``{"cm": [...]}`` or the bare 16-entry list."""
+        expected = run_cli(capsys, "measure", "--state", "tms:0.3")[1]
+        cm = matrix_to_list(two_mode_squeezed_cm(0.3))
+        for name, data in (("dict.json", {"cm": cm}), ("list.json", cm)):
+            path = tmp_path / name
+            path.write_text(json.dumps(data))
+            assert run_cli(capsys, "measure", "--state", str(path))[:2] == (0, expected)
+
+    def test_measure_mixed_state(self, capsys, tmp_path):
+        gamma = two_mode_squeezed_cm(0.3) + 0.2 * np.eye(4)
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"cm": matrix_to_list(gamma)}))
+        code, out, _ = run_cli(capsys, "measure", "--state", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["pure"] is False
+        # Negativity 1/nu~ from the partially transposed CM's symplectic spectrum.
+        flip = np.diag([1.0, 1.0, 1.0, -1.0])
+        gt = flip @ gamma @ flip
+        nu = np.min(np.abs(np.linalg.eigvals(1j * J2 @ gt)))
+        assert payload["negativity"] == pytest.approx(1.0 / nu, rel=1e-12)
+        assert payload["S"] == pytest.approx(1.0 / np.linalg.eigvalsh(gamma)[0], rel=1e-12)
+
+    def test_figures_fig1(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "figures", "--which", "fig1", "--outdir", str(tmp_path))
+        assert code == 0
+        path = tmp_path / "fig1.csv"
+        assert out == f"{path}\n"
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == "t,E0_opt,E0_tms,E0_bare,rate_opt,rate_tms,rate_bare,rate_vacuum_ref,N_bound"
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert rows.shape == (1501, 9)
+        assert rows[0, 0] == 0.0 and rows[-1, 0] == 1.5
+        assert np.allclose(rows[:, 7], 1.0)
+        assert np.all(np.exp(rows[:, 1:4]) <= rows[:, 8:9] * (1 + 1e-9))
 
 
 class TestFigures:

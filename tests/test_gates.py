@@ -1,9 +1,13 @@
 """Tests for gate decomposition and compilation onto a native coupling."""
 
+import json
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from helpers import random_coupling, random_passive, random_symplectic
+from twomode.cli import main
 from twomode.core import (
     H0,
     HBS,
@@ -12,6 +16,7 @@ from twomode.core import (
     apply_symplectic,
     evolve,
     is_symplectic,
+    matrix_to_list,
     restricted_svd,
     squeezed_product_cm,
     vacuum_cm,
@@ -174,6 +179,64 @@ class TestDecomposeGate:
         seq = decompose_gate(random_symplectic(rng))
         for gate in seq.gates:
             assert is_symplectic(gate.matrix, tol=1e-10)
+
+
+class TestNearPassiveGates:
+    """Gates ``exp(J2 H)`` with small symmetric ``H``: the eigenvalues of
+    ``S S^T`` cluster at 1, where the Euler factors must stay orthogonal."""
+
+    SCALES = (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-4, 1e-2)
+
+    @staticmethod
+    def near_passive(rng, scale):
+        h = rng.normal(size=(4, 4))
+        h = h + h.T
+        return expm(J2 @ h * (scale / np.linalg.norm(h, 2)))
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_reassembly(self, rng, scale):
+        for _ in range(100):
+            s = self.near_passive(rng, scale)
+            assert np.max(np.abs(decompose_gate(s).matrix() - s)) < 1e-11
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_cli_decompose_exits_0(self, rng, scale, tmp_path, capsys):
+        path = tmp_path / "gate.json"
+        path.write_text(json.dumps(matrix_to_list(self.near_passive(rng, scale))))
+        assert main(["decompose", "--gate", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)) in (3, 7, 11)
+
+
+class TestDecomposeGateStages:
+    """Gates that skip one or both squeezer stages keep their kinds and counts."""
+
+    PASSIVE = ["rot", "bs", "rot"]
+    ONE_SQUEEZER = PASSIVE + ["tms"] + PASSIVE
+
+    @pytest.mark.parametrize(
+        "gate, kinds, durations",
+        [
+            (TwoModeSqueezerGate(0.4), ONE_SQUEEZER, [np.pi / 2.0, 0.4, np.pi / 2.0]),
+            (TwoModeSqueezerGate(0.4, barred=True), ONE_SQUEEZER, [np.pi / 2.0, 0.4, np.pi / 2.0]),
+            (BeamSplitterGate(0.7), PASSIVE, [0.7]),
+            (BeamSplitterGate(0.0), PASSIVE, [0.0]),
+        ],
+        ids=["tms", "tms-barred", "bs", "identity"],
+    )
+    def test_kinds_and_durations(self, gate, kinds, durations):
+        seq = decompose_gate(gate.matrix)
+        assert [g.to_dict()["kind"] for g in seq.gates] == kinds
+        timed = [g.t for g in seq.gates if not isinstance(g, RotationGate)]
+        assert timed == pytest.approx(durations, abs=1e-10)
+        assert np.max(np.abs(seq.matrix() - gate.matrix)) < 1e-12
+
+    def test_both_stages(self):
+        target = local_squeezer_sequence(0.5, 0.2).matrix()
+        seq = decompose_gate(target)
+        assert [g.to_dict()["kind"] for g in seq.gates] == self.ONE_SQUEEZER + ["tms"] + self.PASSIVE
+        timed = [g.t for g in seq.gates if not isinstance(g, RotationGate)]
+        assert timed == pytest.approx([np.pi / 4.0, 0.2, np.pi / 4.0, 0.5, np.pi / 4.0], abs=1e-10)
+        assert np.max(np.abs(seq.matrix() - target)) < 1e-12
 
 
 class TestCompileToNative:
