@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 2 on usage/validation errors (including non-finite
 numeric arguments), 3 on numeric errors (degenerate couplings, infeasible
 times, singular measurement blocks, overflow, non-finite results, inputs out
-of the supported range, requests too large to allocate).
+of the supported range, trajectories that leave it, requests too large to
+allocate).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .core import (
     HTMS,
     NotPureError,
     apply_symplectic,
+    assert_pure,
     assert_valid_cm,
     evolve,
     k_from_dict,
@@ -63,6 +66,9 @@ _PRESETS = {"h0": H0, "hbs": HBS, "htms": HTMS}
 
 #: Largest ``|T|`` for ``--state tms:T``; beyond it ``|det gamma - 1|`` nears the purity tolerance.
 _TMS_MAX = 3.25
+
+#: Largest CM eigenvalue of a state file: that of ``tms:_TMS_MAX``, plus round-off slack.
+_EIGENVALUE_MAX = math.exp(2.0 * _TMS_MAX) * (1.0 + 1e-12)
 
 _FIG_HEADER = "t,E0_opt,E0_tms,E0_bare,rate_opt,rate_tms,rate_bare,rate_vacuum_ref,N_bound"
 
@@ -105,7 +111,15 @@ def _parse_state(spec: str) -> np.ndarray:
     data = _load_json(spec)
     if isinstance(data, dict):
         data = data["cm"]
-    return assert_valid_cm(matrix_from_list(data))
+    gamma = matrix_from_list(data)
+    # Checked before the det >= 1 test, which round-off breaks past this range.
+    finite = np.isfinite(gamma).all()
+    if finite and np.linalg.eigvalsh((gamma + gamma.T) / 2.0)[-1] > _EIGENVALUE_MAX:
+        raise OverflowError(
+            f"state {spec} is out of range: a CM eigenvalue exceeds e^{2 * _TMS_MAX:g}"
+            f" (that of tms:{_TMS_MAX})"
+        )
+    return assert_valid_cm(gamma)
 
 
 def _emit(payload, out: str | None) -> None:
@@ -214,33 +228,41 @@ def _flow_trajectory(gamma0, flow_k, times, native_k) -> Trajectory:
     return Trajectory(times=times, cms=(out + out.transpose(0, 2, 1)) / 2.0, native_k=native_k)
 
 
-def _run_trajectory(args) -> Trajectory:
+def _strategy(args):
+    """Parse and validate every input of ``run``; return the call that computes the trajectory."""
     k = _parse_hamiltonian(args.hamiltonian)
     state = _parse_state(args.state)
+    assert_pure(state)
     if args.strategy.startswith("file:"):
-        return run_protocol(state, Protocol.from_dict(_load_json(args.strategy[5:])))
+        return partial(run_protocol, state, Protocol.from_dict(_load_json(args.strategy[5:])))
     if args.t <= 0:
         raise ValueError("run needs t > 0")
     if args.strategy == "flip":
-        return run_protocol(state, flip_strategy(k, args.t, args.steps))
+        return partial(run_protocol, state, flip_strategy(k, args.t, args.steps))
     times = uniform_grid(args.t, args.dt)
     if args.strategy == "bare":
-        return _flow_trajectory(state, k, times, k)
+        return partial(_flow_trajectory, state, k, times, k)
     if args.strategy == "greedy":
-        return greedy_rate_walk(state, k, times)
+        return partial(greedy_rate_walk, state, k, times)
     if args.strategy == "tms":
-        return _flow_trajectory(state, flip_effective_coupling(k), times, k)
+        return partial(_flow_trajectory, state, flip_effective_coupling(k), times, k)
     raise ValueError(f"unknown strategy {args.strategy!r}")
 
 
 def _cmd_run(args):
-    traj = _run_trajectory(args)
-    if args.format == "json":
-        return traj.reports()
-    if args.out:
-        traj.to_csv(args.out)
-    else:
-        sys.stdout.write(traj.csv_text())
+    compute = _strategy(args)
+    # The inputs are valid, so a computed CM that fails validation has left the
+    # range where det(gamma) = 1 survives round-off: a numeric error (exit 3).
+    try:
+        traj = compute()
+        if args.format == "json":
+            return traj.reports()
+        if args.out:
+            traj.to_csv(args.out)
+        else:
+            sys.stdout.write(traj.csv_text())
+    except ValueError as exc:
+        raise OverflowError(f"trajectory leaves the supported range ({exc}); shorten --t") from exc
     return None
 
 

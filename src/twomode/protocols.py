@@ -133,19 +133,47 @@ class Trajectory:
 
 
 def run_protocol(gamma0, protocol: Protocol) -> Trajectory:
-    """Execute a protocol step by step, recording the CM after every window.
+    """Execute a protocol, recording the CM after every window.
 
-    Each distinct step is fused once into the matrix "rotation, then flow".
+    Node ``i`` is ``P_i gamma0 P_i^T`` with ``P_i = M_i ... M_1`` the
+    product of the step matrices ``M = S(duration) R`` ("rotation, then
+    flow"); the trailing ``final`` rotation is applied to the last node.
+    Each distinct step is fused once.  The prefix products come from a
+    two-level scan (Blelloch, CMU-CS-90-190): the ``n = N + 1`` factors
+    (identity first) are gathered into ``ceil(n / w)`` chunks of
+    ``w = isqrt(n)``, the prefixes inside every chunk are formed by
+    ``w - 1`` matmuls stacked across chunks, and one pass over the chunks
+    multiplies them by the running total and writes that chunk's CMs in
+    place, so no second ``(N, 4, 4)`` stack is held.
     """
     k = _as_k(protocol.native_k)
-    cms = np.empty((len(protocol.steps) + 1, 4, 4))
-    cms[0] = gamma = assert_valid_cm(gamma0)
-    fused: dict[tuple[float, float, float], np.ndarray] = {}
-    for i, step in enumerate(protocol.steps, start=1):
-        key = (step.rotation.phi1, step.rotation.phi2, step.duration)
-        if key not in fused:
-            fused[key] = evolve(k, step.duration) @ step.rotation.matrix
-        cms[i] = gamma = apply_symplectic(fused[key], gamma)
+    gamma0 = assert_valid_cm(gamma0)
+    slots: dict[tuple[float, float, float], int] = {}
+    index = [
+        slots.setdefault((s.rotation.phi1, s.rotation.phi2, s.duration), len(slots) + 1)
+        for s in protocol.steps
+    ]
+    table = np.empty((len(slots) + 1, 4, 4))
+    table[0] = np.eye(4)
+    for j, (phi1, phi2, duration) in enumerate(slots, start=1):
+        table[j] = evolve(k, duration) @ LocalRotationPair(phi1, phi2).matrix
+    n = len(index) + 1
+    w = math.isqrt(n)
+    chunks = -(-n // w)
+    gather = np.zeros(chunks * w, dtype=np.intp)  # slot 0, the identity, also pads the last chunk
+    gather[1:n] = index
+    cms = np.take(table, gather, axis=0)
+    blocks = cms.reshape(chunks, w, 4, 4)
+    for j in range(1, w):
+        np.matmul(blocks[:, j], blocks[:, j - 1], out=blocks[:, j])
+    total = np.eye(4)
+    for block in blocks:
+        prefixes = block @ total
+        total = prefixes[-1]
+        out = prefixes @ gamma0 @ prefixes.transpose(0, 2, 1)
+        np.add(out, out.transpose(0, 2, 1), out=block)
+        block *= 0.5
+    cms = cms[:n]
     cms[-1] = apply_symplectic(protocol.final.matrix, cms[-1])
     return Trajectory(np.cumsum([0.0, *(step.duration for step in protocol.steps)]), cms, k)
 

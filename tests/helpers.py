@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from twomode.core import LocalRotationPair, apply_symplectic, evolve, vacuum_cm
+from twomode.core import LocalRotationPair, apply_symplectic, assert_valid_cm, evolve, vacuum_cm
 
 
 def random_coupling(rng, scale=1.0):
@@ -142,3 +142,22 @@ def reference_plan_to_protocol(plan, slices):
             steps.append(ProtocolStep(quotient, term.weight * plan.t / slices))
             prev = term.rotations
     return Protocol(plan.native_k, tuple(steps), prev.inverse())
+
+
+def reference_run_protocol(gamma0, protocol):
+    """Per-step reference loop for ``protocols.run_protocol``.
+
+    Applies each fused step ``S(duration) R`` to the running CM with one
+    ``apply_symplectic``, then the trailing rotation to the last node.
+    Returns ``(times, cms)``.
+    """
+    cms = np.empty((len(protocol.steps) + 1, 4, 4))
+    cms[0] = gamma = assert_valid_cm(gamma0)
+    fused = {}
+    for i, step in enumerate(protocol.steps, start=1):
+        key = (step.rotation.phi1, step.rotation.phi2, step.duration)
+        if key not in fused:
+            fused[key] = evolve(protocol.native_k, step.duration) @ step.rotation.matrix
+        cms[i] = gamma = apply_symplectic(fused[key], gamma)
+    cms[-1] = apply_symplectic(protocol.final.matrix, cms[-1])
+    return np.cumsum([0.0, *(step.duration for step in protocol.steps)]), cms

@@ -344,6 +344,60 @@ class TestInputRange:
         for argv in (["measure", "--state", spec], ["rates", "--hamiltonian", "h0", "--state", spec]):
             assert run_cli_code(argv) == (3, "")
 
+    def test_file_state_at_range_edge_is_pure(self, tmp_path):
+        path = tmp_path / "tms.json"
+        path.write_text(json.dumps({"cm": matrix_to_list(two_mode_squeezed_cm(3.25))}))
+        code, out = run_cli_code(["measure", "--state", str(path)])
+        assert code == 0
+        payload = json.loads(out)
+        assert "pure" not in payload
+        assert payload["r"] == pytest.approx(6.5, rel=1e-9)
+        assert run_cli_code(["rates", "--hamiltonian", "h0", "--state", str(path)])[0] == 0
+
+    @pytest.mark.parametrize("t", [3.3, 4.5, 4.7])
+    def test_file_state_past_range_is_numeric_error(self, tmp_path, t):
+        path = tmp_path / "tms.json"
+        path.write_text(json.dumps({"cm": matrix_to_list(two_mode_squeezed_cm(t))}))
+        for argv in (["measure"], ["rates", "--hamiltonian", "h0"]):
+            assert run_cli_code([*argv, "--state", str(path)]) == (3, "")
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [["tms", "--t", "8", "--dt", "1e-2"], ["greedy", "--t", "10", "--dt", "1e-2"]],
+        ids=["tms", "greedy"],
+    )
+    def test_trajectory_past_range_is_numeric_error(self, capsys, strategy):
+        code, out, err = run_cli(capsys, "run", "--hamiltonian", "h0", "--strategy", *strategy)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: trajectory leaves the supported range")
+        assert err.count("\n") == 1
+
+    def test_long_flip_stays_in_range(self, capsys):
+        """Under H0 the flip run to t = 7.5 ends within the range, at E0 near 7.5."""
+        argv = ["run", "--hamiltonian", "h0", "--strategy", "flip", "--t", "7.5", "--steps", "2000"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert _csv_columns(out)[-1, 1] == pytest.approx(7.5, abs=1e-5)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--strategy", "flip", "--steps", "0"],
+            ["--strategy", "no-such-strategy"],
+            ["--strategy", "tms", "--t", "-1"],
+            ["--strategy", "greedy", "--dt", "0"],
+        ],
+    )
+    def test_run_input_errors_stay_usage_errors(self, argv):
+        assert run_cli_code(["run", "--hamiltonian", "h0", *argv]) == (2, "")
+
+    def test_run_from_mixed_state_is_usage_error(self, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"cm": matrix_to_list(1.5 * np.eye(4))}))
+        for strategy in ("flip", "greedy", "tms", "bare"):
+            argv = ["run", "--hamiltonian", "h0", "--state", str(path), "--strategy", strategy]
+            assert run_cli_code(argv) == (2, "")
+
     # Both requests ask for at least 1e18 elements, so they fail at once.
     @pytest.mark.parametrize(
         "argv",
