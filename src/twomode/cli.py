@@ -25,16 +25,17 @@ from .core import (
     HTMS,
     NotPureError,
     apply_symplectic,
-    assert_pure,
     assert_valid_cm,
     evolve,
     k_from_dict,
+    k_to_dict,
     matrix_from_list,
     matrix_to_list,
     restricted_svd,
     squeezed_product_cm,
     two_mode_squeezed_cm,
     vacuum_cm,
+    valid_cm_stack,
 )
 from .measures import entanglement, negativity, squeezing
 from .protocols import (
@@ -223,18 +224,23 @@ def _cmd_compile(args):
 def _flow_trajectory(gamma0, flow_k, times, native_k) -> Trajectory:
     """CMs ``S(t) gamma0 S(t)^T`` along the flow of ``flow_k`` (flip limit: ``(K + JKJ)/2``)."""
     times = np.asarray(times, dtype=float)
-    flows = evolve(flow_k, times)
-    out = flows @ assert_valid_cm(gamma0) @ flows.transpose(0, 2, 1)
-    return Trajectory(times=times, cms=(out + out.transpose(0, 2, 1)) / 2.0, native_k=native_k)
+    cms = apply_symplectic(evolve(flow_k, times), assert_valid_cm(gamma0))
+    return Trajectory(times=times, cms=cms, native_k=native_k)
 
 
 def _strategy(args):
     """Parse and validate every input of ``run``; return the call that computes the trajectory."""
     k = _parse_hamiltonian(args.hamiltonian)
     state = _parse_state(args.state)
-    assert_pure(state)
+    valid_cm_stack(state, pure=True)
     if args.strategy.startswith("file:"):
-        return partial(run_protocol, state, Protocol.from_dict(_load_json(args.strategy[5:])))
+        protocol = Protocol.from_dict(_load_json(args.strategy[5:]))
+        if not np.array_equal(protocol.native_k, k):
+            raise ValueError(
+                f"--hamiltonian {k_to_dict(k)} differs from the protocol's native_K"
+                f" {k_to_dict(protocol.native_k)}"
+            )
+        return partial(run_protocol, state, protocol)
     if args.t <= 0:
         raise ValueError("run needs t > 0")
     if args.strategy == "flip":

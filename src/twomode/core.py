@@ -62,8 +62,6 @@ __all__ = [
     "CMStack",
     "valid_cm_stack",
     "assert_valid_cm",
-    "is_pure",
-    "assert_pure",
     "matrix_to_list",
     "matrix_from_list",
     "PureStateStandardForm",
@@ -396,23 +394,23 @@ def is_symplectic(s, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(s @ J2 @ s.T - J2)) <= tol)
 
 
-def assert_symplectic(s, tol: float = 1e-10) -> np.ndarray:
+def assert_symplectic(s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
-    if not is_symplectic(s, tol):
-        raise ValueError("matrix is not symplectic at tolerance %g" % tol)
+    if not is_symplectic(s):
+        raise ValueError("matrix is not symplectic at tolerance 1e-10")
     return s
 
 
 def apply_symplectic(s, gamma) -> np.ndarray:
-    """Transform a CM by a symplectic map: ``gamma -> S gamma S^T``.
+    """Transform CMs, or broadcast ``(..., n, n)`` stacks, by ``gamma -> S gamma S^T``.
 
     Symmetry is restored explicitly so round-off cannot accumulate a skew
     part over long step sequences.
     """
     s = np.asarray(s, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    out = s @ gamma @ s.T
-    return (out + out.T) / 2.0
+    out = s @ gamma @ s.swapaxes(-1, -2)
+    return (out + out.swapaxes(-1, -2)) / 2.0
 
 
 def vacuum_cm() -> np.ndarray:
@@ -462,12 +460,13 @@ class CMStack(NamedTuple):
     dets: np.ndarray
 
 
-def valid_cm_stack(cms, tol: float = 1e-10, pure: bool = False) -> CMStack:
+def valid_cm_stack(cms, pure: bool = False) -> CMStack:
     """Validate an ``(N, 4, 4)`` stack (or one 4x4 CM) in one vectorised pass.
 
-    Checks finiteness, symmetry to ``tol`` times each matrix's largest entry
+    Checks finiteness, symmetry to 1e-10 times each matrix's largest entry
     (at least 1), positive definiteness, ``det >= 1`` and, with ``pure``,
-    ``|det - 1| <= PURITY_TOL`` (:class:`NotPureError`; else ``ValueError``).
+    ``|det - 1| <= PURITY_TOL`` (:class:`NotPureError` naming the first
+    impure det; else ``ValueError``).
     """
     cms = np.asarray(cms, dtype=float)
     if cms.ndim == 2:
@@ -478,7 +477,7 @@ def valid_cm_stack(cms, tol: float = 1e-10, pure: bool = False) -> CMStack:
         raise ValueError("covariance matrix must be finite")
     transposed = cms.transpose(0, 2, 1)
     scale = np.maximum(np.abs(cms).max(axis=(1, 2)), 1.0)
-    if (np.abs(cms - transposed).max(axis=(1, 2)) > tol * scale).any():
+    if (np.abs(cms - transposed).max(axis=(1, 2)) > 1e-10 * scale).any():
         raise ValueError("covariance matrix is not symmetric")
     cms = (cms + transposed) / 2.0
     eigenvalues = np.linalg.eigvalsh(cms)
@@ -487,32 +486,17 @@ def valid_cm_stack(cms, tol: float = 1e-10, pure: bool = False) -> CMStack:
     dets = np.linalg.det(cms)
     if (dets < 1.0 - 1e-9).any():
         raise ValueError("covariance matrix violates det >= 1")
-    if pure:
-        assert_pure(cms)
+    if pure and (impure := np.abs(dets - 1.0) > PURITY_TOL).any():
+        raise NotPureError("state is not pure: det(gamma) = %.12g" % dets[np.argmax(impure)])
     return CMStack(cms, eigenvalues, dets)
 
 
-def assert_valid_cm(gamma, tol: float = 1e-10) -> np.ndarray:
+def assert_valid_cm(gamma) -> np.ndarray:
     """Validate symmetry, positive definiteness and ``det(gamma) >= 1``."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (4, 4):
         raise ValueError(f"covariance matrix must be 4x4, got {gamma.shape}")
-    return valid_cm_stack(gamma, tol).cms[0]
-
-
-def is_pure(gamma, tol: float = PURITY_TOL) -> bool:
-    """Whether ``det(gamma)`` equals 1 within ``tol`` (purity of the state)."""
-    return bool(abs(np.linalg.det(np.asarray(gamma, dtype=float)) - 1.0) <= tol)
-
-
-def assert_pure(gamma, tol: float = PURITY_TOL) -> np.ndarray:
-    """Raise :class:`NotPureError` unless every CM (one, or a stack) has ``det = 1``."""
-    gamma = np.asarray(gamma, dtype=float)
-    dets = np.atleast_1d(np.linalg.det(gamma))
-    bad = np.abs(dets - 1.0) > tol
-    if bad.any():
-        raise NotPureError("state is not pure: det(gamma) = %.12g" % dets[np.argmax(bad)])
-    return gamma
+    return valid_cm_stack(gamma).cms[0]
 
 
 def matrix_to_list(m) -> list[float]:
@@ -553,15 +537,13 @@ class PureStateStandardForm:
     is_product: bool
 
     def assemble(self) -> np.ndarray:
-        mid = two_mode_squeezed_cm(self.r / 2.0)
         s = np.zeros((4, 4))
         s[:2, :2] = self.S1
         s[2:, 2:] = self.S2
-        out = s @ mid @ s.T
-        return (out + out.T) / 2.0
+        return apply_symplectic(s, two_mode_squeezed_cm(self.r / 2.0))
 
 
-def pure_standard_form(gamma, tol: float = PURITY_TOL) -> PureStateStandardForm:
+def pure_standard_form(gamma) -> PureStateStandardForm:
     """Compute the pure-state standard form of a two-mode CM.
 
     The local factors are built as ``S_k = O_k D_k O_k'``: ``O_k``
@@ -573,10 +555,11 @@ def pure_standard_form(gamma, tol: float = PURITY_TOL) -> PureStateStandardForm:
     Raises
     ------
     NotPureError
-        If ``det(gamma)`` deviates from 1 by more than ``tol``.
+        If ``det(gamma)`` deviates from 1 by more than ``PURITY_TOL``.
     """
-    gamma = assert_valid_cm(gamma)
-    assert_pure(gamma, tol)
+    if np.ndim(gamma) != 2:
+        raise ValueError(f"covariance matrix must be 4x4, got {np.shape(gamma)}")
+    gamma = valid_cm_stack(gamma, pure=True).cms[0]
     a, b, c = cm_blocks(gamma)
 
     cosh_r = math.sqrt(max(float(det2(a)), 1.0))

@@ -32,14 +32,15 @@ from .core import (
     _as_k,
     _rsvd_angles,
     _wrap,
+    apply_symplectic,
     assert_symplectic,
     evolve,
     restricted_svd,
 )
 from .simulate import (
-    DegenerateHamiltonianError,
     Protocol,
     ProtocolStep,
+    _degenerate_scale,
     plan_to_protocol,
     synthesize_plan,
 )
@@ -208,7 +209,7 @@ def euler_decompose(s) -> EulerDecomposition:
     symplectic matrix admits this factorisation.
     """
     s = assert_symplectic(s)
-    w_mat = (s @ s.T + (s @ s.T).T) / 2.0
+    w_mat = apply_symplectic(s, np.eye(4))
 
     if np.max(np.abs(w_mat - np.eye(4))) <= 1e-12:
         return EulerDecomposition(s.copy(), np.eye(4), np.eye(4), 0.0, 0.0)
@@ -359,11 +360,7 @@ def compile_to_native(seq: GateSequence, k, slices: int = 200) -> Protocol:
         set).
     """
     k = _as_k(k)
-    _, svals, _ = restricted_svd(k)
-    if svals.s1 - abs(svals.s2) <= 1e-12 * max(svals.s1, 1.0):
-        raise DegenerateHamiltonianError(
-            "coupling with s1 = |s2| cannot simulate beam splitters and squeezers"
-        )
+    _degenerate_scale(restricted_svd(k).svals, None, "cannot simulate beam splitters and squeezers")
 
     steps: list[ProtocolStep] = []
     pending = LocalRotationPair()

@@ -170,9 +170,7 @@ def run_protocol(gamma0, protocol: Protocol) -> Trajectory:
     for block in blocks:
         prefixes = block @ total
         total = prefixes[-1]
-        out = prefixes @ gamma0 @ prefixes.transpose(0, 2, 1)
-        np.add(out, out.transpose(0, 2, 1), out=block)
-        block *= 0.5
+        block[...] = apply_symplectic(prefixes, gamma0)
     cms = cms[:n]
     cms[-1] = apply_symplectic(protocol.final.matrix, cms[-1])
     return Trajectory(np.cumsum([0.0, *(step.duration for step in protocol.steps)]), cms, k)
@@ -267,11 +265,14 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
 
 
 def uniform_grid(t: float, dt: float) -> np.ndarray:
-    """Grid ``0, dt, 2 dt, ..., t`` of at least two nodes; the last step may be partial."""
+    """Strictly increasing grid ``0, dt, 2 dt, ..., t`` of at least two nodes.
+
+    The last step may be partial; nodes ``j dt`` that round to ``t`` or past it are dropped.
+    """
     if not (dt > 0 and 0 < t < math.inf):
         raise ValueError("t and dt must be positive and t finite")
-    n = max(1, int(math.ceil(t / dt - 1e-12)))
-    return np.append(np.minimum(np.arange(n) * dt, t), t)
+    nodes = np.arange(max(1, int(math.ceil(t / dt - 1e-12)))) * dt
+    return np.append(nodes[nodes < t], t)
 
 
 def greedy_rate_strategy(
@@ -359,8 +360,7 @@ def extend_with_ancillas(gamma, n_anc: int, o=None, tol: float = 1e-10) -> Exten
         raise NotPassiveError("matrix is not symplectic")
     big = np.eye(dim)
     big[:4, :4] = gamma
-    out = o.T @ big @ o
-    return ExtendedCM(gamma=(out + out.T) / 2.0, n_anc=n_anc)
+    return ExtendedCM(gamma=apply_symplectic(o.T, big), n_anc=n_anc)
 
 
 def gaussian_measurement(ext: ExtendedCM, cond_limit: float = 1e12) -> np.ndarray:

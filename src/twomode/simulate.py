@@ -82,14 +82,32 @@ def can_simulate_efficiently(k, k_target) -> bool:
     )
 
 
-def _proportionality(s, sp) -> float | None:
-    """Scale ``rho >= 0`` with ``(s1', s2') = rho * (s1, s2)``, or None."""
-    if s.s1 <= _DEG_TOL:
-        return 0.0 if sp.s1 <= _DEG_TOL else None
-    rho = sp.s1 / s.s1
-    if abs(sp.s2 - rho * s.s2) <= 1e-9 * max(1.0, sp.s1):
-        return rho
-    return None
+def _degenerate_scale(s, sp, refusal: str = "can only simulate locally equivalent targets"):
+    """``None`` if ``s1 > |s2|``, else the scale ``rho >= 0`` with ``sp = rho * s``.
+
+    A coupling with ``s1 = |s2|`` (to 1e-12 of ``max(s1, 1)``) only simulates
+    positive rescalings of itself up to local rotations; any other target
+    ``sp``, or ``sp = None``, raises :class:`DegenerateHamiltonianError`.
+    """
+    if s.s1 - abs(s.s2) > _DEG_TOL * max(s.s1, 1.0):
+        return None
+    if sp is not None and s.s1 <= _DEG_TOL and sp.s1 <= _DEG_TOL:
+        return 0.0
+    if sp is not None and s.s1 > _DEG_TOL:
+        rho = sp.s1 / s.s1
+        if abs(sp.s2 - rho * s.s2) <= 1e-9 * max(1.0, sp.s1):
+            return rho
+    raise DegenerateHamiltonianError(f"coupling with s1 = |s2| {refusal}")
+
+
+def _min_time(s, sp, t_target: float) -> float:
+    """:func:`min_simulation_time` from the restricted singular values."""
+    if t_target < 0:
+        raise ValueError("t_target must be non-negative")
+    rho = _degenerate_scale(s, sp)
+    if rho is not None:
+        return rho * t_target
+    return t_target * max((sp.s1 + sp.s2) / (s.s1 + s.s2), (sp.s1 - sp.s2) / (s.s1 - s.s2))
 
 
 def min_simulation_time(k, k_target, t_target: float) -> float:
@@ -100,20 +118,7 @@ def min_simulation_time(k, k_target, t_target: float) -> float:
     ``s1 = |s2|`` can only simulate locally equivalent targets (up to a
     positive scale); anything else raises :class:`DegenerateHamiltonianError`.
     """
-    if t_target < 0:
-        raise ValueError("t_target must be non-negative")
-    _, s, _ = restricted_svd(k)
-    _, sp, _ = restricted_svd(k_target)
-
-    if s.s1 - abs(s.s2) <= _DEG_TOL * max(s.s1, 1.0):
-        rho = _proportionality(s, sp)
-        if rho is None:
-            raise DegenerateHamiltonianError(
-                "coupling with s1 = |s2| can only simulate locally equivalent targets"
-            )
-        return rho * t_target
-
-    return t_target * max((sp.s1 + sp.s2) / (s.s1 + s.s2), (sp.s1 - sp.s2) / (s.s1 - s.s2))
+    return _min_time(restricted_svd(k).svals, restricted_svd(k_target).svals, t_target)
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +230,8 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
     offset = [theta[0] - theta[1], psi[1] - psi[0]]
     angles = _wrap(np.array(_BASE_PAIRS) * [-1.0, 1.0] + offset).tolist()
 
-    if s.s1 - abs(s.s2) <= _DEG_TOL * max(s.s1, 1.0):
-        rho = _proportionality(s, sp)
-        if rho is None:
-            raise DegenerateHamiltonianError(
-                "coupling with s1 = |s2| can only simulate locally equivalent targets"
-            )
+    rho = _degenerate_scale(s, sp)
+    if rho is not None:
         if t is None:
             t = rho * t_target if rho > 0 else t_target
         if t <= 0:
@@ -246,7 +247,7 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
         return SimulationPlan(k, k_target, float(t), float(t_target), (PlanTerm(1.0, pair),))
 
     if t is None:
-        t = min_simulation_time(k, k_target, t_target)
+        t = _min_time(s, sp, t_target)
         if t == 0.0:
             t = t_target if t_target > 0 else 1.0
     if t <= 0:
@@ -260,7 +261,7 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
     if abs(e) + abs(f) > 1.0 + _SLACK:
         raise InfeasibleTimeError(
             f"requested time {t} is below the minimal simulation time "
-            f"{min_simulation_time(k, k_target, t_target)}"
+            f"{_min_time(s, sp, t_target)}"
         )
 
     remainder = max(0.0, 1.0 - abs(e) - abs(f))
@@ -293,6 +294,11 @@ def effective_hamiltonian(plan: SimulationPlan) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(pair: LocalRotationPair) -> None:
+    if not (math.isfinite(pair.phi1) and math.isfinite(pair.phi2)):
+        raise ValueError("protocol rotation angles must be finite")
+
+
 @dataclass(frozen=True)
 class ProtocolStep:
     """Rotation pair applied to the state, followed by ``duration`` of coupling."""
@@ -301,8 +307,9 @@ class ProtocolStep:
     duration: float
 
     def __post_init__(self):
-        if not self.duration >= 0.0:
-            raise ValueError("protocol step durations must be non-negative")
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError("protocol step durations must be finite and non-negative")
+        _check_finite(self.rotation)
 
 
 @dataclass(frozen=True)
@@ -317,6 +324,9 @@ class Protocol:
     native_k: np.ndarray
     steps: tuple[ProtocolStep, ...]
     final: LocalRotationPair = LocalRotationPair()
+
+    def __post_init__(self):
+        _check_finite(self.final)
 
     @property
     def total_time(self) -> float:

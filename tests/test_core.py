@@ -27,7 +27,6 @@ from twomode.core import (
     assert_valid_cm,
     evolve,
     generator,
-    is_pure,
     is_symplectic,
     k_from_dict,
     k_to_dict,
@@ -41,6 +40,7 @@ from twomode.core import (
     standard_form_evolution,
     two_mode_squeezed_cm,
     vacuum_cm,
+    valid_cm_stack,
 )
 
 finite_floats = st.floats(min_value=-25.0, max_value=25.0, allow_nan=False)
@@ -273,12 +273,12 @@ class TestCovarianceHelpers:
         assert g[0, 0] == pytest.approx(np.cosh(0.8))
         assert g[0, 2] == pytest.approx(np.sinh(0.8))
         assert g[1, 3] == pytest.approx(-np.sinh(0.8))
-        assert is_pure(g)
+        assert valid_cm_stack(g, pure=True)
 
     def test_squeezed_product(self):
         g = squeezed_product_cm(0.7, 0.2)
         assert np.linalg.eigvalsh(g)[0] == pytest.approx(np.exp(-0.7))
-        assert is_pure(g)
+        assert valid_cm_stack(g, pure=True)
 
     def test_invalid_cm_rejected(self):
         with pytest.raises(ValueError):

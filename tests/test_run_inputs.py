@@ -1,0 +1,155 @@
+"""Inputs of ``run`` and the plan builders: time grids, protocol files, couplings."""
+
+import contextlib
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+from twomode import simulate
+from twomode.cli import main
+from twomode.core import H0, HBS, HTMS, LocalRotationPair, k_to_dict, kmatrix
+from twomode.gates import GateSequence, compile_to_native
+from twomode.protocols import flip_strategy, uniform_grid
+from twomode.simulate import (
+    DegenerateHamiltonianError,
+    InfeasibleTimeError,
+    Protocol,
+    ProtocolStep,
+    min_simulation_time,
+    synthesize_plan,
+)
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _old_grid(t, dt):
+    """The grid formula that could repeat ``t`` once ``ulp(t / dt)`` exceeds its guard."""
+    n = max(1, int(math.ceil(t / dt - 1e-12)))
+    return np.append(np.minimum(np.arange(n) * dt, t), t)
+
+
+class TestUniformGrid:
+    def test_long_grid_ends_once(self):
+        grid = uniform_grid(32.005, 1e-3)
+        assert np.all(np.diff(grid) > 0)
+        assert grid[-1] == 32.005 and grid[-2] < 32.005
+        assert grid.size == 32006
+
+    @pytest.mark.parametrize("dt", [1e-3, 2e-3, 1e-2, 0.03, 0.1, 0.25])
+    def test_unchanged_wherever_the_old_grid_was_increasing(self, dt):
+        rng = np.random.default_rng(11)
+        for t in (*rng.uniform(0.001, 40.0, 300), 1.0, 0.5, 3 * dt, dt / 3):
+            t = float(f"{t:.5g}")
+            old, new = _old_grid(t, dt), uniform_grid(t, dt)
+            assert np.all(np.diff(new) > 0) and new[0] == 0.0 and new[-1] == t
+            if np.all(np.diff(old) > 0):
+                assert np.array_equal(new, old)
+
+    def test_cli_writes_the_last_row_once(self, tmp_path):
+        path = tmp_path / "bare.csv"
+        argv = ["run", "--hamiltonian", "preset:hbs", "--strategy", "bare"]
+        code, out, err = run_cli([*argv, "--t", "32.005", "--dt", "1e-3", "--out", str(path)])
+        assert (code, out, err) == (0, "", "")
+        times = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0)
+        assert np.all(np.diff(times) > 0) and times[-1] == 32.005
+
+
+def _protocol_file(tmp_path, k=H0, **edits):
+    data = flip_strategy(k, 0.5, 4).to_dict()
+    for key, value in edits.items():
+        target, _, field = key.partition("_")
+        (data["final"] if target == "final" else data["steps"][1])[field] = value
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps(data))
+    return f"file:{path}"
+
+
+class TestProtocolFiles:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"step_phi1": math.nan},
+            {"step_phi2": -math.inf},
+            {"step_t": math.inf},
+            {"step_t": math.nan},
+            {"final_phi1": math.nan},
+            {"final_phi2": math.inf},
+        ],
+        ids=["phi1-nan", "phi2-inf", "t-inf", "t-nan", "final-nan", "final-inf"],
+    )
+    def test_non_finite_protocol_is_input_error(self, tmp_path, edit):
+        strategy = _protocol_file(tmp_path, **edit)
+        code, out, err = run_cli(["run", "--hamiltonian", "h0", "--strategy", strategy])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: protocol ") and err.count("\n") == 1
+
+    def test_protocol_objects_refuse_non_finite_values(self):
+        with pytest.raises(ValueError):
+            ProtocolStep(LocalRotationPair(math.nan, 0.0), 0.1)
+        with pytest.raises(ValueError):
+            ProtocolStep(LocalRotationPair(), math.inf)
+        with pytest.raises(ValueError):
+            ProtocolStep(LocalRotationPair(), -0.1)
+        with pytest.raises(ValueError):
+            Protocol(H0, (), LocalRotationPair(0.0, math.inf))
+
+    def test_coupling_must_match_the_protocols(self, tmp_path):
+        strategy = _protocol_file(tmp_path)
+        code, out, err = run_cli(["run", "--hamiltonian", "hbs", "--strategy", strategy])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert str(k_to_dict(HBS)) in err and str(k_to_dict(H0)) in err
+
+    def test_matching_coupling_from_a_file(self, tmp_path):
+        k = kmatrix(a=0.7, b=-0.2, c=0.3, d=0.1)
+        strategy = _protocol_file(tmp_path, k=k)
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(k_to_dict(k)))
+        code, out, err = run_cli(["run", "--hamiltonian", str(path), "--strategy", strategy])
+        assert (code, err) == (0, "")
+        assert len(out.strip().split("\n")) == 1 + 5
+
+
+class TestDegenerateCouplingRule:
+    def test_messages(self):
+        with pytest.raises(DegenerateHamiltonianError, match="only simulate locally equivalent"):
+            min_simulation_time(HBS, H0, 1.0)
+        with pytest.raises(DegenerateHamiltonianError, match="only simulate locally equivalent"):
+            synthesize_plan(HTMS, HBS, 1.0)
+        seq = GateSequence.from_list([{"kind": "bs", "t": 0.3}])
+        with pytest.raises(
+            DegenerateHamiltonianError, match="cannot simulate beam splitters and squeezers"
+        ):
+            compile_to_native(seq, HBS)
+        with pytest.raises(ValueError, match="t_target must be non-negative"):
+            min_simulation_time(H0, HBS, -1.0)
+
+    def test_zero_and_scaled_degenerate_couplings(self):
+        zero = np.zeros((2, 2))
+        assert min_simulation_time(zero, zero, 1.5) == 0.0
+        with pytest.raises(DegenerateHamiltonianError):
+            min_simulation_time(zero, H0, 1.5)
+        assert synthesize_plan(HBS, 2.0 * HBS, 1.5).t == 3.0
+
+    def test_plan_computes_no_second_svd(self, monkeypatch):
+        k, kp = kmatrix(a=0.7, b=-0.2, c=0.3, d=0.1), kmatrix(a=0.4, b=0.1, c=-0.2, d=0.05)
+        t_min = min_simulation_time(k, kp, 1.5)
+
+        def refuse(_):
+            raise AssertionError("restricted_svd recomputed")
+
+        monkeypatch.setattr(simulate, "restricted_svd", refuse)
+        assert synthesize_plan(k, kp, 1.5).t == t_min
+        with pytest.raises(InfeasibleTimeError, match=f"minimal simulation time {t_min!r}$"):
+            synthesize_plan(k, kp, 1.5, t=0.5 * t_min)
+        with pytest.raises(ValueError, match="t_target must be non-negative"):
+            synthesize_plan(k, kp, -1.0)
