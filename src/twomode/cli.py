@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -329,7 +329,9 @@ def _cmd_figures(args):
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: ``parse_args`` keeps no state."""
     parser = argparse.ArgumentParser(
         prog="twomode",
         description="Bilinear two-mode continuous-variable dynamics toolbox",

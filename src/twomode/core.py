@@ -150,6 +150,14 @@ def rotation(phi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _pair_matrix(phi1: float, phi2: float) -> np.ndarray:
+    """The 4x4 matrix ``R(phi1) (+) R(phi2)``."""
+    m = np.zeros((4, 4))
+    m[:2, :2] = rotation(phi1)
+    m[2:, 2:] = rotation(phi2)
+    return m
+
+
 @dataclass(frozen=True)
 class LocalRotationPair:
     """Instantaneous phase-space rotations ``R(phi1) (+) R(phi2)`` of both modes.
@@ -171,10 +179,7 @@ class LocalRotationPair:
 
     @property
     def matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4))
-        m[:2, :2] = self.block1
-        m[2:, 2:] = self.block2
-        return m
+        return _pair_matrix(self.phi1, self.phi2)
 
     def inverse(self) -> "LocalRotationPair":
         return LocalRotationPair(-self.phi1, -self.phi2)
@@ -491,12 +496,16 @@ def valid_cm_stack(cms, pure: bool = False) -> CMStack:
     return CMStack(cms, eigenvalues, dets)
 
 
+def _one_cm(gamma, pure: bool = False) -> CMStack:
+    """:func:`valid_cm_stack` of a single 4x4 CM, for the scalar queries: a stack is refused."""
+    if np.shape(gamma) != (4, 4):
+        raise ValueError(f"covariance matrix must be 4x4, got {np.shape(gamma)}")
+    return valid_cm_stack(gamma, pure)
+
+
 def assert_valid_cm(gamma) -> np.ndarray:
     """Validate symmetry, positive definiteness and ``det(gamma) >= 1``."""
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (4, 4):
-        raise ValueError(f"covariance matrix must be 4x4, got {gamma.shape}")
-    return valid_cm_stack(gamma).cms[0]
+    return _one_cm(gamma).cms[0]
 
 
 def matrix_to_list(m) -> list[float]:
@@ -557,9 +566,7 @@ def pure_standard_form(gamma) -> PureStateStandardForm:
     NotPureError
         If ``det(gamma)`` deviates from 1 by more than ``PURITY_TOL``.
     """
-    if np.ndim(gamma) != 2:
-        raise ValueError(f"covariance matrix must be 4x4, got {np.shape(gamma)}")
-    gamma = valid_cm_stack(gamma, pure=True).cms[0]
+    gamma = _one_cm(gamma, pure=True).cms[0]
     a, b, c = cm_blocks(gamma)
 
     cosh_r = math.sqrt(max(float(det2(a)), 1.0))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEGENERACY_TOL, assert_valid_cm, det2, valid_cm_stack
+from .core import DEGENERACY_TOL, _one_cm, assert_valid_cm, det2, valid_cm_stack
 from .rates import _rate_column
 
 __all__ = [
@@ -69,7 +69,7 @@ def negativity(gamma) -> float:
 
     Values above 1 witness entanglement; for pure states it is ``exp(E0)``.
     """
-    stack = valid_cm_stack(gamma)
+    stack = _one_cm(gamma)
     return float(_negativity(stack.cms, stack.dets)[0])
 
 
@@ -121,7 +121,7 @@ def entanglement(gamma) -> EntanglementReport:
         If ``det(gamma)`` deviates from 1; use :func:`negativity` for mixed
         states.
     """
-    stack = valid_cm_stack(gamma, pure=True)
+    stack = _one_cm(gamma, pure=True)
     a = stack.cms[:, :2, :2]
     det_a = max(float(det2(a)[0]), 1.0)
     return EntanglementReport(

@@ -22,6 +22,7 @@ from .core import (
     J,
     LocalRotationPair,
     _as_k,
+    _pair_matrix,
     _rsvd_angles,
     apply_symplectic,
     assert_valid_cm,
@@ -32,13 +33,7 @@ from .core import (
     valid_cm_stack,
 )
 from .measures import report_columns
-from .rates import (
-    _local_squeezing,
-    _optimal_rotations,
-    _rate_column,
-    _y_stack,
-    optimal_entanglement_rate,
-)
+from .rates import _rate_column, _rate_kernel, optimal_entanglement_rate
 from .simulate import Protocol, ProtocolStep
 
 __all__ = [
@@ -61,6 +56,9 @@ __all__ = [
 _FLIP = LocalRotationPair(math.pi / 2.0, 3.0 * math.pi / 2.0)
 
 CSV_HEADER = "t,E0,negativity,S,Q,rate"
+
+#: Nodes in the first scanned chunk of a locked stretch; each later chunk doubles.
+_FIRST_LOCK_CHUNK = 16
 
 
 class NotPassiveError(ValueError):
@@ -97,13 +95,16 @@ class Trajectory:
     ``cms`` is an ``(N, 4, 4)`` array.  ``rates`` holds the instantaneous
     optimal entanglement rate of the state at each node (the rate available
     to a rate-greedy continuation); it is filled by the greedy strategy and
-    computed on request otherwise.
+    computed on request otherwise.  ``lock_stretches`` holds the greedy
+    walk's ``(first node, last node)`` pairs of the stretches held in its
+    lock band, and is None for every other strategy.
     """
 
     times: np.ndarray
     cms: np.ndarray
     native_k: np.ndarray
     rates: np.ndarray | None = None
+    lock_stretches: list[tuple[int, int]] | None = None
 
     def __len__(self) -> int:
         return len(self.cms)
@@ -132,19 +133,42 @@ class Trajectory:
         write_text_atomic(path, self.csv_text())
 
 
+def _prefix_scan(table: np.ndarray, index, gamma0: np.ndarray) -> np.ndarray:
+    """CMs ``P_i gamma0 P_i^T`` for ``i = 0 .. len(index)``, ``P_i = table[index[i-1]] ... table[index[0]]``.
+
+    ``table[0]`` must be the identity.  A two-level scan (Blelloch,
+    CMU-CS-90-190): the ``n = len(index) + 1`` factors (identity first) are
+    gathered into ``ceil(n / w)`` chunks of ``w = isqrt(n)``, padded with
+    ``table[0]``; the prefixes inside every chunk are formed by ``w - 1``
+    matmuls stacked across chunks, and one pass over the chunks multiplies
+    them by the running total and writes that chunk's CMs in place, so no
+    second stack of ``n`` matrices is held.
+    """
+    n = len(index) + 1
+    w = math.isqrt(n)
+    chunks = -(-n // w)
+    gather = np.zeros(chunks * w, dtype=np.intp)
+    gather[1:n] = index
+    cms = np.take(table, gather, axis=0)
+    blocks = cms.reshape(chunks, w, 4, 4)
+    for j in range(1, w):
+        np.matmul(blocks[:, j], blocks[:, j - 1], out=blocks[:, j])
+    total = np.eye(4)
+    for block in blocks:
+        prefixes = block @ total
+        total = prefixes[-1]
+        block[...] = apply_symplectic(prefixes, gamma0)
+    return cms[:n]
+
+
 def run_protocol(gamma0, protocol: Protocol) -> Trajectory:
     """Execute a protocol, recording the CM after every window.
 
     Node ``i`` is ``P_i gamma0 P_i^T`` with ``P_i = M_i ... M_1`` the
     product of the step matrices ``M = S(duration) R`` ("rotation, then
     flow"); the trailing ``final`` rotation is applied to the last node.
-    Each distinct step is fused once.  The prefix products come from a
-    two-level scan (Blelloch, CMU-CS-90-190): the ``n = N + 1`` factors
-    (identity first) are gathered into ``ceil(n / w)`` chunks of
-    ``w = isqrt(n)``, the prefixes inside every chunk are formed by
-    ``w - 1`` matmuls stacked across chunks, and one pass over the chunks
-    multiplies them by the running total and writes that chunk's CMs in
-    place, so no second ``(N, 4, 4)`` stack is held.
+    Each distinct step is fused once, and the prefix products come from
+    :func:`_prefix_scan`.
     """
     k = _as_k(protocol.native_k)
     gamma0 = assert_valid_cm(gamma0)
@@ -157,21 +181,7 @@ def run_protocol(gamma0, protocol: Protocol) -> Trajectory:
     table[0] = np.eye(4)
     for j, (phi1, phi2, duration) in enumerate(slots, start=1):
         table[j] = evolve(k, duration) @ LocalRotationPair(phi1, phi2).matrix
-    n = len(index) + 1
-    w = math.isqrt(n)
-    chunks = -(-n // w)
-    gather = np.zeros(chunks * w, dtype=np.intp)  # slot 0, the identity, also pads the last chunk
-    gather[1:n] = index
-    cms = np.take(table, gather, axis=0)
-    blocks = cms.reshape(chunks, w, 4, 4)
-    for j in range(1, w):
-        np.matmul(blocks[:, j], blocks[:, j - 1], out=blocks[:, j])
-    total = np.eye(4)
-    for block in blocks:
-        prefixes = block @ total
-        total = prefixes[-1]
-        block[...] = apply_symplectic(prefixes, gamma0)
-    cms = cms[:n]
+    cms = _prefix_scan(table, index, gamma0)
     cms[-1] = apply_symplectic(protocol.final.matrix, cms[-1])
     return Trajectory(np.cumsum([0.0, *(step.duration for step in protocol.steps)]), cms, k)
 
@@ -235,6 +245,13 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
     value.  The band defaults to ``20 * max(dt)`` and only affects the
     applied controls; the reported rates stay the closed-form optimum of
     each visited state, computed while the finished walk is validated.
+
+    A locked stretch is a flip protocol, so it runs through
+    :func:`_prefix_scan` in chunks of doubling length, each checked against
+    the band with one stacked kernel call and cut at the first node that
+    leaves it.  A free node costs one batch-of-one kernel call.  The
+    trajectory's ``lock_stretches`` lists the first and last node of each
+    stretch whose outgoing steps used the lock controls.
     """
     k = _as_k(k)
     times = np.asarray(times, dtype=float)
@@ -245,23 +262,32 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
     cms = np.empty((times.size, 4, 4))
     cms[0] = valid_cm_stack(gamma0, pure=True).cms[0]
     theta_l, _, _, psi_l = (float(x) for x in _rsvd_angles(generator(k).L))
-    steps = np.diff(times).tolist()
-    flows = {dt: evolve(k, dt) for dt in set(steps)}
-    locked, flip = False, _FLIP.matrix
-    for i, dt in enumerate(steps):
+    dts, slot = np.unique(np.diff(times), return_inverse=True)
+    flows = evolve(k, dts)
+    flips = np.concatenate([np.eye(4)[None], flows @ _FLIP.matrix])  # identity first, for the scan
+    stretches, i, last = [], 0, times.size - 1
+    while i < last:
         gamma = cms[i]
-        ys = _y_stack(gamma[None])
-        if _local_squeezing(gamma[None], ys)[0] > lock_band:
-            rotation = _optimal_rotations(gamma, ys, theta_l, psi_l).matrix
-            locked = False
-        elif not locked:
-            rotation = _neutral_flip_base(gamma, k).matrix
-            locked = True
-        else:
-            rotation = flip
-        cms[i + 1] = apply_symplectic(flows[dt] @ rotation, gamma)
+        _, _, l, phi = _rate_kernel(gamma[None], theta_l, psi_l)
+        if l[0] > lock_band:
+            cms[i + 1] = apply_symplectic(flows[slot[i]] @ _pair_matrix(*phi[0].tolist()), gamma)
+            i += 1
+            continue
+        start = i
+        cms[i + 1] = apply_symplectic(flows[slot[i]] @ _neutral_flip_base(gamma, k).matrix, gamma)
+        i, width = i + 1, _FIRST_LOCK_CHUNK
+        while i < last:
+            stop = min(i + width, last)
+            nodes = _prefix_scan(flips, slot[i:stop] + 1, cms[i])
+            free = np.flatnonzero(_rate_kernel(nodes[:-1])[2] > lock_band)
+            end = stop if free.size == 0 else i + int(free[0])
+            cms[i + 1 : end + 1] = nodes[1 : end - i + 1]
+            i, width = end, 2 * width
+            if free.size:
+                break
+        stretches.append((start, i - 1))
     rates = _rate_column(valid_cm_stack(cms, pure=True).cms, k)
-    return Trajectory(times=times, cms=cms, native_k=k, rates=rates)
+    return Trajectory(times=times, cms=cms, native_k=k, rates=rates, lock_stretches=stretches)
 
 
 def uniform_grid(t: float, dt: float) -> np.ndarray:

@@ -32,13 +32,13 @@ from .core import (
     SIGMA_Z,
     LocalRotationPair,
     _as_k,
+    _one_cm,
     _rsvd_angles,
     _wrap,
     assert_valid_cm,
     det2,
     generator,
     restricted_svd,
-    valid_cm_stack,
 )
 
 __all__ = [
@@ -70,19 +70,30 @@ def _y_stack(cms: np.ndarray):
     return y, product, _rsvd_angles(y)
 
 
-def _local_squeezing(cms: np.ndarray, ys=None) -> np.ndarray:
-    """Local squeezing parameter ``l`` of each validated pure CM in a stack.
+def _rate_kernel(cms: np.ndarray, theta_l: float = 0.0, psi_l: float = 0.0):
+    """``(Y, product, l, phi)`` of each validated pure CM in a stack.
 
-    ``exp(l) = s1(Y)``; product states take the canonical orientation,
-    ``l = (log lambda_max(A) + log lambda_max(B)) / 2``.  ``ys = _y_stack(cms)``.
+    ``l`` is the local squeezing parameter, ``exp(l) = s1(Y)``; product states
+    take the canonical orientation, ``l = (log lambda_max(A) + log
+    lambda_max(B)) / 2``.  ``phi`` holds the unwrapped optimal pre-rotation
+    angles ``(phi1, phi2)`` under a generator ``L`` with restricted SVD angles
+    ``(theta_l, psi_l)``: they align the frames of ``L`` and ``Y``, or, for
+    product states, the local squeezing axes (``R(theta_A + pi/2)`` orders
+    ``A``'s eigenvalues ascending, ``R(theta_B)`` orders ``B``'s descending).
     """
-    _, product, (_, s1, _, _) = _y_stack(cms) if ys is None else ys
+    y, product, (theta_y, s1, _, psi_y) = _y_stack(cms)
     l = np.log(np.maximum(s1, 1.0))
-    if product.any():
+    phi = np.empty(l.shape + (2,))
+    np.add(theta_l, psi_y, out=phi[:, 0])
+    np.subtract(-psi_l, theta_y, out=phi[:, 1])
+    if np.count_nonzero(product):
         blocks = cms[product]
-        lam = _rsvd_angles(blocks[:, :2, :2])[1] * _rsvd_angles(blocks[:, 2:, 2:])[1]
-        l[product] = 0.5 * np.log(lam)
-    return l
+        theta_a, s_a, _, _ = _rsvd_angles(blocks[:, :2, :2])
+        theta_b, s_b, _, _ = _rsvd_angles(blocks[:, 2:, 2:])
+        l[product] = 0.5 * np.log(s_a * s_b)
+        phi[product, 0] = theta_l - theta_a - math.pi / 2.0
+        phi[product, 1] = -psi_l - theta_b
+    return y, product, l, phi
 
 
 def _rate(l, s1: float, s2: float):
@@ -92,7 +103,7 @@ def _rate(l, s1: float, s2: float):
 def _rate_column(cms: np.ndarray, k) -> np.ndarray:
     """Optimal entanglement rate of each validated pure CM in a stack."""
     _, svals, _ = restricted_svd(generator(k).L)
-    return _rate(_local_squeezing(cms), svals.s1, svals.s2)
+    return _rate(_rate_kernel(cms)[2], svals.s1, svals.s2)
 
 
 def local_squeezing_parameter(gamma) -> float:
@@ -103,7 +114,7 @@ def local_squeezing_parameter(gamma) -> float:
     fixed only up to rotations, the canonical orientation gives the maximal
     value ``l = d1 + d2`` (sum of the single-mode squeezing exponents).
     """
-    return float(_local_squeezing(valid_cm_stack(gamma, pure=True).cms)[0])
+    return float(_rate_kernel(_one_cm(gamma, pure=True).cms)[2][0])
 
 
 @dataclass(frozen=True)
@@ -136,19 +147,6 @@ class EntanglementRatePlan:
         }
 
 
-def _optimal_rotations(gamma, ys, theta_l: float, psi_l: float) -> LocalRotationPair:
-    """Optimal pre-rotations of a valid pure CM with ``ys = _y_stack(gamma[None])``;
-    ``(theta_l, psi_l)`` are the restricted SVD angles of the generator ``L``."""
-    _, product, (theta_y, _, _, psi_y) = ys
-    if not product[0]:
-        return LocalRotationPair(float(theta_l + psi_y[0]), float(-psi_l - theta_y[0]))
-    # Product state: the local factors satisfy S1 S1^T = A and S2 S2^T = B;
-    # R(theta_A + pi/2) orders A's eigenvalues ascending, R(theta_B) orders
-    # B's descending.
-    theta_a, theta_b = _rsvd_angles(np.stack([gamma[:2, :2], gamma[2:, 2:]]))[0].tolist()
-    return LocalRotationPair(theta_l - theta_a - math.pi / 2.0, -psi_l - theta_b)
-
-
 def optimal_entanglement_rate(gamma, k) -> EntanglementRatePlan:
     """Best achievable growth rate of the two-mode squeezing parameter.
 
@@ -158,16 +156,15 @@ def optimal_entanglement_rate(gamma, k) -> EntanglementRatePlan:
     axes of the two modes against the generator frame.
     """
     k = _as_k(k)
-    stack = valid_cm_stack(gamma, pure=True)
+    cms = _one_cm(gamma, pure=True).cms
     theta_l, s1, s2, psi_l = (float(x) for x in _rsvd_angles(generator(k).L))
-    ys = _y_stack(stack.cms)
-    l = float(_local_squeezing(stack.cms, ys)[0])
-    rotations = _optimal_rotations(stack.cms[0], ys, theta_l, psi_l)
+    y, product, l, phi = _rate_kernel(cms, theta_l, psi_l)
+    l = float(l[0])
     return EntanglementRatePlan(
         rate=float(_rate(l, s1, s2)),
         l=l,
-        rotations=LocalRotationPair(*_wrap([rotations.phi1, rotations.phi2]).tolist()),
-        Y=None if ys[1][0] else ys[0][0],
+        rotations=LocalRotationPair(*_wrap(phi[0]).tolist()),
+        Y=None if product[0] else y[0],
         s1=s1,
         s2=s2,
     )
@@ -181,7 +178,7 @@ def entanglement_rate(gamma, k, o1, o2) -> float:
     state (the formula is singular for product states).
     """
     k = _as_k(k)
-    y, product, _ = _y_stack(valid_cm_stack(gamma, pure=True).cms)
+    y, product, _ = _y_stack(_one_cm(gamma, pure=True).cms)
     if product[0]:
         raise ValueError("entanglement_rate needs an entangled state (det C < 0)")
     gen = generator(k)

@@ -161,3 +161,67 @@ def reference_run_protocol(gamma0, protocol):
         cms[i] = gamma = apply_symplectic(fused[key], gamma)
     cms[-1] = apply_symplectic(protocol.final.matrix, cms[-1])
     return np.cumsum([0.0, *(step.duration for step in protocol.steps)]), cms
+
+
+def _reference_local_squeezing(cms, ys):
+    """Per-node ``l`` as the walk computed it before the stacked rate kernel."""
+    from twomode.core import _rsvd_angles
+
+    _, product, (_, s1, _, _) = ys
+    l = np.log(np.maximum(s1, 1.0))
+    if product.any():
+        blocks = cms[product]
+        lam = _rsvd_angles(blocks[:, :2, :2])[1] * _rsvd_angles(blocks[:, 2:, 2:])[1]
+        l[product] = 0.5 * np.log(lam)
+    return l
+
+
+def _reference_optimal_rotations(gamma, ys, theta_l, psi_l):
+    """Per-node optimal pre-rotations as the walk computed them before the stacked rate kernel."""
+    from twomode.core import _rsvd_angles
+
+    _, product, (theta_y, _, _, psi_y) = ys
+    if not product[0]:
+        return LocalRotationPair(float(theta_l + psi_y[0]), float(-psi_l - theta_y[0]))
+    theta_a, theta_b = _rsvd_angles(np.stack([gamma[:2, :2], gamma[2:, 2:]]))[0].tolist()
+    return LocalRotationPair(theta_l - theta_a - np.pi / 2.0, -psi_l - theta_b)
+
+
+def reference_greedy_rate_walk(gamma0, k, times, lock_band=None):
+    """Per-node reference loop for ``protocols.greedy_rate_walk``.
+
+    Decides every node on its own: the optimal rotation outside the lock
+    band, the neutral base pair on entering it, the fixed flip inside it.
+    Returns ``(cms, lock_stretches)``, the stretches as ``(first, last)``
+    nodes whose outgoing steps used the lock controls.
+    """
+    from twomode.core import _as_k, _rsvd_angles, generator, valid_cm_stack
+    from twomode.protocols import _FLIP, _neutral_flip_base
+    from twomode.rates import _y_stack
+
+    k = _as_k(k)
+    times = np.asarray(times, dtype=float)
+    if lock_band is None:
+        lock_band = 20.0 * float(np.max(np.diff(times))) if times.size > 1 else 0.0
+    cms = np.empty((times.size, 4, 4))
+    cms[0] = valid_cm_stack(gamma0, pure=True).cms[0]
+    theta_l, _, _, psi_l = (float(x) for x in _rsvd_angles(generator(k).L))
+    steps = np.diff(times).tolist()
+    flows = {dt: evolve(k, dt) for dt in set(steps)}
+    locked, flip = False, _FLIP.matrix
+    stretches = []
+    for i, dt in enumerate(steps):
+        gamma = cms[i]
+        ys = _y_stack(gamma[None])
+        if _reference_local_squeezing(gamma[None], ys)[0] > lock_band:
+            rotation = _reference_optimal_rotations(gamma, ys, theta_l, psi_l).matrix
+            locked = False
+        elif not locked:
+            rotation = _neutral_flip_base(gamma, k).matrix
+            locked = True
+            stretches.append([i, i])
+        else:
+            rotation = flip
+            stretches[-1][1] = i
+        cms[i + 1] = apply_symplectic(flows[dt] @ rotation, gamma)
+    return cms, [tuple(s) for s in stretches]
