@@ -57,8 +57,14 @@ _FLIP = LocalRotationPair(math.pi / 2.0, 3.0 * math.pi / 2.0)
 
 CSV_HEADER = "t,E0,negativity,S,Q,rate"
 
-#: Nodes in the first scanned chunk of a locked stretch; each later chunk doubles.
-_FIRST_LOCK_CHUNK = 16
+#: Nodes in the first scanned chunk of a stretch; each later chunk doubles.
+_FIRST_CHUNK = 16
+
+#: A pre-rotation pair ``R(phi1) (+) R(phi2)`` is ``+-I``, and leaves every CM as
+#: it is, when ``(phi1 + phi2) / 2`` and ``(phi1 - phi2) / 2`` are whole multiples
+#: of pi: both angles 0 or both pi.  ``|sin|`` of the two, summed, may be this large.
+_COAST_TOL = 1e-12
+_HALF_SUM_DIFF = np.array([[0.5, 0.5], [0.5, -0.5]])
 
 
 class NotPassiveError(ValueError):
@@ -249,9 +255,13 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
     A locked stretch is a flip protocol, so it runs through
     :func:`_prefix_scan` in chunks of doubling length, each checked against
     the band with one stacked kernel call and cut at the first node that
-    leaves it.  A free node costs one batch-of-one kernel call.  The
-    trajectory's ``lock_stretches`` lists the first and last node of each
-    stretch whose outgoing steps used the lock controls.
+    leaves it.  A free node costs one batch-of-one kernel call.  Once a free
+    node's optimal pair is ``+-I`` (to ``_COAST_TOL``), as it stays from a
+    squeezed product after the first free node, the state coasts: the next
+    nodes are plain flow steps, scanned the same way and cut at the first
+    node that needs a rotation or enters the band.  The trajectory's
+    ``lock_stretches`` lists the first and last node of each stretch whose
+    outgoing steps used the lock controls.
     """
     k = _as_k(k)
     times = np.asarray(times, dtype=float)
@@ -259,32 +269,44 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
         raise ValueError("times must be a strictly increasing 1-d grid")
     if lock_band is None:
         lock_band = 20.0 * float(np.max(np.diff(times))) if times.size > 1 else 0.0
-    cms = np.empty((times.size, 4, 4))
+    cms, last = np.empty((times.size, 4, 4)), times.size - 1
     cms[0] = valid_cm_stack(gamma0, pure=True).cms[0]
     theta_l, _, _, psi_l = (float(x) for x in _rsvd_angles(generator(k).L))
     dts, slot = np.unique(np.diff(times), return_inverse=True)
     flows = evolve(k, dts)
-    flips = np.concatenate([np.eye(4)[None], flows @ _FLIP.matrix])  # identity first, for the scan
-    stretches, i, last = [], 0, times.size - 1
+    eye = np.eye(4)[None]  # identity first, for the scan
+    flips, coasts = np.concatenate([eye, flows @ _FLIP.matrix]), np.concatenate([eye, flows])
+
+    def coasting(l, phi):
+        return (l > lock_band) & (np.abs(np.sin(phi @ _HALF_SUM_DIFF)).sum(axis=-1) <= _COAST_TOL)
+
+    def stretch(table, i, inside):
+        """Write the nodes after ``i`` stepped by ``table``; return the first node not ``inside``."""
+        width = _FIRST_CHUNK
+        while i < last:
+            stop = min(i + width, last)
+            nodes = _prefix_scan(table, slot[i:stop] + 1, cms[i])
+            out = np.flatnonzero(~inside(*_rate_kernel(nodes[:-1], theta_l, psi_l)[2:]))
+            end = stop if out.size == 0 else i + int(out[0])
+            cms[i + 1 : end + 1] = nodes[1 : end - i + 1]
+            i, width = end, 2 * width
+            if out.size:
+                break
+        return i
+
+    stretches, i = [], 0
     while i < last:
         gamma = cms[i]
         _, _, l, phi = _rate_kernel(gamma[None], theta_l, psi_l)
         if l[0] > lock_band:
             cms[i + 1] = apply_symplectic(flows[slot[i]] @ _pair_matrix(*phi[0].tolist()), gamma)
             i += 1
+            if coasting(l, phi)[0]:
+                i = stretch(coasts, i, coasting)
             continue
         start = i
         cms[i + 1] = apply_symplectic(flows[slot[i]] @ _neutral_flip_base(gamma, k).matrix, gamma)
-        i, width = i + 1, _FIRST_LOCK_CHUNK
-        while i < last:
-            stop = min(i + width, last)
-            nodes = _prefix_scan(flips, slot[i:stop] + 1, cms[i])
-            free = np.flatnonzero(_rate_kernel(nodes[:-1])[2] > lock_band)
-            end = stop if free.size == 0 else i + int(free[0])
-            cms[i + 1 : end + 1] = nodes[1 : end - i + 1]
-            i, width = end, 2 * width
-            if free.size:
-                break
+        i = stretch(flips, i + 1, lambda l, phi: l <= lock_band)
         stretches.append((start, i - 1))
     rates = _rate_column(valid_cm_stack(cms, pure=True).cms, k)
     return Trajectory(times=times, cms=cms, native_k=k, rates=rates, lock_stretches=stretches)

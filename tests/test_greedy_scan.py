@@ -1,7 +1,7 @@
 """The chunk-scanned greedy walk against the per-node reference loop.
 
-Locked stretches run through the shared prefix scan, so their rounding
-differs from stepping one CM at a time; every node must agree with
+Locked and coasting stretches run through the shared prefix scan, so their
+rounding differs from stepping one CM at a time; every node must agree with
 ``helpers.reference_greedy_rate_walk`` to 1e-10 of that node's largest
 entry, and the walk must lock and unlock at exactly the same nodes.
 """
@@ -17,13 +17,17 @@ from helpers import random_coupling, random_pure_cm, reference_greedy_rate_walk
 from twomode.core import (
     H0,
     HBS,
+    _pair_matrix,
+    _rsvd_angles,
     apply_symplectic,
+    evolve,
+    generator,
     squeezed_product_cm,
     two_mode_squeezed_cm,
     vacuum_cm,
 )
 from twomode.protocols import (
-    _FIRST_LOCK_CHUNK,
+    _FIRST_CHUNK,
     flip_strategy,
     greedy_rate_walk,
     run_protocol,
@@ -68,7 +72,7 @@ def _fig3():
 
 def _chunk_edges(count=4):
     """Offsets from a stretch's first node at which a scanned chunk starts."""
-    edges, edge, width = [], 1, _FIRST_LOCK_CHUNK
+    edges, edge, width = [], 1, _FIRST_CHUNK
     for _ in range(count):
         edge += width
         edges.append(edge)
@@ -164,6 +168,52 @@ class TestLeavingTheBand:
         assert traj.lock_stretches == []
 
 
+def _coasting_loop(gamma0, k, times, tol):
+    """Per-node loop of the free walk's coasting rule (no lock band).
+
+    A node rotates by its optimal pair, except that after a node whose pair
+    was ``+-I`` to ``tol`` every further such node takes the flow alone.
+    Returns the CMs and which nodes took the flow alone.
+    """
+    theta_l, _, _, psi_l = (float(x) for x in _rsvd_angles(generator(k).L))
+    cms = np.empty((len(times), 4, 4))
+    cms[0] = gamma0
+    coasted = np.zeros(len(times) - 1, dtype=bool)
+    identity = False
+    for i, dt in enumerate(np.diff(times)):
+        phi1, phi2 = _rate_kernel(cms[i][None], theta_l, psi_l)[3][0].tolist()
+        after_identity = identity
+        identity = abs(math.sin((phi1 + phi2) / 2)) + abs(math.sin((phi1 - phi2) / 2)) <= tol
+        coasted[i] = after_identity and identity
+        rotation = np.eye(4) if coasted[i] else _pair_matrix(phi1, phi2)
+        cms[i + 1] = apply_symplectic(evolve(k, dt) @ rotation, cms[i])
+    return cms, coasted
+
+
+class TestCoasting:
+    """From a squeezed product the optimal pair stays ``+-I`` after the first
+    free node, so the free walk coasts through the scan."""
+
+    @pytest.mark.parametrize("k", [H0, np.array([[0.3, -1.1], [0.8, 0.2]])])
+    def test_squeezed_product_free_walk(self, k):
+        times = uniform_grid(1.0, 1e-3)
+        traj = assert_matches_reference(squeezed_product_cm(0.5, 0.2), k, times, -1.0)
+        assert traj.lock_stretches == []
+
+    def test_cut_where_a_rotation_is_needed(self, monkeypatch, rng):
+        """A coarse tolerance lets a generic state coast a few nodes at a time."""
+        import twomode.protocols
+
+        tol = 1e-3
+        monkeypatch.setattr(twomode.protocols, "_COAST_TOL", tol)
+        gamma0, times = random_pure_cm(rng), np.arange(201) * 1e-3
+        cms, coasted = _coasting_loop(gamma0, H0, times, tol)
+        traj = greedy_rate_walk(gamma0, H0, times, -1.0)
+        err = np.max(np.abs(traj.cms - cms), axis=(1, 2))
+        assert np.all(err <= _REL * np.max(np.abs(cms), axis=(1, 2)))
+        assert np.count_nonzero(coasted[:-1] & ~coasted[1:]) > 5  # coasts, each cut by a rotation
+
+
 class TestLockStretchesField:
     def test_other_strategies_record_none(self):
         assert run_protocol(vacuum_cm(), flip_strategy(H0, 1.0, 10)).lock_stretches is None
@@ -175,7 +225,8 @@ class TestLockStretchesField:
 
 
 class TestKernelCalls:
-    """``_rsvd_angles`` runs once per free node, and O(log N) times per locked stretch."""
+    """``_rsvd_angles`` runs once per free node that rotates, and O(log N) times
+    per locked or coasting stretch."""
 
     @staticmethod
     def _count(monkeypatch, *args, **kwargs):
@@ -204,3 +255,17 @@ class TestKernelCalls:
         n = 300
         calls = self._count(monkeypatch, random_pure_cm(rng), H0, np.arange(n + 1) * 1e-3, -1.0)
         assert n <= calls <= n + 5
+
+    def test_coasting_walk_scales_with_log_n(self, monkeypatch):
+        n = 20_000
+        gamma0 = squeezed_product_cm(0.5, 0.2)
+        calls = self._count(monkeypatch, gamma0, H0, uniform_grid(1.0, 1.0 / n))
+        assert calls <= 4 * math.log2(n) + 20
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_benchmark_greedy_inputs(self, monkeypatch, seed):
+        for op in _bench_inputs().trajectory_inputs(seed):
+            if op["strategy"] == "greedy":
+                times = uniform_grid(op["t"], op["dt"])
+                calls = self._count(monkeypatch, np.array(op["cm"]), np.array(op["k"]), times)
+                assert calls <= 4 * math.log2(times.size) + 20
