@@ -55,7 +55,8 @@ greedy = greedy_rate_strategy(g_in, H0, 1.5, 1e-3)
 tms_final = apply_symplectic(evolve(flip_effective_coupling(H0), 1.5), g_in)
 bare_final = apply_symplectic(evolve(H0, 1.5), g_in)
 print("\nsqueezed light, t = 1.5:")
-print(f"  greedy rate at t=0: {greedy.rates[0]:.4f}, at t=1.5: {greedy.rates[-1]:.4f}")
+rates = greedy.columns()["rate"]
+print(f"  greedy rate at t=0: {rates[0]:.4f}, at t=1.5: {rates[-1]:.4f}")
 print(f"  E0: greedy {pure_standard_form(greedy.final).r:.4f}  "
       f"squeezer-sim {pure_standard_form(tms_final).r:.4f}  "
       f"bare {pure_standard_form(bare_final).r:.4f}")
@@ -70,7 +71,8 @@ g_in2 = apply_symplectic(s_r, two_mode_squeezed_cm(0.5e-3))
 greedy2 = greedy_rate_strategy(g_in2, H0, 1.0, 1e-3)
 tms2 = apply_symplectic(evolve(flip_effective_coupling(H0), 1.0), g_in2)
 print("\ndoubly squeezed input, t = 1:")
-print(f"  greedy rate stays at {greedy2.rates[0]:.4f} .. {np.max(greedy2.rates):.4f}")
+rates2 = greedy2.columns()["rate"]
+print(f"  greedy rate stays at {rates2[0]:.4f} .. {np.max(rates2):.4f}")
 print(f"  E0: greedy {pure_standard_form(greedy2.final).r:.4f}  "
       f"<  squeezer-sim {pure_standard_form(tms2).r:.4f}")
 

@@ -83,8 +83,9 @@ def _parse_hamiltonian(spec: str) -> np.ndarray:
     name = spec.removeprefix("preset:").lower()
     if name in _PRESETS:
         return _PRESETS[name].copy()
-    data = _load_json(spec)
-    return k_from_dict(data)
+    if spec.startswith("preset:"):
+        raise ValueError(f"unknown preset {name!r}; the presets are {', '.join(_PRESETS)}")
+    return k_from_dict(_load_json(spec))
 
 
 def _finite_float(text: str) -> float:
@@ -100,9 +101,10 @@ def _parse_state(spec: str) -> np.ndarray:
     if kind == "vacuum":
         return vacuum_cm()
     if kind == "squeezed":
-        parts = [_finite_float(x) for x in arg.split(",")] if arg else [0.0]
-        r1 = parts[0]
-        r2 = parts[1] if len(parts) > 1 else 0.0
+        parts = [_finite_float(x) for x in arg.split(",")] if arg else []
+        if len(parts) > 2:
+            raise ValueError(f"squeezed:R1[,R2] takes at most two values, got {arg!r}")
+        r1, r2 = parts + [0.0] * (2 - len(parts))
         return squeezed_product_cm(r1, r2)
     if kind == "tms":
         t = _finite_float(arg)

@@ -392,11 +392,12 @@ def standard_form_evolution(k, t: float) -> StandardFormEvolution:
 
 
 def is_symplectic(s, tol: float = 1e-10) -> bool:
-    """Whether ``S J2 S^T = J2`` holds to the given tolerance."""
+    """Whether a ``2n x 2n`` ``S`` has ``S Omega S^T = Omega`` to ``tol``; ``Omega = I_n (x) J``."""
     s = np.asarray(s, dtype=float)
-    if s.shape != (4, 4):
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 or s.size == 0:
         return False
-    return bool(np.max(np.abs(s @ J2 @ s.T - J2)) <= tol)
+    form = (np.eye(len(s) // 2)[:, None, :, None] * J[:, None, :]).reshape(s.shape)
+    return bool(np.max(np.abs(s @ form @ s.T - form)) <= tol)
 
 
 def assert_symplectic(s) -> np.ndarray:

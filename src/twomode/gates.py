@@ -34,6 +34,7 @@ from .core import (
     _wrap,
     apply_symplectic,
     assert_symplectic,
+    is_symplectic,
     evolve,
     restricted_svd,
 )
@@ -262,7 +263,7 @@ def passive_decompose(o, tol: float = 1e-10) -> PassiveDecomposition:
     o = np.asarray(o, dtype=float)
     if o.shape != (4, 4) or np.max(np.abs(o @ o.T - np.eye(4))) > tol:
         raise ValueError("input is not orthogonal at the required tolerance")
-    if np.max(np.abs(o @ J2 @ o.T - J2)) > tol:
+    if not is_symplectic(o, tol):
         raise ValueError("input is not symplectic at the required tolerance")
 
     # The 2x2 blocks are conformal, |u_ij| R(arg u_ij), with u the unitary on

@@ -46,12 +46,12 @@ def _negativity(cms: np.ndarray, dets: np.ndarray) -> np.ndarray:
     return np.sqrt((delta + root) / (2.0 * dets))
 
 
-def report_columns(cms, k, rates=None) -> dict[str, np.ndarray]:
+def report_columns(cms, k) -> dict[str, np.ndarray]:
     """Per-node columns ``E0``, ``negativity``, ``S``, ``Q`` and ``rate``.
 
-    ``cms`` is an ``(N, 4, 4)`` stack of pure CMs, validated once as a
-    whole; ``rate`` is the optimal entanglement rate under the coupling
-    ``k`` unless precomputed ``rates`` are given.
+    ``cms`` is an ``(N, 4, 4)`` stack of pure CMs.  This is the one place a
+    trajectory is validated, once as a whole, for every strategy; ``rate``
+    is the optimal entanglement rate under the coupling ``k``.
     """
     stack = valid_cm_stack(cms, pure=True)
     lam = stack.eigenvalues[:, 0]
@@ -60,7 +60,7 @@ def report_columns(cms, k, rates=None) -> dict[str, np.ndarray]:
         "negativity": _negativity(stack.cms, stack.dets),
         "S": 1.0 / lam,
         "Q": -np.log(lam) + 0.0,
-        "rate": _rate_column(stack.cms, k) if rates is None else np.asarray(rates, dtype=float),
+        "rate": _rate_column(stack.cms, k),
     }
 
 

@@ -3,10 +3,10 @@ following, attainability bounds, ancilla extensions and Gaussian measurements.
 
 A protocol alternates instantaneous local rotations with windows of the
 native coupling.  Running one from a pure state produces a trajectory: an
-``(N, 4, 4)`` stack of covariance matrices.  The per-node quantifiers
-(entanglement, negativity, squeezing, instantaneous optimal rate) are
-computed on request, vectorised over the whole stack, so long runs stay
-cheap when only the final state matters.
+``(N, 4, 4)`` stack of covariance matrices.  For every strategy, the per-node
+quantifiers (entanglement, negativity, squeezing, instantaneous optimal rate)
+come on request from one validated pass of :func:`~twomode.measures.report_columns`,
+so long runs stay cheap when only the final state matters.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ from .core import (
     assert_valid_cm,
     evolve,
     generator,
+    is_symplectic,
     pure_standard_form,
     restricted_svd,
     valid_cm_stack,
 )
 from .measures import report_columns
-from .rates import _rate_column, _rate_kernel, optimal_entanglement_rate
+from .rates import _rate_kernel, optimal_entanglement_rate
 from .simulate import Protocol, ProtocolStep
 
 __all__ = [
@@ -98,18 +99,14 @@ def csv_text(header: str, columns) -> str:
 class Trajectory:
     """Time-ordered covariance matrices produced by a strategy.
 
-    ``cms`` is an ``(N, 4, 4)`` array.  ``rates`` holds the instantaneous
-    optimal entanglement rate of the state at each node (the rate available
-    to a rate-greedy continuation); it is filled by the greedy strategy and
-    computed on request otherwise.  ``lock_stretches`` holds the greedy
-    walk's ``(first node, last node)`` pairs of the stretches held in its
-    lock band, and is None for every other strategy.
+    ``cms`` is an ``(N, 4, 4)`` array; :meth:`columns` reports it, rate included.
+    ``lock_stretches`` holds the greedy walk's ``(first node, last node)`` pairs
+    of the stretches held in its lock band, and is None for every other strategy.
     """
 
     times: np.ndarray
     cms: np.ndarray
     native_k: np.ndarray
-    rates: np.ndarray | None = None
     lock_stretches: list[tuple[int, int]] | None = None
 
     def __len__(self) -> int:
@@ -121,7 +118,7 @@ class Trajectory:
 
     def columns(self) -> dict[str, np.ndarray]:
         """Report columns ``t, E0, negativity, S, Q, rate`` over all nodes."""
-        cols = report_columns(self.cms, self.native_k, self.rates)
+        cols = report_columns(self.cms, self.native_k)
         return {"t": np.asarray(self.times, dtype=float), **cols}
 
     def reports(self) -> list[dict]:
@@ -249,8 +246,8 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
     applies the neutral base pair once and continues with the alternating
     quarter-turn pattern, which holds the realised rate at the plateau
     value.  The band defaults to ``20 * max(dt)`` and only affects the
-    applied controls; the reported rates stay the closed-form optimum of
-    each visited state, computed while the finished walk is validated.
+    applied controls; :meth:`Trajectory.columns` reports the closed-form
+    optimal rate of each visited state.
 
     A locked stretch is a flip protocol, so it runs through
     :func:`_prefix_scan` in chunks of doubling length, each checked against
@@ -308,8 +305,7 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
         cms[i + 1] = apply_symplectic(flows[slot[i]] @ _neutral_flip_base(gamma, k).matrix, gamma)
         i = stretch(flips, i + 1, lambda l, phi: l <= lock_band)
         stretches.append((start, i - 1))
-    rates = _rate_column(valid_cm_stack(cms, pure=True).cms, k)
-    return Trajectory(times=times, cms=cms, native_k=k, rates=rates, lock_stretches=stretches)
+    return Trajectory(times=times, cms=cms, native_k=k, lock_stretches=stretches)
 
 
 def uniform_grid(t: float, dt: float) -> np.ndarray:
@@ -403,8 +399,7 @@ def extend_with_ancillas(gamma, n_anc: int, o=None, tol: float = 1e-10) -> Exten
         raise ValueError(f"passive matrix must be {dim}x{dim}, got {o.shape}")
     if np.max(np.abs(o @ o.T - np.eye(dim))) > tol:
         raise NotPassiveError("matrix is not orthogonal")
-    form = np.kron(np.eye(2 + n_anc), J)
-    if np.max(np.abs(o @ form @ o.T - form)) > tol:
+    if not is_symplectic(o, tol):
         raise NotPassiveError("matrix is not symplectic")
     big = np.eye(dim)
     big[:4, :4] = gamma

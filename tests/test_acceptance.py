@@ -154,7 +154,7 @@ def test_criterion_6_vacuum_rate_pinned_at_unity():
     tolerance; the run still covers 1000 nodes in well under a second.
     """
     traj = greedy_rate_strategy(vacuum_cm(), H0, 0.03, 3e-5)
-    deviation = float(np.max(np.abs(np.asarray(traj.rates) - 1.0)))
+    deviation = float(np.max(np.abs(np.asarray(traj.columns()["rate"]) - 1.0)))
     assert deviation <= 1e-6
     _report(6, f"{len(traj)} nodes, max |rate - 1| = {deviation:.2e}")
 
@@ -164,7 +164,7 @@ def test_criterion_7_rate_greed_is_not_globally_optimal():
     s_r = np.diag([np.e, 1.0 / np.e, np.e, 1.0 / np.e])
     gamma0 = apply_symplectic(s_r, two_mode_squeezed_cm(0.5e-3))
     greedy = greedy_rate_strategy(gamma0, H0, 1.0, 1e-3)
-    assert abs(greedy.rates[0] - 1.0) <= 1e-9
+    assert abs(greedy.columns()["rate"][0] - 1.0) <= 1e-9
     e0_greedy = pure_standard_form(greedy.final).r
     tms_final = apply_symplectic(evolve(flip_effective_coupling(H0), 1.0), gamma0)
     e0_tms = pure_standard_form(tms_final).r

@@ -245,6 +245,11 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "rsv", "--hamiltonian", "/does/not/exist.json")
         assert code == 2
 
+    def test_unknown_preset_names_the_presets(self, capsys):
+        code, out, err = run_cli(capsys, "rsv", "--hamiltonian", "preset:nope")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown preset 'nope'; the presets are h0, hbs, htms\n"
+
     def test_bad_state_spec_is_validation_error(self, capsys):
         code, _, _ = run_cli(capsys, "measure", "--state", "nonsense:1")
         assert code == 2
@@ -287,6 +292,8 @@ class TestNumericContract:
             (["tmin", "--hamiltonian", "h0", "--target", "hbs", "--t", "1e308"], 3),
             (["measure", "--state", "squeezed:nan"], 2),
             (["measure", "--state", "tms:inf"], 2),
+            (["measure", "--state", "squeezed:1,2,3"], 2),
+            (["rates", "--hamiltonian", "preset:h0", "--state", "squeezed:0.5,0.2,9"], 2),
         ],
     )
     def test_exit_codes(self, argv, expected):

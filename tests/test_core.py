@@ -202,6 +202,21 @@ class TestEvolve:
             assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(lhs)))
 
 
+class TestIsSymplectic:
+    def test_three_mode_matrices(self):
+        s = np.eye(6)
+        s[2:, 2:] = evolve(H0, 0.3)  # couples modes 2 and 3, mode 1 idle
+        assert is_symplectic(s)
+        assert not is_symplectic(np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 3), (5, 5), (4, 6), (6, 4), (4,), (2, 4, 4)])
+    def test_other_shapes_are_not_symplectic(self, shape):
+        s = np.zeros(shape)
+        if len(shape) == 2:
+            s[: min(shape), : min(shape)] = np.eye(min(shape))
+        assert not is_symplectic(s)
+
+
 class TestStandardFormEvolution:
     def test_h0_factors(self):
         sf = standard_form_evolution(H0, 0.9)

@@ -116,6 +116,9 @@ class TestPassiveDecomposition:
     def test_active_input_rejected(self):
         with pytest.raises(ValueError):
             passive_decompose(np.diag([2.0, 0.5, 1.0, 1.0]))
+        reflection = np.diag([1.0, -1.0, 1.0, 1.0])  # orthogonal, so the symplectic check decides
+        with pytest.raises(ValueError, match="not symplectic"):
+            passive_decompose(reflection)
 
 
 class TestLocalSqueezerSequence:

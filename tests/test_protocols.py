@@ -144,7 +144,7 @@ class TestFlipStrategy:
 class TestGreedyStrategy:
     def test_vacuum_rate_stays_unity(self):
         traj = greedy_rate_strategy(vacuum_cm(), H0, 0.03, 3e-5)
-        assert np.max(np.abs(np.asarray(traj.rates) - 1.0)) < 1e-6
+        assert np.max(np.abs(np.asarray(traj.columns()["rate"]) - 1.0)) < 1e-6
 
     def test_vacuum_entangles_at_unit_rate(self):
         traj = greedy_rate_strategy(vacuum_cm(), H0, 1.0, 1e-3)
@@ -154,7 +154,7 @@ class TestGreedyStrategy:
         """Squeezed light: initial rate exp(1.25), decreasing, more output than bare."""
         gin = squeezed_product_cm(0.0, 2.5)
         traj = greedy_rate_strategy(gin, H0, 1.5, 1e-3)
-        rates = np.asarray(traj.rates)
+        rates = np.asarray(traj.columns()["rate"])
         assert rates[0] == pytest.approx(np.exp(1.25), rel=1e-9)
         assert rates[-1] < rates[0]
         assert np.all(rates >= 1.0 - 1e-9)
@@ -167,8 +167,8 @@ class TestGreedyStrategy:
             np.diag([np.e, 1.0 / np.e, np.e, 1.0 / np.e]), two_mode_squeezed_cm(0.5e-3)
         )
         traj = greedy_rate_strategy(gin2, H0, 1.0, 1e-3)
-        assert traj.rates[0] == pytest.approx(1.0, abs=1e-9)
-        assert np.max(traj.rates) < 1.01
+        assert traj.columns()["rate"][0] == pytest.approx(1.0, abs=1e-9)
+        assert np.max(traj.columns()["rate"]) < 1.01
         tms = apply_symplectic(evolve(flip_effective_coupling(H0), 1.0), gin2)
         assert pure_standard_form(tms).r > pure_standard_form(traj.final).r
 
@@ -273,6 +273,9 @@ class TestAncillasAndMeasurement:
         squeezer = np.diag([2.0, 0.5, 1.0, 1.0, 1.0, 1.0])
         with pytest.raises(NotPassiveError):
             extend_with_ancillas(g, 1, squeezer)
+        reflection = np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(NotPassiveError, match="not symplectic"):
+            extend_with_ancillas(g, 1, reflection)
 
     def test_product_block_measurement(self, rng):
         """No correlations: measuring the ancillas leaves the system untouched."""
@@ -335,7 +338,7 @@ class TestGreedyLockRobustness:
                     random_rotation_pair(rng).matrix @ frame, two_mode_squeezed_cm(seed / 2)
                 )
                 traj = greedy_rate_strategy(g0, k, 0.5, 1e-3)
-                rates = np.asarray(traj.rates)
+                rates = np.asarray(traj.columns()["rate"])
                 # Plateau: the optimal rate never drifts above capability + noise.
                 assert rates[0] == pytest.approx(cap, rel=1e-6)
                 assert np.max(rates) < cap * (1.0 + 5e-3) + 1e-9
@@ -347,8 +350,8 @@ class TestGreedyLockRobustness:
         """States with real fuel unlock and exceed the plateau rate."""
         gin = squeezed_product_cm(0.0, 2.5)
         traj = greedy_rate_strategy(gin, H0, 0.3, 1e-3)
-        assert traj.rates[0] == pytest.approx(np.exp(1.25), rel=1e-9)
-        assert np.all(np.asarray(traj.rates) > 1.5)
+        assert traj.columns()["rate"][0] == pytest.approx(np.exp(1.25), rel=1e-9)
+        assert np.all(np.asarray(traj.columns()["rate"]) > 1.5)
 
     def test_dt_refinement_consistency(self):
         """Halving dt changes the endpoint only at the discretisation scale."""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import random_coupling, random_pure_cm, random_rotation_pair
-from twomode.cli import _flow_trajectory
+from twomode.cli import _flow_trajectory, main, reproduce_figures
 from twomode.core import (
     J2,
     H0,
@@ -23,6 +23,7 @@ from twomode.core import (
     restricted_svd,
     squeezed_product_cm,
     vacuum_cm,
+    valid_cm_stack,
 )
 from twomode.measures import entanglement, negativity, report_columns, squeezing
 from twomode.protocols import (
@@ -92,7 +93,6 @@ class TestColumnsMatchReferenceLoops:
         traj = greedy_rate_strategy(_random_start(rng), k, 0.5, 2e-3)
         ref = reference_columns(traj.cms, k)
         assert_columns_match(traj.columns(), ref)
-        assert np.max(np.abs(traj.rates - ref["rate"]) / np.maximum(1.0, ref["rate"])) <= 1e-7
 
     def test_tms_and_bare_trajectories(self, rng):
         k = random_coupling(rng)
@@ -144,6 +144,41 @@ class TestStackValidation:
     def test_greedy_walk_rejects_mixed_start(self):
         with pytest.raises(NotPureError):
             greedy_rate_strategy(1.5 * np.eye(4), H0, 0.01, 1e-3)
+
+
+class TestOneValidationPerReport:
+    """A reported trajectory's N-node stack is validated once, whatever the strategy."""
+
+    @pytest.fixture
+    def validated_shapes(self, monkeypatch):
+        import twomode.cli
+        import twomode.core
+        import twomode.measures
+        import twomode.protocols
+
+        shapes = []
+
+        def recording(cms, pure=False):
+            shapes.append(np.shape(cms))
+            return valid_cm_stack(cms, pure)
+
+        for module in (twomode.core, twomode.protocols, twomode.measures, twomode.cli):
+            monkeypatch.setattr(module, "valid_cm_stack", recording)
+        return shapes
+
+    @pytest.mark.parametrize("strategy", ["greedy", "flip", "tms", "bare"])
+    def test_run(self, validated_shapes, strategy, tmp_path):
+        out = tmp_path / "run.csv"
+        argv = ["run", "--hamiltonian", "h0", "--state", "squeezed:0.5,0.2", "--t", "0.1"]
+        argv += ["--strategy", strategy, "--steps", "100", "--out", str(out)]
+        assert main(argv) == 0
+        nodes = len(out.read_text().splitlines()) - 1
+        assert nodes == 101
+        assert validated_shapes.count((nodes, 4, 4)) == 1
+
+    def test_figure(self, validated_shapes, tmp_path):
+        reproduce_figures("fig1", str(tmp_path))
+        assert validated_shapes.count((1501, 4, 4)) == 3
 
 
 class TestStepCache:
