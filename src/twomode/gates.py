@@ -63,6 +63,13 @@ __all__ = [
 #: Mode-2 quarter rotation used to define the barred gate variants.
 _BAR = LocalRotationPair(0.0, math.pi / 2.0)
 
+#: Passive maps into and out of :func:`decompose_gate`'s two squeezer stages,
+#: ``beta`` (the barred beam splitter pair) then ``alpha``.
+_STAGE_MAPS = (
+    (_BAR.matrix @ evolve(HBS, -math.pi / 4.0), evolve(HBS, math.pi / 4.0) @ _BAR.matrix.T),
+    (evolve(HBS @ J, math.pi / 4.0), evolve(HBS @ J, -math.pi / 4.0)),
+)
+
 
 @dataclass(frozen=True)
 class RotationGate:
@@ -327,14 +334,9 @@ def decompose_gate(s) -> GateSequence:
     to floating-point accuracy.
     """
     dec = euler_decompose(s)
-    bar = _BAR.matrix
-    stages = (
-        (dec.beta, bar @ evolve(HBS, -math.pi / 4.0), evolve(HBS, math.pi / 4.0) @ bar.T),
-        (dec.alpha, evolve(HBS @ J, math.pi / 4.0), evolve(HBS @ J, -math.pi / 4.0)),
-    )
     out: tuple[GatePrimitive, ...] = ()
     acc = dec.O_tilde
-    for strength, entry, exit_ in stages:
+    for strength, (entry, exit_) in zip((dec.beta, dec.alpha), _STAGE_MAPS):
         if abs(strength) > _SQUEEZE_TOL:
             out += passive_decompose(entry @ acc).gates() + (TwoModeSqueezerGate(strength),)
             acc = exit_

@@ -139,13 +139,15 @@ class Trajectory:
 def _prefix_scan(table: np.ndarray, index, gamma0: np.ndarray) -> np.ndarray:
     """CMs ``P_i gamma0 P_i^T`` for ``i = 0 .. len(index)``, ``P_i = table[index[i-1]] ... table[index[0]]``.
 
-    ``table[0]`` must be the identity.  A two-level scan (Blelloch,
-    CMU-CS-90-190): the ``n = len(index) + 1`` factors (identity first) are
-    gathered into ``ceil(n / w)`` chunks of ``w = isqrt(n)``, padded with
-    ``table[0]``; the prefixes inside every chunk are formed by ``w - 1``
-    matmuls stacked across chunks, and one pass over the chunks multiplies
-    them by the running total and writes that chunk's CMs in place, so no
-    second stack of ``n`` matrices is held.
+    ``table[0]`` must be the identity.  The scan carries factors, not CMs:
+    node ``i`` is the Gram product ``X_i X_i^T`` of ``X_i = P_i F``, with ``F``
+    the Cholesky factor of ``gamma0``; node 0 is ``gamma0`` itself.  A
+    two-level scan (Blelloch, CMU-CS-90-190): the ``n = len(index) + 1`` step
+    matrices (identity first) are gathered into ``ceil(n / w)`` chunks of
+    ``w = isqrt(n)``, padded with ``table[0]``; the prefixes inside every chunk
+    are formed by ``w - 1`` matmuls stacked across chunks, and one pass over
+    the chunks multiplies them by the running factor and writes the chunk's
+    Gram products in place, so no second stack of ``n`` matrices is held.
     """
     n = len(index) + 1
     w = math.isqrt(n)
@@ -156,11 +158,14 @@ def _prefix_scan(table: np.ndarray, index, gamma0: np.ndarray) -> np.ndarray:
     blocks = cms.reshape(chunks, w, 4, 4)
     for j in range(1, w):
         np.matmul(blocks[:, j], blocks[:, j - 1], out=blocks[:, j])
-    total = np.eye(4)
+    total = np.linalg.cholesky(gamma0)
+    transposed = np.empty((w, 4, 4))
     for block in blocks:
-        prefixes = block @ total
-        total = prefixes[-1]
-        block[...] = apply_symplectic(prefixes, gamma0)
+        factors = block @ total
+        total = factors[-1]
+        np.copyto(transposed, factors.transpose(0, 2, 1))
+        np.matmul(factors, transposed, out=block)
+    cms[0] = gamma0
     return cms[:n]
 
 
@@ -170,23 +175,30 @@ def run_protocol(gamma0, protocol: Protocol) -> Trajectory:
     Node ``i`` is ``P_i gamma0 P_i^T`` with ``P_i = M_i ... M_1`` the
     product of the step matrices ``M = S(duration) R`` ("rotation, then
     flow"); the trailing ``final`` rotation is applied to the last node.
-    Each distinct step is fused once, and the prefix products come from
-    :func:`_prefix_scan`.
+    Steps are keyed by value ``(phi1, phi2, duration)``; the distinct ones
+    are fused once, their flows from one stacked :func:`~twomode.core.evolve`,
+    and the nodes come from the factor scan :func:`_prefix_scan`.
     """
     k = _as_k(protocol.native_k)
     gamma0 = assert_valid_cm(gamma0)
     slots: dict[tuple[float, float, float], int] = {}
-    index = [
-        slots.setdefault((s.rotation.phi1, s.rotation.phi2, s.duration), len(slots) + 1)
-        for s in protocol.steps
-    ]
-    table = np.empty((len(slots) + 1, 4, 4))
+    index = np.fromiter(
+        [
+            slots.setdefault((s.rotation.phi1, s.rotation.phi2, s.duration), len(slots) + 1)
+            for s in protocol.steps
+        ],
+        dtype=np.intp,
+        count=len(protocol.steps),
+    )
+    durations = np.array([0.0, *(duration for _, _, duration in slots)])
+    times = np.cumsum(np.concatenate([[0.0], durations[index]]))
+    rotations = [_pair_matrix(phi1, phi2) for phi1, phi2, _ in slots]
+    table = np.empty((len(durations), 4, 4))
     table[0] = np.eye(4)
-    for j, (phi1, phi2, duration) in enumerate(slots, start=1):
-        table[j] = evolve(k, duration) @ LocalRotationPair(phi1, phi2).matrix
+    table[1:] = evolve(k, durations[1:]) @ np.reshape(rotations, (-1, 4, 4))
     cms = _prefix_scan(table, index, gamma0)
     cms[-1] = apply_symplectic(protocol.final.matrix, cms[-1])
-    return Trajectory(np.cumsum([0.0, *(step.duration for step in protocol.steps)]), cms, k)
+    return Trajectory(times, cms, k)
 
 
 def flip_effective_coupling(k) -> np.ndarray:
@@ -201,17 +213,17 @@ def flip_strategy(k, t: float, steps: int) -> Protocol:
     In the many-step limit this simulates the two-mode squeezer contained in
     ``K`` at efficiency ``(s1 - s2)/2``: from the vacuum it converges (up to
     local rotations) to the two-mode squeezed state with parameter
-    ``(s1 - s2) t``.  The trailing rotation undoes the accumulated flips.
+    ``(s1 - s2) t``.  The trailing rotation undoes the accumulated flips;
+    four flips make a full turn of both modes, so only ``(steps - 1) % 4``
+    of them are undone and the angle loses no digits as ``steps`` grows.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     k = _as_k(k)
     dt = t / steps
     schedule = (ProtocolStep(LocalRotationPair(), dt),) + (ProtocolStep(_FLIP, dt),) * (steps - 1)
-    two_pi = 2.0 * math.pi
-    final = LocalRotationPair(
-        (-(steps - 1) * _FLIP.phi1) % two_pi, (-(steps - 1) * _FLIP.phi2) % two_pi
-    )
+    m, two_pi = (steps - 1) % 4, 2.0 * math.pi
+    final = LocalRotationPair((-m * _FLIP.phi1) % two_pi, (-m * _FLIP.phi2) % two_pi)
     return Protocol(k, schedule, final)
 
 

@@ -211,5 +211,5 @@ class TestStepCache:
 
         monkeypatch.setattr(twomode.protocols, "evolve", counting_evolve)
         traj = run_protocol(vacuum_cm(), flip_strategy(H0, 1.0, 1000))
-        assert len(durations) == 2
+        assert sum(np.size(t) for t in durations) == 2
         assert traj.cms.shape == (1001, 4, 4)
