@@ -25,7 +25,6 @@ from .core import (
     HTMS,
     NotPureError,
     apply_symplectic,
-    assert_valid_cm,
     evolve,
     k_from_dict,
     k_to_dict,
@@ -95,7 +94,8 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_state(spec: str) -> np.ndarray:
+def _parse_state(spec: str, pure: bool = False) -> np.ndarray:
+    """The CM ``spec`` names, checked once: built-in kinds are valid and pure as built."""
     kind, _, arg = spec.partition(":")
     kind = kind.lower()
     if kind == "vacuum":
@@ -122,7 +122,7 @@ def _parse_state(spec: str) -> np.ndarray:
             f"state {spec} is out of range: a CM eigenvalue exceeds e^{2 * _TMS_MAX:g}"
             f" (that of tms:{_TMS_MAX})"
         )
-    return assert_valid_cm(gamma)
+    return valid_cm_stack(gamma, pure).cms[0]
 
 
 def _emit(payload, out: str | None) -> None:
@@ -224,17 +224,19 @@ def _cmd_compile(args):
 
 
 def _flow_trajectory(gamma0, flow_k, times, native_k) -> Trajectory:
-    """CMs ``S(t) gamma0 S(t)^T`` along the flow of ``flow_k`` (flip limit: ``(K + JKJ)/2``)."""
+    """CMs ``S(t) gamma0 S(t)^T`` along the flow of ``flow_k`` (flip limit: ``(K + JKJ)/2``).
+
+    ``gamma0`` is a state checked by :func:`_parse_state` or a figure's input.
+    """
     times = np.asarray(times, dtype=float)
-    cms = apply_symplectic(evolve(flow_k, times), assert_valid_cm(gamma0))
+    cms = apply_symplectic(evolve(flow_k, times), gamma0)
     return Trajectory(times=times, cms=cms, native_k=native_k)
 
 
 def _strategy(args):
     """Parse and validate every input of ``run``; return the call that computes the trajectory."""
     k = _parse_hamiltonian(args.hamiltonian)
-    state = _parse_state(args.state)
-    valid_cm_stack(state, pure=True)
+    state = _parse_state(args.state, pure=True)
     if args.strategy.startswith("file:"):
         protocol = Protocol.from_dict(_load_json(args.strategy[5:]))
         if not np.array_equal(protocol.native_k, k):
@@ -437,7 +439,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
-    except (NotPureError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (NotPureError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -113,10 +113,7 @@ def kmatrix(a: float = 0.0, b: float = 0.0, c: float = 0.0, d: float = 0.0) -> n
     The coefficients multiply ``X1 X2``, ``P1 P2``, ``P1 X2`` and ``X1 P2``
     respectively.
     """
-    k = np.array([[a, d], [c, b]], dtype=float)
-    if not np.all(np.isfinite(k)):
-        raise ValueError("coupling coefficients must be finite")
-    return k
+    return _as_k([[a, d], [c, b]])
 
 
 def k_to_dict(k: np.ndarray) -> dict:

@@ -31,7 +31,6 @@ from .core import (
     J,
     SIGMA_Z,
     LocalRotationPair,
-    _as_k,
     _one_cm,
     _rsvd_angles,
     _wrap,
@@ -102,8 +101,8 @@ def _rate(l, s1: float, s2: float):
 
 def _rate_column(cms: np.ndarray, k) -> np.ndarray:
     """Optimal entanglement rate of each validated pure CM in a stack."""
-    _, svals, _ = restricted_svd(generator(k).L)
-    return _rate(_rate_kernel(cms)[2], svals.s1, svals.s2)
+    _, s1, s2, _ = _rsvd_angles(generator(k).L)
+    return _rate(_rate_kernel(cms)[2], s1, s2)
 
 
 def local_squeezing_parameter(gamma) -> float:
@@ -155,9 +154,8 @@ def optimal_entanglement_rate(gamma, k) -> EntanglementRatePlan:
     states, where ``Y`` degenerates, they instead align the local squeezing
     axes of the two modes against the generator frame.
     """
-    k = _as_k(k)
-    cms = _one_cm(gamma, pure=True).cms
     theta_l, s1, s2, psi_l = (float(x) for x in _rsvd_angles(generator(k).L))
+    cms = _one_cm(gamma, pure=True).cms
     y, product, l, phi = _rate_kernel(cms, theta_l, psi_l)
     l = float(l[0])
     return EntanglementRatePlan(
@@ -177,11 +175,10 @@ def entanglement_rate(gamma, k, o1, o2) -> float:
     interaction; the rate is ``tr(o1^T L o2 Y)``.  Requires an entangled pure
     state (the formula is singular for product states).
     """
-    k = _as_k(k)
+    gen = generator(k)
     y, product, _ = _y_stack(_one_cm(gamma, pure=True).cms)
     if product[0]:
         raise ValueError("entanglement_rate needs an entangled state (det C < 0)")
-    gen = generator(k)
     o1 = np.asarray(o1, dtype=float)
     o2 = np.asarray(o2, dtype=float)
     return float(np.trace(o1.T @ gen.L @ o2 @ y[0]))
@@ -257,9 +254,8 @@ def _balanced_min_eigenvector(gamma) -> tuple[np.ndarray, float, bool]:
 
 def optimal_squeezing_rate(gamma, k) -> SqueezingRatePlan:
     """Best achievable growth rate of ``Q = log(squeezing)`` under ``K``."""
-    k = _as_k(k)
-    gamma = assert_valid_cm(gamma)
     rk, svals, sk = restricted_svd(k)
+    gamma = assert_valid_cm(gamma)
     cap = svals.s1 - svals.s2
 
     x, lam, degenerate = _balanced_min_eigenvector(gamma)

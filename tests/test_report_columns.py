@@ -5,6 +5,8 @@ linear algebra (spectra, SVDs, the pure-state standard form), so they share
 no closed form with the stacked kernel.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from twomode.core import (
     H0,
     LocalRotationPair,
     NotPureError,
+    _as_k,
     apply_symplectic,
     assert_valid_cm,
     evolve,
@@ -30,9 +33,10 @@ from twomode.protocols import (
     flip_effective_coupling,
     flip_strategy,
     greedy_rate_strategy,
+    greedy_rate_walk,
     run_protocol,
 )
-from twomode.rates import optimal_entanglement_rate
+from twomode.rates import entanglement_rate, optimal_entanglement_rate, optimal_squeezing_rate
 from twomode.simulate import Protocol, ProtocolStep
 
 _PARTIAL_TRANSPOSE = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -179,6 +183,75 @@ class TestOneValidationPerReport:
     def test_figure(self, validated_shapes, tmp_path):
         reproduce_figures("fig1", str(tmp_path))
         assert validated_shapes.count((1501, 4, 4)) == 3
+
+    @pytest.fixture
+    def coupling_checks(self, monkeypatch):
+        import twomode.core
+        import twomode.gates
+        import twomode.protocols
+        import twomode.rates
+        import twomode.simulate
+
+        calls = []
+
+        def recording(k):
+            calls.append(np.shape(k))
+            return _as_k(k)
+
+        modules = (twomode.core, twomode.rates, twomode.protocols, twomode.simulate, twomode.gates)
+        for module in modules:
+            if hasattr(module, "_as_k"):
+                monkeypatch.setattr(module, "_as_k", recording)
+        return calls
+
+    @pytest.mark.parametrize("state", ["vacuum", "squeezed:0.5,0.2", "file"])
+    @pytest.mark.parametrize("strategy", ["greedy", "flip", "tms", "bare"])
+    def test_run_checks_its_start_state_once_per_boundary(
+        self, validated_shapes, monkeypatch, tmp_path, strategy, state
+    ):
+        """The CLI checks a JSON state once; built-in states are valid as built.
+
+        Behind it, ``run_protocol`` checks the state once, and the greedy walk
+        once plus twice per locked stretch (``_neutral_flip_base``).
+        """
+        import twomode.cli
+
+        walks = []
+
+        def recording_walk(*args):
+            walks.append(greedy_rate_walk(*args))
+            return walks[-1]
+
+        monkeypatch.setattr(twomode.cli, "greedy_rate_walk", recording_walk)
+        if state == "file":
+            state = tmp_path / "state.json"
+            state.write_text(json.dumps(squeezed_product_cm(0.5, 0.2).ravel().tolist()))
+        argv = ["run", "--hamiltonian", "h0", "--state", str(state), "--t", "0.1"]
+        argv += ["--strategy", strategy, "--steps", "100", "--out", str(tmp_path / "run.csv")]
+        assert main(argv) == 0
+        if strategy == "greedy":
+            expected = 1 + 2 * len(walks[0].lock_stretches)
+        else:
+            expected = {"flip": 1, "tms": 0, "bare": 0}[strategy]
+        expected += str(state).endswith(".json")
+        assert validated_shapes.count((4, 4)) == expected
+        assert validated_shapes.count((101, 4, 4)) == 1
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            optimal_entanglement_rate,
+            optimal_squeezing_rate,
+            lambda g, k: entanglement_rate(g, k, np.eye(2), np.eye(2)),
+            lambda g, k: report_columns(np.stack([g, g]), k),
+        ],
+        ids=["optimal_entanglement_rate", "optimal_squeezing_rate", "entanglement_rate", "report"],
+    )
+    def test_one_coupling_check_per_rate_query(self, coupling_checks, rng, query):
+        gamma, k = random_pure_cm(rng), random_coupling(rng)
+        coupling_checks.clear()
+        query(gamma, k)
+        assert coupling_checks == [(2, 2)]
 
 
 class TestStepCache:

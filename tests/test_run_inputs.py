@@ -10,7 +10,17 @@ import pytest
 
 from twomode import simulate
 from twomode.cli import main
-from twomode.core import H0, HBS, HTMS, LocalRotationPair, k_to_dict, kmatrix
+from twomode.core import (
+    H0,
+    HBS,
+    HTMS,
+    LocalRotationPair,
+    evolve,
+    k_from_dict,
+    k_to_dict,
+    kmatrix,
+    restricted_svd,
+)
 from twomode.gates import GateSequence, compile_to_native
 from twomode.protocols import flip_strategy, uniform_grid
 from twomode.simulate import (
@@ -117,6 +127,75 @@ class TestProtocolFiles:
         code, out, err = run_cli(["run", "--hamiltonian", str(path), "--strategy", strategy])
         assert (code, err) == (0, "")
         assert len(out.strip().split("\n")) == 1 + 5
+
+
+_H0_DICT = {"a": 1.0, "b": 0.0, "c": 0.0, "d": 0.0}
+_STEP = {"phi1": 0.1, "phi2": 0.2, "t": 0.01}
+_FINAL = {"phi1": 0.0, "phi2": 0.0}
+
+# JSON files of the wrong type for the option that reads them; each used to
+# end in a TypeError traceback.
+_WRONG_TYPED = [
+    *(("rsv", "--hamiltonian", data) for data in ([1, 2, 3], 5, "abc", None)),
+    ("rsv", "--hamiltonian", {"a": {"x": 1}, "b": 0, "c": 0, "d": 0}),
+    ("simcheck", "--target", [1, 2]),
+    ("measure", "--state", {"cm": {"a": 1}}),
+    ("decompose", "--gate", {"x": 1}),
+    *(("compile", "--gate", data) for data in ([5], {"x": 1}, "abc", None, 5)),
+    ("run", "--strategy", {"native_K": _H0_DICT, "steps": [5], "final": _FINAL}),
+    ("run", "--strategy", {"native_K": _H0_DICT, "steps": {"a": 1}, "final": _FINAL}),
+    ("run", "--strategy", {"native_K": [1, 2], "steps": [_STEP], "final": _FINAL}),
+    ("run", "--strategy", {"native_K": _H0_DICT, "steps": [_STEP], "final": 5}),
+    *(("run", "--strategy", data) for data in ([1, 2], "abc", None, 5)),
+]
+
+
+class TestWrongTypedJson:
+    @pytest.mark.parametrize("command, option, data", _WRONG_TYPED)
+    def test_is_usage_error(self, tmp_path, command, option, data):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        value = f"file:{path}" if option == "--strategy" else str(path)
+        argv = [command, option, value]
+        if command not in ("measure", "decompose") and option != "--hamiltonian":
+            argv += ["--hamiltonian", "h0"]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestCouplingCheck:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_are_refused(self, bad):
+        k = np.array([[1.0, 0.0], [bad, 0.5]])
+        for build in (
+            lambda: kmatrix(a=1.0, c=bad),
+            lambda: k_from_dict({"a": 1.0, "b": 0.5, "c": bad, "d": 0.0}),
+            lambda: restricted_svd(k),
+            lambda: evolve(k, 0.1),
+        ):
+            with pytest.raises(ValueError, match="coupling matrix must be finite"):
+                build()
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (2, 2, 2), (1, 2, 2)])
+    def test_non_2x2_matrix_is_refused(self, shape):
+        for check in (restricted_svd, lambda k: evolve(k, 0.1)):
+            with pytest.raises(ValueError, match="coupling matrix must be 2x2"):
+                check(np.ones(shape))
+
+    def test_vector_coefficients_are_refused(self):
+        with pytest.raises(ValueError, match="coupling matrix must be 2x2"):
+            kmatrix(*[[1.0, 2.0]] * 4)
+        with pytest.raises(ValueError, match="coupling matrix must be 2x2"):
+            k_from_dict(dict.fromkeys("abcd", [1.0, 2.0]))
+
+    def test_cli_refuses_a_nan_coupling_file(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text('{"a": NaN, "b": 0, "c": 0, "d": 0}')
+        assert math.isnan(json.loads(path.read_text())["a"])  # json.load accepts NaN
+        code, out, err = run_cli(["rsv", "--hamiltonian", str(path)])
+        assert (code, out, err) == (2, "", "error: coupling matrix must be finite\n")
 
 
 class TestDegenerateCouplingRule:
