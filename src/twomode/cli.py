@@ -1,10 +1,9 @@
 """Command-line front end: batch computations, strategy runs, figure data.
 
 Exit codes: 0 on success, 2 on usage/validation errors (including non-finite
-numeric arguments), 3 on numeric errors (degenerate couplings, infeasible
-times, singular measurement blocks, overflow, non-finite results, inputs out
-of the supported range, trajectories that leave it, requests too large to
-allocate).
+numeric arguments and malformed JSON files), 3 on numeric errors (degenerate
+couplings, infeasible times, overflow, non-finite results, inputs out of the
+supported range, trajectories that leave it, requests too large to allocate).
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ from .core import (
 )
 from .measures import entanglement, negativity, squeezing
 from .protocols import (
-    NotPassiveError,
-    SingularBlockError,
     Trajectory,
     csv_text,
     finite_time_bounds,
@@ -64,18 +61,21 @@ __all__ = ["main", "reproduce_figures"]
 
 _PRESETS = {"h0": H0, "hbs": HBS, "htms": HTMS}
 
-#: Largest ``|T|`` for ``--state tms:T``; beyond it ``|det gamma - 1|`` nears the purity tolerance.
-_TMS_MAX = 3.25
-
-#: Largest CM eigenvalue of a state file: that of ``tms:_TMS_MAX``, plus round-off slack.
-_EIGENVALUE_MAX = math.exp(2.0 * _TMS_MAX) * (1.0 + 1e-12)
+#: Largest squeezing ``r`` of a ``--state``, whose largest CM eigenvalue is then ``e^r`` (that of
+#: ``tms:r/2``); past it purity and ``det gamma >= 1`` no longer survive round-off.
+_R_MAX = 6.5
 
 _FIG_HEADER = "t,E0_opt,E0_tms,E0_bare,rate_opt,rate_tms,rate_bare,rate_vacuum_ref,N_bound"
 
 
-def _load_json(path: str):
+def _read_json(path: str, parse):
+    """``parse`` of the JSON in ``path``; a syntax, key, type or value error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return parse(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{reason} (in {path})") from exc
 
 
 def _parse_hamiltonian(spec: str) -> np.ndarray:
@@ -84,7 +84,7 @@ def _parse_hamiltonian(spec: str) -> np.ndarray:
         return _PRESETS[name].copy()
     if spec.startswith("preset:"):
         raise ValueError(f"unknown preset {name!r}; the presets are {', '.join(_PRESETS)}")
-    return k_from_dict(_load_json(spec))
+    return _read_json(spec, k_from_dict)
 
 
 def _finite_float(text: str) -> float:
@@ -92,6 +92,15 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
     return value
+
+
+def _check_range(spec: str, within: bool) -> None:
+    """The one range rule of every ``--state``: no CM eigenvalue above ``e^_R_MAX`` (exit 3)."""
+    if not within:
+        raise OverflowError(
+            f"state {spec} is out of range: a CM eigenvalue exceeds e^{_R_MAX:g}"
+            f" (that of tms:{_R_MAX / 2:g})"
+        )
 
 
 def _parse_state(spec: str, pure: bool = False) -> np.ndarray:
@@ -105,23 +114,24 @@ def _parse_state(spec: str, pure: bool = False) -> np.ndarray:
         if len(parts) > 2:
             raise ValueError(f"squeezed:R1[,R2] takes at most two values, got {arg!r}")
         r1, r2 = parts + [0.0] * (2 - len(parts))
+        _check_range(spec, max(abs(r1), abs(r2)) <= _R_MAX)
         return squeezed_product_cm(r1, r2)
     if kind == "tms":
         t = _finite_float(arg)
-        if abs(t) > _TMS_MAX:
-            raise OverflowError(f"tms:T needs |T| <= {_TMS_MAX} (r = 2T), got {arg}")
+        _check_range(spec, 2.0 * abs(t) <= _R_MAX)
         return two_mode_squeezed_cm(t)
-    data = _load_json(spec)
+    return _read_json(spec, partial(_file_cm, spec, pure))
+
+
+def _file_cm(spec: str, pure: bool, data) -> np.ndarray:
+    """The CM of a state file: a bare 16-entry list or ``{"cm": [...]}``."""
     if isinstance(data, dict):
         data = data["cm"]
     gamma = matrix_from_list(data)
-    # Checked before the det >= 1 test, which round-off breaks past this range.
-    finite = np.isfinite(gamma).all()
-    if finite and np.linalg.eigvalsh((gamma + gamma.T) / 2.0)[-1] > _EIGENVALUE_MAX:
-        raise OverflowError(
-            f"state {spec} is out of range: a CM eigenvalue exceeds e^{2 * _TMS_MAX:g}"
-            f" (that of tms:{_TMS_MAX})"
-        )
+    # Checked, with 1e-12 relative slack, before the det >= 1 test that round-off breaks.
+    if np.isfinite(gamma).all():
+        top = np.linalg.eigvalsh((gamma + gamma.T) / 2.0)[-1]
+        _check_range(spec, top <= math.exp(_R_MAX) * (1.0 + 1e-12))
     return valid_cm_stack(gamma, pure).cms[0]
 
 
@@ -213,12 +223,12 @@ def _cmd_bounds(args):
 
 
 def _cmd_decompose(args):
-    target = matrix_from_list(_load_json(args.gate))
+    target = _read_json(args.gate, matrix_from_list)
     return gates.decompose_gate(target).to_list()
 
 
 def _cmd_compile(args):
-    seq = gates.GateSequence.from_list(_load_json(args.gate))
+    seq = _read_json(args.gate, gates.GateSequence.from_list)
     protocol = gates.compile_to_native(seq, _parse_hamiltonian(args.hamiltonian), slices=args.slices)
     return protocol.to_dict()
 
@@ -238,7 +248,7 @@ def _strategy(args):
     k = _parse_hamiltonian(args.hamiltonian)
     state = _parse_state(args.state, pure=True)
     if args.strategy.startswith("file:"):
-        protocol = Protocol.from_dict(_load_json(args.strategy[5:]))
+        protocol = _read_json(args.strategy[5:], Protocol.from_dict)
         if not np.array_equal(protocol.native_k, k):
             raise ValueError(
                 f"--hamiltonian {k_to_dict(k)} differs from the protocol's native_K"
@@ -432,14 +442,12 @@ def main(argv=None) -> int:
     except (
         DegenerateHamiltonianError,
         InfeasibleTimeError,
-        SingularBlockError,
-        NotPassiveError,
         ArithmeticError,
         MemoryError,
     ) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
-    except (NotPureError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -60,6 +60,9 @@ __all__ = [
     "compile_to_native",
 ]
 
+#: Largest entry of ``O O^T - I`` and ``O Omega O^T - Omega`` of a passive ``O``.
+_PASSIVE_TOL = 1e-10
+
 #: Mode-2 quarter rotation used to define the barred gate variants.
 _BAR = LocalRotationPair(0.0, math.pi / 2.0)
 
@@ -260,17 +263,17 @@ class PassiveDecomposition:
         )
 
 
-def passive_decompose(o, tol: float = 1e-10) -> PassiveDecomposition:
+def passive_decompose(o) -> PassiveDecomposition:
     """Split a passive matrix into rotations around one beam splitter.
 
     The beam-splitter angle is fixed to ``[0, pi/2]``, which makes the branch
     choice deterministic.  Raises ``ValueError`` if the input is not
-    orthogonal symplectic at tolerance ``tol``.
+    orthogonal symplectic at tolerance ``_PASSIVE_TOL``.
     """
     o = np.asarray(o, dtype=float)
-    if o.shape != (4, 4) or np.max(np.abs(o @ o.T - np.eye(4))) > tol:
+    if o.shape != (4, 4) or np.max(np.abs(o @ o.T - np.eye(4))) > _PASSIVE_TOL:
         raise ValueError("input is not orthogonal at the required tolerance")
-    if not is_symplectic(o, tol):
+    if not is_symplectic(o, _PASSIVE_TOL):
         raise ValueError("input is not symplectic at the required tolerance")
 
     # The 2x2 blocks are conformal, |u_ij| R(arg u_ij), with u the unitary on

@@ -89,10 +89,6 @@ class EntanglementReport:
     det_a: float
     entropy: float
 
-    @property
-    def log_negativity(self) -> float:
-        return self.r
-
     def to_dict(self) -> dict:
         return {
             "r": self.r,

@@ -58,6 +58,12 @@ _FLIP = LocalRotationPair(math.pi / 2.0, 3.0 * math.pi / 2.0)
 
 CSV_HEADER = "t,E0,negativity,S,Q,rate"
 
+#: Largest entry of ``O O^T - I`` and ``O Omega O^T - Omega`` of a passive ``O``.
+_PASSIVE_TOL = 1e-10
+
+#: Largest condition number of a measured ancilla block.
+_COND_LIMIT = 1e12
+
 #: Nodes in the first scanned chunk of a stretch; each later chunk doubles.
 _FIRST_CHUNK = 16
 
@@ -331,11 +337,9 @@ def uniform_grid(t: float, dt: float) -> np.ndarray:
     return np.append(nodes[nodes < t], t)
 
 
-def greedy_rate_strategy(
-    gamma0, k, t: float, dt: float = 1e-3, lock_band: float | None = None
-) -> Trajectory:
+def greedy_rate_strategy(gamma0, k, t: float, dt: float = 1e-3) -> Trajectory:
     """Rate-greedy strategy on a uniform grid of step ``dt`` (final step partial)."""
-    return greedy_rate_walk(gamma0, k, uniform_grid(t, dt), lock_band=lock_band)
+    return greedy_rate_walk(gamma0, k, uniform_grid(t, dt))
 
 
 def finite_time_bounds(k, t: float, r1: float = 0.0, r2: float = 0.0) -> tuple[float, float]:
@@ -386,7 +390,7 @@ class ExtendedCM:
         return self.gamma[:4, 4:]
 
 
-def extend_with_ancillas(gamma, n_anc: int, o=None, tol: float = 1e-10) -> ExtendedCM:
+def extend_with_ancillas(gamma, n_anc: int, o=None) -> ExtendedCM:
     """Join vacuum ancillas and mix passively: ``gamma' = O^T (gamma (+) I) O``.
 
     ``o`` must be orthogonal and symplectic on ``2 + n_anc`` modes (a passive
@@ -398,7 +402,7 @@ def extend_with_ancillas(gamma, n_anc: int, o=None, tol: float = 1e-10) -> Exten
     ------
     NotPassiveError
         If ``o`` fails either the orthogonality or the symplectic condition
-        at tolerance ``tol``.
+        at tolerance ``_PASSIVE_TOL``.
     """
     gamma = assert_valid_cm(gamma)
     if n_anc < 0:
@@ -409,16 +413,16 @@ def extend_with_ancillas(gamma, n_anc: int, o=None, tol: float = 1e-10) -> Exten
     o = np.asarray(o, dtype=float)
     if o.shape != (dim, dim):
         raise ValueError(f"passive matrix must be {dim}x{dim}, got {o.shape}")
-    if np.max(np.abs(o @ o.T - np.eye(dim))) > tol:
+    if np.max(np.abs(o @ o.T - np.eye(dim))) > _PASSIVE_TOL:
         raise NotPassiveError("matrix is not orthogonal")
-    if not is_symplectic(o, tol):
+    if not is_symplectic(o, _PASSIVE_TOL):
         raise NotPassiveError("matrix is not symplectic")
     big = np.eye(dim)
     big[:4, :4] = gamma
     return ExtendedCM(gamma=apply_symplectic(o.T, big), n_anc=n_anc)
 
 
-def gaussian_measurement(ext: ExtendedCM, cond_limit: float = 1e12) -> np.ndarray:
+def gaussian_measurement(ext: ExtendedCM) -> np.ndarray:
     """System CM after a complete Gaussian measurement of the ancilla block.
 
     Returns the Schur complement ``A' - C' B'^-1 C'^T``.  The outcome-
@@ -429,12 +433,12 @@ def gaussian_measurement(ext: ExtendedCM, cond_limit: float = 1e12) -> np.ndarra
     Raises
     ------
     SingularBlockError
-        If the measured block has condition number above ``cond_limit``.
+        If the measured block has condition number above ``_COND_LIMIT``.
     """
     if ext.n_anc == 0:
         return ext.system.copy()
     b = ext.ancilla
-    if np.linalg.cond(b) >= cond_limit:
+    if np.linalg.cond(b) >= _COND_LIMIT:
         raise SingularBlockError("measured block is numerically singular")
     c = ext.cross
     out = ext.system - c @ np.linalg.solve(b, c.T)

@@ -135,16 +135,6 @@ class EntanglementRatePlan:
     s1: float
     s2: float
 
-    def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "l": self.l,
-            "phi1": float(self.rotations.phi1),
-            "phi2": float(self.rotations.phi2),
-            "s1": self.s1,
-            "s2": self.s2,
-        }
-
 
 def optimal_entanglement_rate(gamma, k) -> EntanglementRatePlan:
     """Best achievable growth rate of the two-mode squeezing parameter.
@@ -210,16 +200,6 @@ class SqueezingRatePlan:
     x: np.ndarray
     lambda_min: float
     degenerate: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "C_S": self.capability,
-            "g_S": self.squeezability,
-            "phi1": float(math.atan2(self.rotation[1, 0], self.rotation[0, 0])),
-            "lambda_min": self.lambda_min,
-            "degenerate": self.degenerate,
-        }
 
 
 def _balanced_min_eigenvector(gamma) -> tuple[np.ndarray, float, bool]:

@@ -30,7 +30,6 @@ from .core import (
     _wrap,
     k_from_dict,
     k_to_dict,
-    restricted_svd,
 )
 
 __all__ = [
@@ -68,6 +67,14 @@ class InfeasibleTimeError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _rsvd_pair(k, k_target):
+    """``(k, k_target, theta, psi, s, sp)``: both couplings checked, ``K`` first, and their
+    restricted SVD angles and singular values from one stacked kernel call."""
+    k, k_target = _as_k(k), _as_k(k_target)
+    theta, s1, s2, psi = np.array(_rsvd_angles(np.stack([k, k_target]))).tolist()
+    return k, k_target, theta, psi, *map(RestrictedSingularValues, s1, s2)
+
+
 def can_simulate_efficiently(k, k_target) -> bool:
     """Whether ``K`` simulates ``K_target`` at unit time cost.
 
@@ -75,8 +82,7 @@ def can_simulate_efficiently(k, k_target) -> bool:
     restricted singular values of the two couplings (with a 1e-12 slack
     toward acceptance).
     """
-    _, s, _ = restricted_svd(k)
-    _, sp, _ = restricted_svd(k_target)
+    *_, s, sp = _rsvd_pair(k, k_target)
     return bool(
         s.s1 + s.s2 >= sp.s1 + sp.s2 - _SLACK and s.s1 - s.s2 >= sp.s1 - sp.s2 - _SLACK
     )
@@ -118,7 +124,8 @@ def min_simulation_time(k, k_target, t_target: float) -> float:
     ``s1 = |s2|`` can only simulate locally equivalent targets (up to a
     positive scale); anything else raises :class:`DegenerateHamiltonianError`.
     """
-    return _min_time(restricted_svd(k).svals, restricted_svd(k_target).svals, t_target)
+    *_, s, sp = _rsvd_pair(k, k_target)
+    return _min_time(s, sp, t_target)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +228,7 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
         At most four weighted rotation pairs whose effective coupling equals
         ``K_target`` after rescaling by ``kappa``.
     """
-    k = _as_k(k)
-    k_target = _as_k(k_target)
-    theta, s1, s2, psi = np.array(_rsvd_angles(np.stack([k, k_target]))).tolist()
-    s, sp = map(RestrictedSingularValues, s1, s2)
+    k, k_target, theta, psi, s, sp = _rsvd_pair(k, k_target)
     # State rotations composed with the outer SVD factors of both couplings,
     # O1 = R_K R_i^T R'^T and O2 = S_K^T S_i S', as angles.
     offset = [theta[0] - theta[1], psi[1] - psi[0]]

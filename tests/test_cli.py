@@ -21,6 +21,7 @@ from twomode.core import (
     k_to_dict,
     kmatrix,
     matrix_to_list,
+    squeezed_product_cm,
     two_mode_squeezed_cm,
 )
 from twomode.protocols import Trajectory
@@ -367,6 +368,57 @@ class TestInputRange:
         path.write_text(json.dumps({"cm": matrix_to_list(two_mode_squeezed_cm(t))}))
         for argv in (["measure"], ["rates", "--hamiltonian", "h0"]):
             assert run_cli_code([*argv, "--state", str(path)]) == (3, "")
+
+    @staticmethod
+    def _out_of_range(spec):
+        tail = "is out of range: a CM eigenvalue exceeds e^6.5 (that of tms:3.25)"
+        return f"error: state {spec} {tail}\n"
+
+    _STATE_COMMANDS = [
+        ["measure"],
+        ["rates", "--hamiltonian", "h0"],
+        ["evolve", "--hamiltonian", "h0", "--t", "0.1"],
+        ["run", "--hamiltonian", "h0", "--t", "0.01"],
+    ]
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["squeezed:6.6", "squeezed:0,-8", "squeezed:709", "squeezed:710", "squeezed:1000"]
+        + ["tms:3.3"],
+    )
+    @pytest.mark.parametrize("argv", _STATE_COMMANDS, ids=lambda argv: argv[0])
+    def test_state_past_range_gets_the_one_message(self, capsys, spec, argv):
+        assert run_cli(capsys, *argv, "--state", spec) == (3, "", self._out_of_range(spec))
+
+    @pytest.mark.parametrize("argv", _STATE_COMMANDS, ids=lambda argv: argv[0])
+    def test_squeezed_at_range_edge_is_accepted(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--state", "squeezed:6.5")
+        assert (code, err) == (0, "") and out
+
+    @pytest.mark.parametrize(
+        "spec, gamma, inside",
+        [
+            ("squeezed:6.5", squeezed_product_cm(6.5, 0.0), True),
+            ("squeezed:0,-6.5", squeezed_product_cm(0.0, -6.5), True),
+            ("tms:3.25", two_mode_squeezed_cm(3.25), True),
+            ("tms:-3.25", two_mode_squeezed_cm(-3.25), True),
+            ("squeezed:6.6", squeezed_product_cm(6.6, 0.0), False),
+            ("squeezed:0,-8", squeezed_product_cm(0.0, -8.0), False),
+            ("tms:3.3", two_mode_squeezed_cm(3.3), False),
+            ("tms:-3.3", two_mode_squeezed_cm(-3.3), False),
+        ],
+    )
+    def test_same_cm_gets_the_same_decision(self, capsys, tmp_path, spec, gamma, inside):
+        """A state given by its parameter or as a JSON file is refused on the same side of e^6.5."""
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"cm": matrix_to_list(gamma)}))
+        built = run_cli(capsys, "measure", "--state", spec)
+        read = run_cli(capsys, "measure", "--state", str(path))
+        if inside:
+            assert built[0] == 0 and read == built
+        else:
+            assert built == (3, "", self._out_of_range(spec))
+            assert read == (3, "", self._out_of_range(path))
 
     @pytest.mark.parametrize(
         "strategy",

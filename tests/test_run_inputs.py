@@ -28,6 +28,7 @@ from twomode.simulate import (
     InfeasibleTimeError,
     Protocol,
     ProtocolStep,
+    can_simulate_efficiently,
     min_simulation_time,
     synthesize_plan,
 )
@@ -163,6 +164,45 @@ class TestWrongTypedJson:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert f"(in {path})" in err
+
+    @pytest.mark.parametrize(
+        "command, option, data, key",
+        [
+            ("rsv", "--hamiltonian", {"a": 1.0, "b": 0.0, "c": 0.0}, "d"),
+            ("measure", "--state", {"gamma": [1.0] * 16}, "cm"),
+            ("run", "--strategy", {"native_K": _H0_DICT, "final": _FINAL}, "steps"),
+            ("run", "--strategy", {"native_K": _H0_DICT, "steps": [{"phi1": 0.0}]}, "phi2"),
+        ],
+        ids=["coupling", "state", "protocol", "protocol-step"],
+    )
+    def test_missing_key_is_named(self, tmp_path, command, option, data, key):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        value = f"file:{path}" if option == "--strategy" else str(path)
+        argv = [command, option, value] + (["--hamiltonian", "h0"] if command == "run" else [])
+        assert run_cli(argv) == (2, "", f"error: missing key '{key}' (in {path})\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rsv", "--hamiltonian"],
+            ["simcheck", "--hamiltonian", "h0", "--target"],
+            ["measure", "--state"],
+            ["decompose", "--gate"],
+            ["compile", "--hamiltonian", "h0", "--gate"],
+            ["run", "--hamiltonian", "h0", "--strategy"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_syntax_error_is_named(self, tmp_path, argv):
+        path = tmp_path / "input.json"
+        path.write_text('{"a": 1,')
+        value = f"file:{path}" if argv[-1] == "--strategy" else str(path)
+        code, out, err = run_cli([*argv, value])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Expecting ") and err.endswith(f" (in {path})\n")
+        assert err.count("\n") == 1
 
 
 class TestCouplingCheck:
@@ -195,7 +235,7 @@ class TestCouplingCheck:
         path.write_text('{"a": NaN, "b": 0, "c": 0, "d": 0}')
         assert math.isnan(json.loads(path.read_text())["a"])  # json.load accepts NaN
         code, out, err = run_cli(["rsv", "--hamiltonian", str(path)])
-        assert (code, out, err) == (2, "", "error: coupling matrix must be finite\n")
+        assert (code, out, err) == (2, "", f"error: coupling matrix must be finite (in {path})\n")
 
 
 class TestDegenerateCouplingRule:
@@ -220,15 +260,25 @@ class TestDegenerateCouplingRule:
         assert synthesize_plan(HBS, 2.0 * HBS, 1.5).t == 3.0
 
     def test_plan_computes_no_second_svd(self, monkeypatch):
+        """Every pair query reads both couplings' singular values in one stacked kernel call."""
         k, kp = kmatrix(a=0.7, b=-0.2, c=0.3, d=0.1), kmatrix(a=0.4, b=0.1, c=-0.2, d=0.05)
+        kernel, shapes = simulate._rsvd_angles, []
+        monkeypatch.setattr(simulate, "_rsvd_angles", lambda m: shapes.append(m.shape) or kernel(m))
         t_min = min_simulation_time(k, kp, 1.5)
-
-        def refuse(_):
-            raise AssertionError("restricted_svd recomputed")
-
-        monkeypatch.setattr(simulate, "restricted_svd", refuse)
+        assert can_simulate_efficiently(k, kp) is False
         assert synthesize_plan(k, kp, 1.5).t == t_min
         with pytest.raises(InfeasibleTimeError, match=f"minimal simulation time {t_min!r}$"):
             synthesize_plan(k, kp, 1.5, t=0.5 * t_min)
         with pytest.raises(ValueError, match="t_target must be non-negative"):
             synthesize_plan(k, kp, -1.0)
+        assert shapes == [(2, 2, 2)] * 5
+
+    def test_native_coupling_is_checked_first(self):
+        bad_k, bad_target = np.full((2, 2), math.nan), np.ones(3)
+        for query in (min_simulation_time, synthesize_plan):
+            with pytest.raises(ValueError, match="coupling matrix must be finite"):
+                query(bad_k, bad_target, 1.0)
+            with pytest.raises(ValueError, match="coupling matrix must be 2x2"):
+                query(H0, bad_target, 1.0)
+        with pytest.raises(ValueError, match="coupling matrix must be finite"):
+            can_simulate_efficiently(bad_k, bad_target)
