@@ -38,6 +38,7 @@ __all__ = [
     "HBS",
     "HTMS",
     "NotPureError",
+    "NotPassiveError",
     "kmatrix",
     "k_to_dict",
     "k_from_dict",
@@ -54,6 +55,7 @@ __all__ = [
     "apply_symplectic",
     "is_symplectic",
     "assert_symplectic",
+    "assert_passive",
     "vacuum_cm",
     "two_mode_squeezed_cm",
     "squeezed_product_cm",
@@ -97,9 +99,16 @@ PRODUCT_TOL = 1e-10
 #: Gap below which the two smallest CM eigenvalues count as degenerate.
 DEGENERACY_TOL = 1e-10
 
+#: Largest entry of ``S Omega S^T - Omega`` of a symplectic ``S``, and of ``O O^T - I``.
+SYMPLECTIC_TOL = 1e-10
+
 
 class NotPureError(ValueError):
     """Raised when an operation that needs a pure state receives a mixed CM."""
+
+
+class NotPassiveError(ValueError):
+    """Matrix fails to be orthogonal and symplectic at ``SYMPLECTIC_TOL``."""
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +397,7 @@ def standard_form_evolution(k, t: float) -> StandardFormEvolution:
 # ---------------------------------------------------------------------------
 
 
-def is_symplectic(s, tol: float = 1e-10) -> bool:
+def is_symplectic(s, tol: float = SYMPLECTIC_TOL) -> bool:
     """Whether a ``2n x 2n`` ``S`` has ``S Omega S^T = Omega`` to ``tol``; ``Omega = I_n (x) J``."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 or s.size == 0:
@@ -400,8 +409,20 @@ def is_symplectic(s, tol: float = 1e-10) -> bool:
 def assert_symplectic(s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if not is_symplectic(s):
-        raise ValueError("matrix is not symplectic at tolerance 1e-10")
+        raise ValueError(f"matrix is not symplectic at tolerance {SYMPLECTIC_TOL:g}")
     return s
+
+
+def assert_passive(o, dim: int) -> np.ndarray:
+    """``o`` as a ``dim x dim`` orthogonal symplectic matrix; a wrong shape is a ``ValueError``."""
+    o = np.asarray(o, dtype=float)
+    if o.shape != (dim, dim):
+        raise ValueError(f"passive matrix must be {dim}x{dim}, got {o.shape}")
+    if np.max(np.abs(o @ o.T - np.eye(dim))) > SYMPLECTIC_TOL:
+        raise NotPassiveError("matrix is not orthogonal")
+    if not is_symplectic(o):
+        raise NotPassiveError("matrix is not symplectic")
+    return o
 
 
 def apply_symplectic(s, gamma) -> np.ndarray:
@@ -550,14 +571,21 @@ class PureStateStandardForm:
         return apply_symplectic(s, two_mode_squeezed_cm(self.r / 2.0))
 
 
+def _pure_r(cms) -> np.ndarray:
+    """Standard-form ``r`` of pure ``(..., 4, 4)`` CMs from ``sinh(r)^2 = -det C``, which
+    keeps every digit near product states, unlike inverting ``cosh(r)^2 = det A``."""
+    return np.arcsinh(np.sqrt(np.maximum(-det2(cms[..., :2, 2:]), 0.0)))
+
+
 def pure_standard_form(gamma) -> PureStateStandardForm:
     """Compute the pure-state standard form of a two-mode CM.
 
     The local factors are built as ``S_k = O_k D_k O_k'``: ``O_k``
     diagonalises the reduced block (``A`` or ``B``), ``D_k`` holds the local
     squeezing read off the eigenvalue ratio, and the inner rotations come
-    from the restricted SVD of ``D1^-1 O1^T C O2 D2^-1``.  ``cosh(r)`` is
-    ``sqrt(det A)``.
+    from the restricted SVD of ``D1^-1 O1^T C O2 D2^-1``.  ``r`` comes from
+    ``sinh(r) = sqrt(-det C)`` (:func:`_pure_r`); ``A`` and ``B`` are scaled
+    by ``cosh(r) = sqrt(det A)``.
 
     Raises
     ------
@@ -568,7 +596,6 @@ def pure_standard_form(gamma) -> PureStateStandardForm:
     a, b, c = cm_blocks(gamma)
 
     cosh_r = math.sqrt(max(float(det2(a)), 1.0))
-    r = math.acosh(cosh_r)
     product = bool(np.max(np.abs(c)) <= PRODUCT_TOL)
 
     # R(theta_k) diagonalises A and B with descending eigenvalues (w1_k, w2_k).
@@ -585,4 +612,4 @@ def pure_standard_form(gamma) -> PureStateStandardForm:
     inner1, _, _, inner2 = _rsvd_angles((o1.T @ c @ o2) / np.outer(d1, d2))
     s1 = o1 @ np.diag(d1) @ rotation(inner1)
     s2 = o2 @ np.diag(d2) @ rotation(-inner2)
-    return PureStateStandardForm(S1=s1, S2=s2, r=r, is_product=False)
+    return PureStateStandardForm(S1=s1, S2=s2, r=float(_pure_r(gamma)), is_product=False)

@@ -33,8 +33,8 @@ from .core import (
     _rsvd_angles,
     _wrap,
     apply_symplectic,
+    assert_passive,
     assert_symplectic,
-    is_symplectic,
     evolve,
     restricted_svd,
 )
@@ -59,9 +59,6 @@ __all__ = [
     "decompose_gate",
     "compile_to_native",
 ]
-
-#: Largest entry of ``O O^T - I`` and ``O Omega O^T - Omega`` of a passive ``O``.
-_PASSIVE_TOL = 1e-10
 
 #: Mode-2 quarter rotation used to define the barred gate variants.
 _BAR = LocalRotationPair(0.0, math.pi / 2.0)
@@ -267,14 +264,10 @@ def passive_decompose(o) -> PassiveDecomposition:
     """Split a passive matrix into rotations around one beam splitter.
 
     The beam-splitter angle is fixed to ``[0, pi/2]``, which makes the branch
-    choice deterministic.  Raises ``ValueError`` if the input is not
-    orthogonal symplectic at tolerance ``_PASSIVE_TOL``.
+    choice deterministic.  Raises ``NotPassiveError`` (a ``ValueError``) if
+    the input is not orthogonal symplectic.
     """
-    o = np.asarray(o, dtype=float)
-    if o.shape != (4, 4) or np.max(np.abs(o @ o.T - np.eye(4))) > _PASSIVE_TOL:
-        raise ValueError("input is not orthogonal at the required tolerance")
-    if not is_symplectic(o, _PASSIVE_TOL):
-        raise ValueError("input is not symplectic at the required tolerance")
+    o = assert_passive(o, 4)
 
     # The 2x2 blocks are conformal, |u_ij| R(arg u_ij), with u the unitary on
     # the mode amplitudes: |u_ij| = (s1 + s2)/2 and arg u_ij = theta + psi.

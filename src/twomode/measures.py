@@ -2,10 +2,12 @@
 
 Each quantity is computed once, vectorised over a stack of CMs, from the
 2x2 blocks of ``[[A, C], [C^T, B]]`` or the spectrum; the scalar functions
-are batches of one.  The log-negativity of a pure state is
-``E0 = acosh(sqrt(det A))``, the standard-form parameter ``r``.  The
-negativity comes from the partial transpose and also works for mixed
-states.  Squeezing is the inverse smallest eigenvalue of the CM.
+are batches of one.  A pure state's log-negativity is its standard-form
+parameter, ``E0 = r`` with ``sinh(r)^2 = -det C``, and its reduced entropy is
+``(1 + s) log(1 + s) - s log s = log(1 + s) + s log(1 + 1/s)`` with
+``s = sinh(r/2)^2``.  The negativity comes from the partial transpose and
+also works for mixed states.  Squeezing is the inverse smallest eigenvalue
+of the CM.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEGENERACY_TOL, _one_cm, assert_valid_cm, det2, valid_cm_stack
+from .core import DEGENERACY_TOL, _one_cm, _pure_r, assert_valid_cm, det2, valid_cm_stack
 from .rates import _rate_column
 
 __all__ = [
@@ -26,11 +28,6 @@ __all__ = [
     "squeezing",
     "report_columns",
 ]
-
-
-def _log_negativity(a: np.ndarray) -> np.ndarray:
-    """``E0 = acosh(sqrt(det A))`` of pure states from their ``A`` blocks."""
-    return np.arccosh(np.sqrt(np.maximum(det2(a), 1.0)))
 
 
 def _negativity(cms: np.ndarray, dets: np.ndarray) -> np.ndarray:
@@ -56,7 +53,7 @@ def report_columns(cms, k) -> dict[str, np.ndarray]:
     stack = valid_cm_stack(cms, pure=True)
     lam = stack.eigenvalues[:, 0]
     return {
-        "E0": _log_negativity(stack.cms[:, :2, :2]),
+        "E0": _pure_r(stack.cms),
         "negativity": _negativity(stack.cms, stack.dets),
         "S": 1.0 / lam,
         "Q": -np.log(lam) + 0.0,
@@ -99,15 +96,6 @@ class EntanglementReport:
         }
 
 
-def _entropy(nu: float) -> float:
-    """Entropy of a reduced state with symplectic eigenvalue ``nu = cosh r``:
-    ``cosh^2 x log cosh^2 x - sinh^2 x log sinh^2 x`` at ``x = r/2``."""
-    plus, minus = (nu + 1.0) / 2.0, (nu - 1.0) / 2.0
-    if minus <= 0.0:
-        return 0.0
-    return plus * math.log(plus) - minus * math.log(minus)
-
-
 def entanglement(gamma) -> EntanglementReport:
     """Full entanglement report for a pure CM.
 
@@ -118,13 +106,16 @@ def entanglement(gamma) -> EntanglementReport:
         states.
     """
     stack = _one_cm(gamma, pure=True)
-    a = stack.cms[:, :2, :2]
-    det_a = max(float(det2(a)[0]), 1.0)
+    r = float(_pure_r(stack.cms)[0])
+    x = r / 2.0
+    s = math.sinh(x) ** 2
+    # s log(1 + 1/s) as 2 s log1p(e^-x / sinh x): nothing cancels at large r or overflows at tiny s
+    entropy = math.log1p(s) + 2.0 * s * math.log1p(math.exp(-x) / math.sinh(x)) if s > 0.0 else 0.0
     return EntanglementReport(
-        r=float(_log_negativity(a)[0]),
+        r=r,
         negativity=float(_negativity(stack.cms, stack.dets)[0]),
-        det_a=det_a,
-        entropy=_entropy(math.sqrt(det_a)),
+        det_a=max(float(det2(stack.cms[0, :2, :2])), 1.0),
+        entropy=entropy,
     )
 
 

@@ -21,20 +21,22 @@ import numpy as np
 from .core import (
     J,
     LocalRotationPair,
+    NotPassiveError,
     _as_k,
     _pair_matrix,
     _rsvd_angles,
+    _wrap,
     apply_symplectic,
+    assert_passive,
     assert_valid_cm,
     evolve,
     generator,
-    is_symplectic,
     pure_standard_form,
     restricted_svd,
     valid_cm_stack,
 )
 from .measures import report_columns
-from .rates import _rate_kernel, optimal_entanglement_rate
+from .rates import _rate_kernel
 from .simulate import Protocol, ProtocolStep
 
 __all__ = [
@@ -58,9 +60,6 @@ _FLIP = LocalRotationPair(math.pi / 2.0, 3.0 * math.pi / 2.0)
 
 CSV_HEADER = "t,E0,negativity,S,Q,rate"
 
-#: Largest entry of ``O O^T - I`` and ``O Omega O^T - Omega`` of a passive ``O``.
-_PASSIVE_TOL = 1e-10
-
 #: Largest condition number of a measured ancilla block.
 _COND_LIMIT = 1e12
 
@@ -72,10 +71,6 @@ _FIRST_CHUNK = 16
 #: of pi: both angles 0 or both pi.  ``|sin|`` of the two, summed, may be this large.
 _COAST_TOL = 1e-12
 _HALF_SUM_DIFF = np.array([[0.5, 0.5], [0.5, -0.5]])
-
-
-class NotPassiveError(ValueError):
-    """Matrix fails to be orthogonal and symplectic at the required tolerance."""
 
 
 class SingularBlockError(ValueError):
@@ -242,13 +237,15 @@ def _neutral_flip_base(gamma, k) -> LocalRotationPair:
     aligned frame, where the local standard-form factors are symmetric.  The
     frame rotations (the orthogonal polar parts of the factors) are undone
     first and folded into the returned pair, so the construction co-rotates
-    with the state.
+    with the state.  ``pure_standard_form`` is the one check of ``gamma``.
     """
     form = pure_standard_form(gamma)
     theta, _, _, psi = _rsvd_angles(np.stack([form.S1, form.S2]))
     undo = LocalRotationPair(*(-(theta + psi)).tolist())  # polar angles theta + psi
     aligned = apply_symplectic(undo.matrix, gamma)
-    return optimal_entanglement_rate(aligned, k).rotations.compose(undo)
+    theta_l, _, _, psi_l = _rsvd_angles(generator(k).L)
+    phi = _rate_kernel(aligned[None], theta_l, psi_l)[3][0]
+    return LocalRotationPair(*_wrap(phi).tolist()).compose(undo)
 
 
 def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajectory:
@@ -401,22 +398,13 @@ def extend_with_ancillas(gamma, n_anc: int, o=None) -> ExtendedCM:
     Raises
     ------
     NotPassiveError
-        If ``o`` fails either the orthogonality or the symplectic condition
-        at tolerance ``_PASSIVE_TOL``.
+        If ``o`` is not orthogonal and symplectic (:func:`~twomode.core.assert_passive`).
     """
     gamma = assert_valid_cm(gamma)
     if n_anc < 0:
         raise ValueError("n_anc must be >= 0")
     dim = 4 + 2 * n_anc
-    if o is None:
-        o = np.eye(dim)
-    o = np.asarray(o, dtype=float)
-    if o.shape != (dim, dim):
-        raise ValueError(f"passive matrix must be {dim}x{dim}, got {o.shape}")
-    if np.max(np.abs(o @ o.T - np.eye(dim))) > _PASSIVE_TOL:
-        raise NotPassiveError("matrix is not orthogonal")
-    if not is_symplectic(o, _PASSIVE_TOL):
-        raise NotPassiveError("matrix is not symplectic")
+    o = assert_passive(np.eye(dim) if o is None else o, dim)
     big = np.eye(dim)
     big[:4, :4] = gamma
     return ExtendedCM(gamma=apply_symplectic(o.T, big), n_anc=n_anc)

@@ -13,6 +13,7 @@ from twomode.core import (
     HBS,
     HTMS,
     J2,
+    NotPassiveError,
     apply_symplectic,
     evolve,
     is_symplectic,
@@ -114,11 +115,18 @@ class TestPassiveDecomposition:
             assert np.max(np.abs(dec.assemble() - o)) < 1e-10
 
     def test_active_input_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotPassiveError, match="not orthogonal"):
+            passive_decompose(1.001 * np.eye(4))
+        with pytest.raises(NotPassiveError, match="not orthogonal"):
             passive_decompose(np.diag([2.0, 0.5, 1.0, 1.0]))
         reflection = np.diag([1.0, -1.0, 1.0, 1.0])  # orthogonal, so the symplectic check decides
-        with pytest.raises(ValueError, match="not symplectic"):
+        with pytest.raises(NotPassiveError, match="not symplectic"):
             passive_decompose(reflection)
+
+    def test_wrong_shape_is_a_plain_value_error(self):
+        with pytest.raises(ValueError, match="must be 4x4") as info:
+            passive_decompose(np.eye(6))
+        assert type(info.value) is ValueError
 
 
 class TestLocalSqueezerSequence:

@@ -268,14 +268,25 @@ class TestAncillasAndMeasurement:
 
     def test_not_passive_rejected(self, rng):
         g = random_pure_cm(rng)
-        with pytest.raises(NotPassiveError):
+        with pytest.raises(NotPassiveError, match="not orthogonal"):
             extend_with_ancillas(g, 1, 1.001 * np.eye(6))
         squeezer = np.diag([2.0, 0.5, 1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(NotPassiveError):
+        with pytest.raises(NotPassiveError, match="not orthogonal"):
             extend_with_ancillas(g, 1, squeezer)
         reflection = np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
         with pytest.raises(NotPassiveError, match="not symplectic"):
             extend_with_ancillas(g, 1, reflection)
+
+    def test_wrong_shape_is_a_plain_value_error(self, rng):
+        with pytest.raises(ValueError, match="must be 6x6") as info:
+            extend_with_ancillas(random_pure_cm(rng), 1, np.eye(4))
+        assert type(info.value) is ValueError
+
+    def test_not_passive_error_is_the_core_value_error(self):
+        import twomode.core
+
+        assert NotPassiveError is twomode.core.NotPassiveError
+        assert issubclass(NotPassiveError, ValueError)
 
     def test_product_block_measurement(self, rng):
         """No correlations: measuring the ancillas leaves the system untouched."""

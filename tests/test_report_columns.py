@@ -212,7 +212,8 @@ class TestOneValidationPerReport:
         """The CLI checks a JSON state once; built-in states are valid as built.
 
         Behind it, ``run_protocol`` checks the state once, and the greedy walk
-        once plus twice per locked stretch (``_neutral_flip_base``).
+        once plus once per locked stretch (``pure_standard_form`` in
+        ``_neutral_flip_base``).
         """
         import twomode.cli
 
@@ -230,7 +231,7 @@ class TestOneValidationPerReport:
         argv += ["--strategy", strategy, "--steps", "100", "--out", str(tmp_path / "run.csv")]
         assert main(argv) == 0
         if strategy == "greedy":
-            expected = 1 + 2 * len(walks[0].lock_stretches)
+            expected = 1 + len(walks[0].lock_stretches)
         else:
             expected = {"flip": 1, "tms": 0, "bare": 0}[strategy]
         expected += str(state).endswith(".json")
