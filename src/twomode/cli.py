@@ -293,12 +293,12 @@ def _cmd_run(args):
 
 def _figure_rows(gamma0, k, times, r1: float, r2: float) -> list[np.ndarray]:
     """The figure columns in ``_FIG_HEADER`` order."""
-    cap = squeezing_capability(k)
     greedy = greedy_rate_walk(gamma0, k, times).columns()
     tms = _flow_trajectory(gamma0, flip_effective_coupling(k), times, k).columns()
     bare = _flow_trajectory(gamma0, k, times, k).columns()
     columns = [times] + [c[key] for key in ("E0", "rate") for c in (greedy, tms, bare)]
-    return columns + [np.full(len(times), cap), np.exp(cap * times + (r1 + r2) / 2.0)]
+    cap = np.full(len(times), squeezing_capability(k))
+    return columns + [cap, finite_time_bounds(k, times, r1, r2)[1]]
 
 
 def reproduce_figures(which: str, outdir: str) -> str:

@@ -59,7 +59,6 @@ __all__ = [
     "vacuum_cm",
     "two_mode_squeezed_cm",
     "squeezed_product_cm",
-    "cm_blocks",
     "det2",
     "CMStack",
     "valid_cm_stack",
@@ -99,7 +98,8 @@ PRODUCT_TOL = 1e-10
 #: Gap below which the two smallest CM eigenvalues count as degenerate.
 DEGENERACY_TOL = 1e-10
 
-#: Largest entry of ``S Omega S^T - Omega`` of a symplectic ``S``, and of ``O O^T - I``.
+#: Largest entry of ``O O^T - I`` of a passive ``O``, and of ``S Omega S^T - Omega`` of a
+#: symplectic ``S`` in units of ``max(1, max|S|)^2``.
 SYMPLECTIC_TOL = 1e-10
 
 
@@ -397,19 +397,21 @@ def standard_form_evolution(k, t: float) -> StandardFormEvolution:
 # ---------------------------------------------------------------------------
 
 
-def is_symplectic(s, tol: float = SYMPLECTIC_TOL) -> bool:
-    """Whether a ``2n x 2n`` ``S`` has ``S Omega S^T = Omega`` to ``tol``; ``Omega = I_n (x) J``."""
+def is_symplectic(s) -> bool:
+    """Whether a ``2n x 2n`` ``S`` has ``S Omega S^T = Omega``, ``Omega = I_n (x) J``, to
+    ``SYMPLECTIC_TOL * max(1, max|S|)^2``: the round-off of ``S Omega S^T`` grows as ``S^2``."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 or s.size == 0:
         return False
     form = (np.eye(len(s) // 2)[:, None, :, None] * J[:, None, :]).reshape(s.shape)
-    return bool(np.max(np.abs(s @ form @ s.T - form)) <= tol)
+    scale = max(1.0, float(np.max(np.abs(s))))
+    return bool(np.max(np.abs(s @ form @ s.T - form)) <= SYMPLECTIC_TOL * scale * scale)
 
 
 def assert_symplectic(s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if not is_symplectic(s):
-        raise ValueError(f"matrix is not symplectic at tolerance {SYMPLECTIC_TOL:g}")
+        raise ValueError(f"matrix is not symplectic at relative tolerance {SYMPLECTIC_TOL:g}")
     return s
 
 
@@ -465,15 +467,15 @@ def squeezed_product_cm(r1: float, r2: float) -> np.ndarray:
     return np.diag([math.exp(-r1), math.exp(r1), math.exp(-r2), math.exp(r2)])
 
 
-def cm_blocks(gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split a two-mode CM into blocks ``(A, B, C)`` of ``[[A, C], [C^T, B]]``."""
-    gamma = np.asarray(gamma, dtype=float)
-    return gamma[:2, :2], gamma[2:, 2:], gamma[:2, 2:]
-
-
 def det2(m) -> np.ndarray:
     """Closed-form determinants of a stack of 2x2 matrices, shape ``(..., 2, 2)``."""
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+#: ``det A + det B + 2 det C`` less the slack ``1e-9 (det A + det B)``, as weighted products
+#: ``g_i g_j`` of flat CM entries.
+_DELTA_PAIRS = np.array([[0, 1, 10, 11, 2, 3], [5, 4, 15, 14, 7, 6]])
+_DELTA_WEIGHTS = np.array([1, -1, 1, -1, 2, -2]) - 1e-9 * np.array([1, -1, 1, -1, 0, 0])
 
 
 class CMStack(NamedTuple):
@@ -488,9 +490,10 @@ def valid_cm_stack(cms, pure: bool = False) -> CMStack:
     """Validate an ``(N, 4, 4)`` stack (or one 4x4 CM) in one vectorised pass.
 
     Checks finiteness, symmetry to 1e-10 times each matrix's largest entry
-    (at least 1), positive definiteness, ``det >= 1`` and, with ``pure``,
-    ``|det - 1| <= PURITY_TOL`` (:class:`NotPureError` naming the first
-    impure det; else ``ValueError``).
+    (at least 1), positive definiteness, ``det >= 1``, the uncertainty principle
+    ``det A + det B + 2 det C <= 1 + det`` to 1e-9 (det A + det B) (Serafini et al.,
+    J. Phys. B 37, L21 (2004)) and, with ``pure``, ``|det - 1| <= PURITY_TOL``
+    (:class:`NotPureError` naming the first impure det; else ``ValueError``).
     """
     cms = np.asarray(cms, dtype=float)
     if cms.ndim == 2:
@@ -510,6 +513,9 @@ def valid_cm_stack(cms, pure: bool = False) -> CMStack:
     dets = np.linalg.det(cms)
     if (dets < 1.0 - 1e-9).any():
         raise ValueError("covariance matrix violates det >= 1")
+    g = cms.reshape(-1, 16)[:, _DELTA_PAIRS]
+    if ((g[:, 0] * g[:, 1]) @ _DELTA_WEIGHTS > 1.0 + dets).any():
+        raise ValueError("covariance matrix violates the uncertainty principle")
     if pure and (impure := np.abs(dets - 1.0) > PURITY_TOL).any():
         raise NotPureError("state is not pure: det(gamma) = %.12g" % dets[np.argmax(impure)])
     return CMStack(cms, eigenvalues, dets)
@@ -523,7 +529,7 @@ def _one_cm(gamma, pure: bool = False) -> CMStack:
 
 
 def assert_valid_cm(gamma) -> np.ndarray:
-    """Validate symmetry, positive definiteness and ``det(gamma) >= 1``."""
+    """One CM checked as :func:`valid_cm_stack` checks it, returned symmetrised."""
     return _one_cm(gamma).cms[0]
 
 
@@ -532,11 +538,12 @@ def matrix_to_list(m) -> list[float]:
     return [float(x) for x in np.asarray(m, dtype=float).reshape(-1)]
 
 
-def matrix_from_list(values, size: int = 4) -> np.ndarray:
+def matrix_from_list(values) -> np.ndarray:
+    """Inverse of :func:`matrix_to_list`: 16 row-major entries as a 4x4 matrix."""
     values = np.asarray(values, dtype=float)
-    if values.size != size * size:
-        raise ValueError(f"expected {size * size} entries, got {values.size}")
-    return values.reshape(size, size)
+    if values.size != 16:
+        raise ValueError(f"expected 16 entries, got {values.size}")
+    return values.reshape(4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +600,7 @@ def pure_standard_form(gamma) -> PureStateStandardForm:
         If ``det(gamma)`` deviates from 1 by more than ``PURITY_TOL``.
     """
     gamma = _one_cm(gamma, pure=True).cms[0]
-    a, b, c = cm_blocks(gamma)
+    a, b, c = gamma[:2, :2], gamma[2:, 2:], gamma[:2, 2:]
 
     cosh_r = math.sqrt(max(float(det2(a)), 1.0))
     product = bool(np.max(np.abs(c)) <= PRODUCT_TOL)

@@ -29,6 +29,7 @@ from .core import (
     J,
     J2,
     LocalRotationPair,
+    NotPassiveError,
     _as_k,
     _rsvd_angles,
     _wrap,
@@ -138,9 +139,6 @@ class GateSequence:
         for gate in self.gates:
             acc = gate.matrix @ acc
         return acc
-
-    def __len__(self) -> int:
-        return len(self.gates)
 
     def to_list(self) -> list[dict]:
         return [g.to_dict() for g in self.gates]
@@ -327,16 +325,23 @@ def decompose_gate(s) -> GateSequence:
     (temporal order; squeezer stages are dropped when their strength
     vanishes), so it never exceeds six rotation pairs, three beam splitters
     and two two-mode squeezers.  The recomposed matrix reproduces the input
-    to floating-point accuracy.
+    to floating-point accuracy.  Past a largest singular value of about
+    ``e^6.5`` round-off breaks a passive factor: ``OverflowError``.
     """
     dec = euler_decompose(s)
     out: tuple[GatePrimitive, ...] = ()
     acc = dec.O_tilde
-    for strength, (entry, exit_) in zip((dec.beta, dec.alpha), _STAGE_MAPS):
-        if abs(strength) > _SQUEEZE_TOL:
-            out += passive_decompose(entry @ acc).gates() + (TwoModeSqueezerGate(strength),)
-            acc = exit_
-    return GateSequence(out + passive_decompose(dec.O @ acc).gates())
+    try:
+        for strength, (entry, exit_) in zip((dec.beta, dec.alpha), _STAGE_MAPS):
+            if abs(strength) > _SQUEEZE_TOL:
+                out += passive_decompose(entry @ acc).gates() + (TwoModeSqueezerGate(strength),)
+                acc = exit_
+        return GateSequence(out + passive_decompose(dec.O @ acc).gates())
+    except NotPassiveError as exc:
+        raise OverflowError(
+            f"gate is out of range: its largest singular value e^{dec.alpha + dec.beta:.3g}"
+            " is past about e^6.5, where round-off breaks its passive factors"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

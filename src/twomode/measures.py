@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEGENERACY_TOL, _one_cm, _pure_r, assert_valid_cm, det2, valid_cm_stack
-from .rates import _rate_column
+from .core import _one_cm, _pure_r, det2, valid_cm_stack
+from .rates import _balanced_min_eigenvector, _rate_column
 
 __all__ = [
     "EntanglementReport",
@@ -43,6 +43,11 @@ def _negativity(cms: np.ndarray, dets: np.ndarray) -> np.ndarray:
     return np.sqrt((delta + root) / (2.0 * dets))
 
 
+def _squeezing(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``S = 1/lambda_min`` and ``Q = log S`` of each validated CM from its ascending spectrum."""
+    return 1.0 / eigenvalues[:, 0], -np.log(eigenvalues[:, 0]) + 0.0
+
+
 def report_columns(cms, k) -> dict[str, np.ndarray]:
     """Per-node columns ``E0``, ``negativity``, ``S``, ``Q`` and ``rate``.
 
@@ -51,12 +56,12 @@ def report_columns(cms, k) -> dict[str, np.ndarray]:
     is the optimal entanglement rate under the coupling ``k``.
     """
     stack = valid_cm_stack(cms, pure=True)
-    lam = stack.eigenvalues[:, 0]
+    s, q = _squeezing(stack.eigenvalues)
     return {
         "E0": _pure_r(stack.cms),
         "negativity": _negativity(stack.cms, stack.dets),
-        "S": 1.0 / lam,
-        "Q": -np.log(lam) + 0.0,
+        "S": s,
+        "Q": q,
         "rate": _rate_column(stack.cms, k),
     }
 
@@ -124,10 +129,9 @@ class SqueezingReport:
     """Squeezing of a CM: inverse smallest eigenvalue and its direction.
 
     ``x1``/``x2`` are the mode-1 and mode-2 components of the unit
-    eigenvector belonging to ``lambda_min``.  When the smallest eigenvalue is
-    (near-)degenerate the eigenvector is not unique; ``degenerate`` flags
-    this and callers needing a specific representative must pick their own
-    (the rate optimiser does).
+    eigenvector belonging to ``lambda_min`` that the squeezing rate uses: when
+    the smallest eigenvalue is (near-)degenerate, which ``degenerate`` flags,
+    it is the vector of that eigenspace maximising ``||x1|| ||x2||``.
     """
 
     lambda_min: float
@@ -150,15 +154,14 @@ class SqueezingReport:
 
 def squeezing(gamma) -> SqueezingReport:
     """Squeezing report ``S = 1/lambda_min``, ``Q = log S`` for a valid CM."""
-    gamma = assert_valid_cm(gamma)
-    w, v = np.linalg.eigh(gamma)
-    lam = float(w[0])
-    x = v[:, 0]
+    stack = _one_cm(gamma)
+    x, degenerate = _balanced_min_eigenvector(stack)
+    s, q = _squeezing(stack.eigenvalues)
     return SqueezingReport(
-        lambda_min=lam,
-        squeezing=1.0 / lam,
-        q=-math.log(lam) + 0.0,
+        lambda_min=float(stack.eigenvalues[0, 0]),
+        squeezing=float(s[0]),
+        q=float(q[0]),
         x1=x[:2].copy(),
         x2=x[2:].copy(),
-        degenerate=bool(w[1] - w[0] < DEGENERACY_TOL),
+        degenerate=degenerate,
     )

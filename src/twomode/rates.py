@@ -30,11 +30,11 @@ from .core import (
     DEGENERACY_TOL,
     J,
     SIGMA_Z,
+    CMStack,
     LocalRotationPair,
     _one_cm,
     _rsvd_angles,
     _wrap,
-    assert_valid_cm,
     det2,
     generator,
     restricted_svd,
@@ -202,21 +202,20 @@ class SqueezingRatePlan:
     degenerate: bool
 
 
-def _balanced_min_eigenvector(gamma) -> tuple[np.ndarray, float, bool]:
-    """Unit vector of the smallest eigenspace maximising ``||x1|| ||x2||``.
+def _balanced_min_eigenvector(stack: CMStack) -> tuple[np.ndarray, bool]:
+    """Unit vector of the smallest eigenspace of the one validated CM in ``stack``
+    maximising ``||x1|| ||x2||``, and whether that eigenspace is degenerate.
 
-    Within the (possibly degenerate) eigenspace the weight
-    ``mu = ||x1||^2`` is a quadratic form; the product ``||x1|| ||x2||`` is
-    maximised at ``mu`` as close to 1/2 as the eigen-range of that form
-    allows.
+    The eigenspace is read off the validation spectrum ``stack.eigenvalues``.
+    Within it the weight ``mu = ||x1||^2`` is a quadratic form; the product
+    ``||x1|| ||x2||`` is maximised at ``mu`` as close to 1/2 as the eigen-range
+    of that form allows.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    w, v = np.linalg.eigh(gamma)
-    lam = float(w[0])
-    idx = np.nonzero(w - lam < DEGENERACY_TOL)[0]
-    if idx.size == 1:
-        return v[:, 0], lam, False
-    basis = v[:, idx]
+    w = stack.eigenvalues[0]
+    v = np.linalg.eigh(stack.cms[0])[1]
+    if w[1] - w[0] >= DEGENERACY_TOL:
+        return v[:, 0], False
+    basis = v[:, w - w[0] < DEGENERACY_TOL]
     p = basis[:2, :].T @ basis[:2, :]
     mu, e = np.linalg.eigh(p)
     if mu[0] >= 0.5:
@@ -229,16 +228,16 @@ def _balanced_min_eigenvector(gamma) -> tuple[np.ndarray, float, bool]:
         frac = (mu[b] - 0.5) / (mu[b] - mu[a])
         coeff = math.sqrt(frac) * e[:, a] + math.sqrt(1.0 - frac) * e[:, b]
     x = basis @ coeff
-    return x / np.linalg.norm(x), lam, True
+    return x / np.linalg.norm(x), True
 
 
 def optimal_squeezing_rate(gamma, k) -> SqueezingRatePlan:
     """Best achievable growth rate of ``Q = log(squeezing)`` under ``K``."""
     rk, svals, sk = restricted_svd(k)
-    gamma = assert_valid_cm(gamma)
+    stack = _one_cm(gamma)
     cap = svals.s1 - svals.s2
 
-    x, lam, degenerate = _balanced_min_eigenvector(gamma)
+    x, degenerate = _balanced_min_eigenvector(stack)
     x1, x2 = x[:2], x[2:]
     n1, n2 = float(np.linalg.norm(x1)), float(np.linalg.norm(x2))
     g_s = 2.0 * n1 * n2
@@ -258,6 +257,6 @@ def optimal_squeezing_rate(gamma, k) -> SqueezingRatePlan:
         rotation=o1,
         o_tilde=o1.T @ w_mat,
         x=x,
-        lambda_min=lam,
+        lambda_min=float(stack.eigenvalues[0, 0]),
         degenerate=degenerate,
     )

@@ -16,7 +16,6 @@ values of the two couplings.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -185,19 +184,6 @@ class SimulationPlan:
             ],
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "SimulationPlan":
-        return SimulationPlan(
-            native_k=k_from_dict(data["native_K"]),
-            target_k=k_from_dict(data["target_K"]),
-            t=float(data["t"]),
-            t_target=float(data["t_target"]),
-            terms=tuple(
-                PlanTerm(float(t["weight"]), LocalRotationPair(float(t["phi1"]), float(t["phi2"])))
-                for t in data["terms"]
-            ),
-        )
-
 
 # Angles of the four Hadamard-product rotation pairs that span every
 # achievable diagonal: (R_i, S_i) with R_i diag(s1, s2) S_i diagonal.
@@ -360,13 +346,6 @@ class Protocol:
             ),
             final=LocalRotationPair(float(data["final"]["phi1"]), float(data["final"]["phi2"])),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @staticmethod
-    def from_json(text: str) -> "Protocol":
-        return Protocol.from_dict(json.loads(text))
 
 
 def plan_to_protocol(plan: SimulationPlan, slices: int) -> Protocol:

@@ -160,7 +160,7 @@ class TestRunCommand:
 
         protocol = plan_to_protocol(synthesize_plan(kmatrix(a=1.0), HBS, 0.3), 20)
         path = tmp_path / "protocol.json"
-        path.write_text(protocol.to_json())
+        path.write_text(json.dumps(protocol.to_dict()))
         code, out, _ = run_cli(
             capsys,
             "run",
@@ -531,8 +531,8 @@ class TestPathsThroughMain:
         flip = np.diag([1.0, 1.0, 1.0, -1.0])
         gt = flip @ gamma @ flip
         nu = np.min(np.abs(np.linalg.eigvals(1j * J2 @ gt)))
-        assert payload["negativity"] == pytest.approx(1.0 / nu, rel=1e-12)
-        assert payload["S"] == pytest.approx(1.0 / np.linalg.eigvalsh(gamma)[0], rel=1e-12)
+        assert payload["negativity"] == pytest.approx(1.0 / nu, rel=1e-12, abs=0.0)
+        assert payload["S"] == pytest.approx(1.0 / np.linalg.eigvalsh(gamma)[0], rel=1e-12, abs=0.0)
 
     def test_figures_fig1(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "figures", "--which", "fig1", "--outdir", str(tmp_path))

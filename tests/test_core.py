@@ -167,7 +167,7 @@ class TestEvolve:
             s = evolve(k, t)
             scale = max(1.0, float(np.max(np.abs(s))))
             assert np.max(np.abs(s - expm(generator(k).M * t))) < 1e-9 * scale
-            assert is_symplectic(s, tol=1e-10 * scale * scale)
+            assert is_symplectic(s)
             assert np.linalg.det(s) == pytest.approx(1.0, abs=1e-9 * scale**4)
 
     def test_degenerate_alpha_branch(self):
@@ -274,7 +274,7 @@ class TestApplySymplectic:
         g = apply_symplectic(evolve(HTMS, t), vacuum_cm())
         ref = two_mode_squeezed_cm(t)
         # Same rotation-invariant content: equal reduced blocks and purity.
-        assert np.linalg.det(g[:2, :2]) == pytest.approx(np.linalg.det(ref[:2, :2]), rel=1e-12)
+        assert np.linalg.det(g[:2, :2]) == pytest.approx(np.linalg.det(ref[:2, :2]), rel=1e-12, abs=0.0)
         assert np.linalg.det(g) == pytest.approx(1.0, abs=1e-12)
         assert pure_standard_form(g).r == pytest.approx(2.0 * t, abs=1e-10)
 

@@ -189,7 +189,7 @@ class TestDecomposeGate:
     def test_every_primitive_is_symplectic(self, rng):
         seq = decompose_gate(random_symplectic(rng))
         for gate in seq.gates:
-            assert is_symplectic(gate.matrix, tol=1e-10)
+            assert is_symplectic(gate.matrix)
 
 
 class TestNearPassiveGates:

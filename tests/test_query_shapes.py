@@ -30,4 +30,4 @@ def test_single_cm_is_answered(query):
 
 
 def test_entanglement_reads_the_given_state():
-    assert entanglement(two_mode_squeezed_cm(0.45)).r == pytest.approx(0.9, rel=1e-12)
+    assert entanglement(two_mode_squeezed_cm(0.45)).r == pytest.approx(0.9, rel=1e-12, abs=0.0)

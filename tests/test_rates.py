@@ -72,7 +72,7 @@ class TestOptimalEntanglementRate:
 
     def test_squeezed_light_boost(self):
         plan = optimal_entanglement_rate(squeezed_product_cm(0.0, 2.5), H0)
-        assert plan.rate == pytest.approx(np.exp(1.25), rel=1e-12)
+        assert plan.rate == pytest.approx(np.exp(1.25), rel=1e-12, abs=0.0)
 
     def test_beam_splitter_cannot_entangle_unsqueezed_states(self):
         assert optimal_entanglement_rate(vacuum_cm(), HBS).rate == pytest.approx(0.0, abs=1e-12)
@@ -83,7 +83,7 @@ class TestOptimalEntanglementRate:
             k = random_coupling(rng)
             plan = optimal_entanglement_rate(g, k)
             expected = plan.s1 * np.exp(plan.l) - plan.s2 * np.exp(-plan.l)
-            assert plan.rate == pytest.approx(expected, rel=1e-12)
+            assert plan.rate == pytest.approx(expected, rel=1e-12, abs=0.0)
             if plan.Y is not None:
                 assert np.linalg.det(plan.Y) == pytest.approx(-1.0, abs=1e-9)
 
@@ -167,8 +167,8 @@ class TestOptimalSqueezingRate:
         """The degenerate policy picks a balanced eigenvector: full squeezability."""
         plan = optimal_squeezing_rate(vacuum_cm(), H0)
         assert plan.degenerate
-        assert plan.squeezability == pytest.approx(1.0, rel=1e-12)
-        assert plan.rate == pytest.approx(1.0, rel=1e-12)
+        assert plan.squeezability == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        assert plan.rate == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_vacuum_rate_achieved(self):
         plan = optimal_squeezing_rate(vacuum_cm(), H0)

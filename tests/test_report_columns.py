@@ -113,10 +113,14 @@ class TestColumnsMatchReferenceLoops:
         cms = np.array([random_pure_cm(rng) for _ in range(20)] + [squeezed_product_cm(0.3, 0.1)])
         cols = report_columns(cms, k)
         for i, g in enumerate(cms):
-            assert entanglement(g).r == pytest.approx(cols["E0"][i], rel=1e-14, abs=1e-14)
-            assert negativity(g) == pytest.approx(cols["negativity"][i], rel=1e-14)
-            assert squeezing(g).squeezing == pytest.approx(cols["S"][i], rel=1e-12)
-            assert optimal_entanglement_rate(g, k).rate == pytest.approx(cols["rate"][i], rel=1e-14)
+            sq, plan = squeezing(g), optimal_squeezing_rate(g, k)
+            assert entanglement(g).r == cols["E0"][i]
+            assert negativity(g) == cols["negativity"][i]
+            assert (sq.squeezing, sq.q) == (cols["S"][i], cols["Q"][i])
+            assert optimal_entanglement_rate(g, k).rate == cols["rate"][i]
+            # The squeezing report and the squeezing rate read one eigenvector and one lambda_min.
+            assert np.array_equal(np.concatenate([sq.x1, sq.x2]), plan.x)
+            assert (sq.lambda_min, sq.degenerate) == (plan.lambda_min, plan.degenerate)
 
 
 class TestStackValidation:
