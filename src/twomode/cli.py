@@ -291,14 +291,14 @@ def _cmd_run(args):
 # ---------------------------------------------------------------------------
 
 
-def _figure_rows(gamma0, k, times, r1: float, r2: float) -> list[np.ndarray]:
+def _figure_rows(gamma0, k, times, r1: float, r2: float) -> list:
     """The figure columns in ``_FIG_HEADER`` order."""
     greedy = greedy_rate_walk(gamma0, k, times).columns()
     tms = _flow_trajectory(gamma0, flip_effective_coupling(k), times, k).columns()
     bare = _flow_trajectory(gamma0, k, times, k).columns()
     columns = [times] + [c[key] for key in ("E0", "rate") for c in (greedy, tms, bare)]
     cap = np.full(len(times), squeezing_capability(k))
-    return columns + [cap, finite_time_bounds(k, times, r1, r2)[1]]
+    return columns + [cap, [finite_time_bounds(k, t, r1, r2)[1] for t in times.tolist()]]
 
 
 def reproduce_figures(which: str, outdir: str) -> str:

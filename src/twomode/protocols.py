@@ -60,9 +60,6 @@ _FLIP = LocalRotationPair(math.pi / 2.0, 3.0 * math.pi / 2.0)
 
 CSV_HEADER = "t,E0,negativity,S,Q,rate"
 
-#: ``math.exp`` of each entry: NumPy's ``exp`` can differ from it in the last bit.
-_exp_each = np.vectorize(math.exp, otypes=[float])
-
 #: Largest condition number of a measured ancilla block.
 _COND_LIMIT = 1e12
 
@@ -342,12 +339,11 @@ def greedy_rate_strategy(gamma0, k, t: float, dt: float = 1e-3) -> Trajectory:
     return greedy_rate_walk(gamma0, k, uniform_grid(t, dt))
 
 
-def finite_time_bounds(k, t, r1: float = 0.0, r2: float = 0.0):
+def finite_time_bounds(k, t: float, r1: float = 0.0, r2: float = 0.0) -> tuple[float, float]:
     """Attainability bounds after interaction time ``t`` from a squeezed product.
 
     The initial product state has single-mode squeezings ``e^{r1} >= e^{r2}``.
-    Returns ``(S_bound, N_bound)``, as floats, or for an array of times as
-    arrays whose entries are the floats of the scalar calls, bit for bit:
+    Returns ``(S_bound, N_bound)``:
 
     * squeezing can never exceed ``exp((s1 - s2) t + r1)``;
     * negativity can never exceed ``exp((s1 - s2) t + (r1 + r2)/2)``.
@@ -359,8 +355,7 @@ def finite_time_bounds(k, t, r1: float = 0.0, r2: float = 0.0):
         raise ValueError("bounds require r1 >= r2 >= 0")
     _, svals, _ = restricted_svd(k)
     cap = svals.s1 - svals.s2
-    exp = _exp_each if np.ndim(t) else math.exp
-    return exp(cap * t + r1), exp(cap * t + (r1 + r2) / 2.0)
+    return math.exp(cap * t + r1), math.exp(cap * t + (r1 + r2) / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,23 @@ class TestDecomposeRange:
         gate = write_json(tmp_path, "gate.json", matrix_to_list(evolve(HTMS, 8.0)))
         code, out, err = run_cli("decompose", "--gate", gate)
         assert (code, out) == (3, "")
-        assert "out of range" in err and "e^6.5" in err
+        assert "out of range" in err and "e^8 is past e^5.5" in err
         with pytest.raises(OverflowError):
             decompose_gate(evolve(HTMS, 8.0))
 
     def test_inside_the_range_still_decomposes(self):
         s = evolve(HTMS, 6.0)
         assert np.max(np.abs(decompose_gate(s).matrix() - s)) <= 1e-10 * np.max(np.abs(s))
+
+    def test_slightly_bent_gate_inside_the_range_exits_2(self, tmp_path):
+        """It passes the relative symplectic check but not a passive factor's."""
+        bent = evolve(HTMS, 3.0)
+        bent[0, 1] += 3e-10
+        assert is_symplectic(bent)
+        gate = write_json(tmp_path, "gate.json", matrix_to_list(bent))
+        code, out, err = run_cli("decompose", "--gate", gate)
+        assert (code, out) == (2, "")
+        assert "not symplectic" in err and "out of range" not in err
 
     def test_large_non_symplectic_matrix_exits_2(self, tmp_path):
         bent = evolve(HTMS, 8.0)

@@ -79,10 +79,3 @@ class TestOneBoundFormula:
         code, out = run_cli("bounds", "--hamiltonian", "h0", "--t", "0.0051", "--r1", "2", "--r2", "2")
         assert code == 0
         assert repr(json.loads(out)["N_bound"]) == rows[51]["N_bound"]
-
-    def test_array_times_give_the_scalar_bounds(self):
-        k = random_coupling(np.random.default_rng(2))
-        times = np.linspace(0.0, 2.0, 401)
-        s_bounds, n_bounds = finite_time_bounds(k, times, 0.7, 0.3)
-        scalar = [finite_time_bounds(k, t, 0.7, 0.3) for t in times.tolist()]
-        assert scalar == list(zip(s_bounds.tolist(), n_bounds.tolist()))
