@@ -39,13 +39,7 @@ from .core import (
     evolve,
     restricted_svd,
 )
-from .simulate import (
-    Protocol,
-    ProtocolStep,
-    _degenerate_scale,
-    plan_to_protocol,
-    synthesize_plan,
-)
+from .simulate import Protocol, _degenerate_scale, _trotterise, synthesize_plan
 
 __all__ = [
     "RotationGate",
@@ -361,7 +355,9 @@ def compile_to_native(seq: GateSequence, k, slices: int = 200) -> Protocol:
     Each non-rotation primitive is simulated at its minimal interaction time;
     rotation primitives merge into the neighbouring schedule.  Negative gate
     durations are folded into the sign of the target coupling so all emitted
-    interaction windows are non-negative.
+    interaction windows are non-negative.  The pieces share one step table:
+    each keys its few distinct rows into it by value, and the protocol's
+    index is the concatenation of the pieces' indices.
 
     Raises
     ------
@@ -372,7 +368,8 @@ def compile_to_native(seq: GateSequence, k, slices: int = 200) -> Protocol:
     k = _as_k(k)
     _degenerate_scale(restricted_svd(k).svals, None, "cannot simulate beam splitters and squeezers")
 
-    steps: list[ProtocolStep] = []
+    slots: dict = {}
+    parts = []
     pending = LocalRotationPair()
     for gate in seq.gates:
         if isinstance(gate, RotationGate):
@@ -385,10 +382,6 @@ def compile_to_native(seq: GateSequence, k, slices: int = 200) -> Protocol:
         if duration < 0:
             target = -target
             duration = -duration
-        plan = synthesize_plan(k, target, duration)
-        piece = plan_to_protocol(plan, slices)
-        first = piece.steps[0]
-        steps.append(ProtocolStep(first.rotation.compose(pending), first.duration))
-        steps.extend(piece.steps[1:])
-        pending = piece.final
-    return Protocol(k, tuple(steps), pending)
+        part, pending = _trotterise(synthesize_plan(k, target, duration), slices, slots, pending)
+        parts.append(part)
+    return Protocol.from_table(k, list(slots), np.concatenate(parts) if parts else (), pending)

@@ -37,7 +37,7 @@ from .core import (
 )
 from .measures import report_columns
 from .rates import _rate_kernel
-from .simulate import Protocol, ProtocolStep
+from .simulate import Protocol
 
 __all__ = [
     "NotPassiveError",
@@ -140,12 +140,12 @@ class Trajectory:
 def _prefix_scan(table: np.ndarray, index, gamma0: np.ndarray) -> np.ndarray:
     """CMs ``P_i gamma0 P_i^T`` for ``i = 0 .. len(index)``, ``P_i = table[index[i-1]] ... table[index[0]]``.
 
-    ``table[0]`` must be the identity.  The scan carries factors, not CMs:
+    ``table[-1]`` must be the identity.  The scan carries factors, not CMs:
     node ``i`` is the Gram product ``X_i X_i^T`` of ``X_i = P_i F``, with ``F``
     the Cholesky factor of ``gamma0``; node 0 is ``gamma0`` itself.  A
     two-level scan (Blelloch, CMU-CS-90-190): the ``n = len(index) + 1`` step
     matrices (identity first) are gathered into ``ceil(n / w)`` chunks of
-    ``w = isqrt(n)``, padded with ``table[0]``; the prefixes inside every chunk
+    ``w = isqrt(n)``, padded with ``table[-1]``; the prefixes inside every chunk
     are formed by ``w - 1`` matmuls stacked across chunks, and one pass over
     the chunks multiplies them by the running factor and writes the chunk's
     Gram products in place, so no second stack of ``n`` matrices is held.
@@ -153,7 +153,7 @@ def _prefix_scan(table: np.ndarray, index, gamma0: np.ndarray) -> np.ndarray:
     n = len(index) + 1
     w = math.isqrt(n)
     chunks = -(-n // w)
-    gather = np.zeros(chunks * w, dtype=np.intp)
+    gather = np.full(chunks * w, len(table) - 1, dtype=np.intp)
     gather[1:n] = index
     cms = np.take(table, gather, axis=0)
     blocks = cms.reshape(chunks, w, 4, 4)
@@ -176,27 +176,20 @@ def run_protocol(gamma0, protocol: Protocol) -> Trajectory:
     Node ``i`` is ``P_i gamma0 P_i^T`` with ``P_i = M_i ... M_1`` the
     product of the step matrices ``M = S(duration) R`` ("rotation, then
     flow"); the trailing ``final`` rotation is applied to the last node.
-    Steps are keyed by value ``(phi1, phi2, duration)``; the distinct ones
-    are fused once, their flows from one stacked :func:`~twomode.core.evolve`,
-    and the nodes come from the factor scan :func:`_prefix_scan`.
+    The protocol was keyed once, where it was built: each row of its
+    ``table`` (a distinct step) is fused here, the flows of all rows from one
+    stacked :func:`~twomode.core.evolve`, and its ``index`` drives the factor
+    scan :func:`_prefix_scan`.
     """
     k = _as_k(protocol.native_k)
     gamma0 = assert_valid_cm(gamma0)
-    slots: dict[tuple[float, float, float], int] = {}
-    index = np.fromiter(
-        [
-            slots.setdefault((s.rotation.phi1, s.rotation.phi2, s.duration), len(slots) + 1)
-            for s in protocol.steps
-        ],
-        dtype=np.intp,
-        count=len(protocol.steps),
-    )
-    durations = np.array([0.0, *(duration for _, _, duration in slots)])
+    rows, index = protocol.table, protocol.index
+    durations = np.ascontiguousarray(rows[:, 2])
     times = np.cumsum(np.concatenate([[0.0], durations[index]]))
-    rotations = [_pair_matrix(phi1, phi2) for phi1, phi2, _ in slots]
-    table = np.empty((len(durations), 4, 4))
-    table[0] = np.eye(4)
-    table[1:] = evolve(k, durations[1:]) @ np.reshape(rotations, (-1, 4, 4))
+    rotations = [_pair_matrix(phi1, phi2) for phi1, phi2 in rows[:, :2].tolist()]
+    table = np.empty((len(rows) + 1, 4, 4))
+    table[-1] = np.eye(4)
+    table[:-1] = evolve(k, durations) @ np.reshape(rotations, (-1, 4, 4))
     cms = _prefix_scan(table, index, gamma0)
     cms[-1] = apply_symplectic(protocol.final.matrix, cms[-1])
     return Trajectory(times, cms, k)
@@ -222,10 +215,12 @@ def flip_strategy(k, t: float, steps: int) -> Protocol:
         raise ValueError("steps must be >= 1")
     k = _as_k(k)
     dt = t / steps
-    schedule = (ProtocolStep(LocalRotationPair(), dt),) + (ProtocolStep(_FLIP, dt),) * (steps - 1)
+    index = np.full(steps, 1, dtype=np.intp)
+    index[0] = 0
+    table = [(0.0, 0.0, dt), (_FLIP.phi1, _FLIP.phi2, dt)][: min(steps, 2)]
     m, two_pi = (steps - 1) % 4, 2.0 * math.pi
     final = LocalRotationPair((-m * _FLIP.phi1) % two_pi, (-m * _FLIP.phi2) % two_pi)
-    return Protocol(k, schedule, final)
+    return Protocol.from_table(k, table, index, final)
 
 
 def _neutral_flip_base(gamma, k) -> LocalRotationPair:
@@ -286,8 +281,8 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
     theta_l, _, _, psi_l = (float(x) for x in _rsvd_angles(generator(k).L))
     dts, slot = np.unique(np.diff(times), return_inverse=True)
     flows = evolve(k, dts)
-    eye = np.eye(4)[None]  # identity first, for the scan
-    flips, coasts = np.concatenate([eye, flows @ _FLIP.matrix]), np.concatenate([eye, flows])
+    eye = np.eye(4)[None]  # identity last, for the scan
+    flips, coasts = np.concatenate([flows @ _FLIP.matrix, eye]), np.concatenate([flows, eye])
 
     def coasting(l, phi):
         return (l > lock_band) & (np.abs(np.sin(phi @ _HALF_SUM_DIFF)).sum(axis=-1) <= _COAST_TOL)
@@ -297,7 +292,7 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
         width = _FIRST_CHUNK
         while i < last:
             stop = min(i + width, last)
-            nodes = _prefix_scan(table, slot[i:stop] + 1, cms[i])
+            nodes = _prefix_scan(table, slot[i:stop], cms[i])
             out = np.flatnonzero(~inside(*_rate_kernel(nodes[:-1], theta_l, psi_l)[2:]))
             end = stop if out.size == 0 else i + int(out[0])
             cms[i + 1 : end + 1] = nodes[1 : end - i + 1]
@@ -353,6 +348,8 @@ def finite_time_bounds(k, t: float, r1: float = 0.0, r2: float = 0.0) -> tuple[f
     """
     if not (r1 >= r2 >= 0.0):
         raise ValueError("bounds require r1 >= r2 >= 0")
+    if not t >= 0.0:
+        raise ValueError(f"bounds require t >= 0, got {t}")
     _, svals, _ = restricted_svd(k)
     cap = svals.s1 - svals.s2
     return math.exp(cap * t + r1), math.exp(cap * t + (r1 + r2) / 2.0)

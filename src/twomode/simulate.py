@@ -17,6 +17,7 @@ values of the two couplings.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "PlanTerm",
     "SimulationPlan",
     "ProtocolStep",
+    "ProtocolSteps",
     "Protocol",
     "can_simulate_efficiently",
     "min_simulation_time",
@@ -302,50 +304,174 @@ class ProtocolStep:
         _check_finite(self.rotation)
 
 
-@dataclass(frozen=True)
+def _key(slots: dict, rows, count: int) -> np.ndarray:
+    """Slot of every row ``(phi1, phi2, duration)`` in ``slots``, which gains each new value in turn."""
+    return np.fromiter((slots.setdefault(row, len(slots)) for row in rows), dtype=np.intp, count=count)
+
+
+def _json_row(i: int, step) -> tuple[float, float, float]:
+    """``(phi1, phi2, t)`` of JSON step ``i``; a value of the wrong type names the step."""
+    try:
+        return float(step["phi1"]), float(step["phi2"]), float(step["t"])
+    except (TypeError, ValueError) as exc:
+        if isinstance(step, dict):
+            raise type(exc)(f"protocol steps[{i}]: {exc}") from exc
+        raise TypeError(
+            f"protocol steps[{i}] must be an object with keys phi1, phi2 and t, not {type(step).__name__}"
+        ) from exc
+
+
+class ProtocolSteps(Sequence):
+    """Read-only view of a protocol's steps: the ``table`` rows picked by ``index``.
+
+    ``len`` reads ``len(index)`` and builds no step.  Indexing, slicing and
+    iteration build one :class:`ProtocolStep` per distinct row they reach;
+    a view equals any sequence of equal steps, a tuple included.
+    """
+
+    __slots__ = ("_table", "_index")
+
+    def __init__(self, table: np.ndarray, index: np.ndarray):
+        self._table, self._index = table, index
+
+    def _steps(self, rows: list[int]) -> list[ProtocolStep]:
+        distinct = list(dict.fromkeys(rows))
+        made = {
+            row: ProtocolStep(LocalRotationPair(phi1, phi2), duration)
+            for row, (phi1, phi2, duration) in zip(distinct, self._table[distinct].tolist())
+        }
+        return [made[row] for row in rows]
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._steps(self._index[i].tolist()))
+        return self._steps([self._index[i].item()])[0]
+
+    def __iter__(self):
+        return iter(self._steps(self._index.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Protocol:
     """Finite ordered schedule of rotations and interaction windows.
 
     Running a protocol means: for each step, apply its rotation pair to the
     state and evolve under ``native_k`` for ``duration``; finally apply the
     trailing ``final`` rotation pair.
+
+    A schedule cycles a few fixed windows, so a protocol stores each distinct
+    step once: ``table`` has one row ``(phi1, phi2, duration)`` per distinct
+    step, in order of first appearance, and ``index`` the row of every step.
+    Steps are keyed by value once, where the protocol is built:
+    ``Protocol(native_k, steps, final)`` keys a sequence of
+    :class:`ProtocolStep`, and :meth:`from_dict` keys its JSON rows the same
+    way.  The producers (``flip_strategy``, :func:`plan_to_protocol`,
+    ``compile_to_native``) hand their table and index to :meth:`from_table`.
+    ``steps`` is a read-only :class:`ProtocolSteps` view of ``table[index]``.
     """
 
     native_k: np.ndarray
-    steps: tuple[ProtocolStep, ...]
-    final: LocalRotationPair = LocalRotationPair()
+    table: np.ndarray
+    index: np.ndarray
+    final: LocalRotationPair
 
-    def __post_init__(self):
-        _check_finite(self.final)
+    def __init__(self, native_k, steps=(), final: LocalRotationPair = LocalRotationPair()):
+        steps, slots = tuple(steps), {}
+        rows = ((s.rotation.phi1, s.rotation.phi2, s.duration) for s in steps)
+        index = _key(slots, rows, len(steps))
+        self._freeze(native_k, list(slots), index, final)
+
+    @classmethod
+    def from_table(cls, native_k, table, index, final: LocalRotationPair = LocalRotationPair()):
+        """Protocol whose step ``i`` is row ``index[i]`` of the distinct rows ``table``.
+
+        The rows are checked here, not keyed again; ``index`` is kept, read-only.
+        """
+        protocol = cls.__new__(cls)
+        protocol._freeze(native_k, table, index, final)
+        return protocol
+
+    def _freeze(self, native_k, table, index, final: LocalRotationPair) -> None:
+        table = np.array(table, dtype=float).reshape(-1, 3)
+        if not (np.isfinite(table).all() and (table[:, 2] >= 0.0).all()):
+            if not ((table[:, 2] >= 0.0) & (table[:, 2] < math.inf)).all():
+                raise ValueError("protocol step durations must be finite and non-negative")
+            raise ValueError("protocol rotation angles must be finite")
+        _check_finite(final)
+        index = np.asarray(index, dtype=np.intp)
+        table.flags.writeable = index.flags.writeable = False
+        for name, value in (("native_k", native_k), ("table", table), ("index", index), ("final", final)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def steps(self) -> ProtocolSteps:
+        return ProtocolSteps(self.table, self.index)
 
     @property
     def total_time(self) -> float:
-        return float(sum(step.duration for step in self.steps))
+        return float(sum(self.table[self.index, 2].tolist()))
 
     def to_dict(self) -> dict:
         return {
             "native_K": k_to_dict(self.native_k),
             "steps": [
-                {
-                    "phi1": float(s.rotation.phi1),
-                    "phi2": float(s.rotation.phi2),
-                    "t": float(s.duration),
-                }
-                for s in self.steps
+                {"phi1": phi1, "phi2": phi2, "t": duration}
+                for phi1, phi2, duration in self.table[self.index].tolist()
             ],
             "final": {"phi1": float(self.final.phi1), "phi2": float(self.final.phi2)},
         }
 
     @staticmethod
     def from_dict(data: dict) -> "Protocol":
-        return Protocol(
-            native_k=k_from_dict(data["native_K"]),
-            steps=tuple(
-                ProtocolStep(LocalRotationPair(float(s["phi1"]), float(s["phi2"])), float(s["t"]))
-                for s in data["steps"]
-            ),
-            final=LocalRotationPair(float(data["final"]["phi1"]), float(data["final"]["phi2"])),
-        )
+        native_k = k_from_dict(data["native_K"])
+        steps = data["steps"]
+        if not isinstance(steps, (list, tuple)):
+            raise TypeError(f"protocol steps must be a list of objects, not {type(steps).__name__}")
+        slots: dict = {}
+        index = _key(slots, map(_json_row, range(len(steps)), steps), len(steps))
+        final = LocalRotationPair(float(data["final"]["phi1"]), float(data["final"]["phi2"]))
+        return Protocol.from_table(native_k, list(slots), index, final)
+
+
+def _trotterise(plan: SimulationPlan, slices: int, slots: dict, pending=None):
+    """``(index, final)`` of ``plan`` Trotterised into ``slices`` slices, its rows keyed into ``slots``.
+
+    Slice 1 holds the steps ``first``; every later slice repeats the cycle
+    ``(entry, *first[1:])``.  So only those at most five rows are keyed, in
+    order of first appearance, and the index is ``first`` followed by
+    ``slices - 1`` copies of the cycle.  ``pending``, if given, is composed
+    into the first step.
+    """
+    if slices < 1:
+        raise ValueError("slices must be >= 1")
+    terms = [t for t in plan.terms if t.weight > 0.0]
+    if not terms:
+        return np.empty(0, dtype=np.intp), LocalRotationPair() if pending is None else pending
+    prevs = [LocalRotationPair(), *(term.rotations for term in terms)]
+    head = [term.rotations.compose(prev.inverse()) for term, prev in zip(terms, prevs)]
+    if pending is not None:
+        head[0] = head[0].compose(pending)
+    if slices > 1:
+        head.append(terms[0].rotations.compose(prevs[-1].inverse()))
+    durations = [term.weight * plan.t / slices for term in terms]
+    rows = ((pair.phi1, pair.phi2, duration) for pair, duration in zip(head, [*durations, durations[0]]))
+    ids = _key(slots, rows, len(head)).tolist()
+    n = len(terms)
+    index = np.empty((slices, n), dtype=np.intp)
+    index[0] = ids[:n]
+    if slices > 1:
+        index[1:] = ids[n:] + ids[1:n]
+    return index.reshape(-1), prevs[-1].inverse()
 
 
 def plan_to_protocol(plan: SimulationPlan, slices: int) -> Protocol:
@@ -358,19 +484,6 @@ def plan_to_protocol(plan: SimulationPlan, slices: int) -> Protocol:
     trailing rotation undoes the last one.  The schedule converges to the
     target flow at first order in ``1/slices``.
     """
-    if slices < 1:
-        raise ValueError("slices must be >= 1")
-    terms = [t for t in plan.terms if t.weight > 0.0]
-    if not terms:
-        return Protocol(plan.native_k, (), LocalRotationPair())
-
-    # A slice holds at most four distinct steps: build the first slice and
-    # the repeating cycle once, then share the frozen steps.
-    prevs = [LocalRotationPair(), *(term.rotations for term in terms)]
-    first = tuple(
-        ProtocolStep(term.rotations.compose(prev.inverse()), term.weight * plan.t / slices)
-        for term, prev in zip(terms, prevs)
-    )
-    entry = ProtocolStep(terms[0].rotations.compose(prevs[-1].inverse()), first[0].duration)
-    cycle = (entry, *first[1:])
-    return Protocol(plan.native_k, first + cycle * (slices - 1), prevs[-1].inverse())
+    slots: dict = {}
+    index, final = _trotterise(plan, slices, slots)
+    return Protocol.from_table(plan.native_k, list(slots), index, final)

@@ -127,13 +127,13 @@ def lapack_restricted_svd(k):
     return u @ np.diag([1.0, du]), (s1, du * dv * float(sig[1])), np.diag([1.0, dv]) @ vt
 
 
-def reference_plan_to_protocol(plan, slices):
-    """Per-window reference loop for ``simulate.plan_to_protocol``."""
-    from twomode.simulate import Protocol, ProtocolStep
+def reference_plan_schedule(plan, slices):
+    """Per-window reference loop for ``simulate.plan_to_protocol``: ``(steps, final)``."""
+    from twomode.simulate import ProtocolStep
 
     terms = [t for t in plan.terms if t.weight > 0.0]
     if not terms:
-        return Protocol(plan.native_k, (), LocalRotationPair())
+        return (), LocalRotationPair()
     steps = []
     prev = LocalRotationPair()
     for _ in range(slices):
@@ -141,7 +141,77 @@ def reference_plan_to_protocol(plan, slices):
             quotient = term.rotations.compose(prev.inverse())
             steps.append(ProtocolStep(quotient, term.weight * plan.t / slices))
             prev = term.rotations
-    return Protocol(plan.native_k, tuple(steps), prev.inverse())
+    return tuple(steps), prev.inverse()
+
+
+def reference_plan_to_protocol(plan, slices):
+    """Per-window reference loop for ``simulate.plan_to_protocol``."""
+    from twomode.simulate import Protocol
+
+    return Protocol(plan.native_k, *reference_plan_schedule(plan, slices))
+
+
+def reference_flip_schedule(t, steps):
+    """Per-step reference for ``protocols.flip_strategy``: ``(steps, final)``."""
+    from twomode.protocols import _FLIP
+    from twomode.simulate import ProtocolStep
+
+    dt = t / steps
+    schedule = (ProtocolStep(LocalRotationPair(), dt),) + (ProtocolStep(_FLIP, dt),) * (steps - 1)
+    m = (steps - 1) % 4
+    return schedule, LocalRotationPair((-m * _FLIP.phi1) % (2 * np.pi), (-m * _FLIP.phi2) % (2 * np.pi))
+
+
+def reference_compile_schedule(seq, k, slices):
+    """Per-step reference loop for ``gates.compile_to_native``: ``(steps, final)``.
+
+    Each gate's schedule comes from :func:`reference_plan_schedule`; its
+    first step absorbs the rotations pending before it.
+    """
+    from twomode.gates import RotationGate
+    from twomode.simulate import ProtocolStep, synthesize_plan
+
+    steps, pending = [], LocalRotationPair()
+    for gate in seq.gates:
+        if isinstance(gate, RotationGate):
+            pending = gate.pair.compose(pending)
+            continue
+        duration, target = gate.t, gate.coupling
+        if abs(duration) <= 1e-15:
+            continue
+        if duration < 0:
+            target, duration = -target, -duration
+        piece, final = reference_plan_schedule(synthesize_plan(k, target, duration), slices)
+        steps.append(ProtocolStep(piece[0].rotation.compose(pending), piece[0].duration))
+        steps.extend(piece[1:])
+        pending = final
+    return tuple(steps), pending
+
+
+def reference_key_steps(steps):
+    """Value keying of a step sequence, the pass ``run_protocol`` made on every call
+    before protocols carried their table.
+
+    Returns ``(table, index)``: the distinct rows ``(phi1, phi2, duration)`` in
+    order of first appearance, and the row of every step.
+    """
+    slots = {}
+    index = [slots.setdefault((s.rotation.phi1, s.rotation.phi2, s.duration), len(slots)) for s in steps]
+    return np.array(list(slots), dtype=float).reshape(-1, 3), np.array(index, dtype=np.intp)
+
+
+def reference_protocol_dict(k, steps, final):
+    """``Protocol.to_dict`` written one step at a time."""
+    from twomode.core import k_to_dict
+
+    return {
+        "native_K": k_to_dict(k),
+        "steps": [
+            {"phi1": float(s.rotation.phi1), "phi2": float(s.rotation.phi2), "t": float(s.duration)}
+            for s in steps
+        ],
+        "final": {"phi1": float(final.phi1), "phi2": float(final.phi2)},
+    }
 
 
 def reference_run_protocol(gamma0, protocol):

@@ -28,7 +28,7 @@ from twomode.gates import (
     compile_to_native,
     decompose_gate,
 )
-from twomode.protocols import extend_with_ancillas, greedy_rate_walk
+from twomode.protocols import extend_with_ancillas, finite_time_bounds, greedy_rate_walk
 from twomode.simulate import PlanTerm, SimulationPlan, plan_to_protocol, synthesize_plan
 
 #: Positive definite CMs with ``det = 1`` that violate ``gamma + i Omega >= 0``.
@@ -164,3 +164,43 @@ class TestScheduleEdges:
         plan = SimulationPlan(H0, H0, 1.0, 1.0, (PlanTerm(0.0, LocalRotationPair(0.3, 0.1)),))
         protocol = plan_to_protocol(plan, 4)
         assert protocol.steps == () and protocol.final == LocalRotationPair()
+
+
+class TestBoundsTime:
+    @pytest.mark.parametrize("t", [-1.0, -1e-300, float("nan")])
+    def test_refuses_negative_and_nan_time(self, t):
+        with pytest.raises(ValueError, match="bounds require t >= 0"):
+            finite_time_bounds(H0, t, 1.0)
+
+    def test_time_zero_is_the_initial_squeezing(self):
+        assert finite_time_bounds(H0, 0.0, 1.0, 0.5) == (np.exp(1.0), np.exp(0.75))
+
+    def test_cli_negative_time_exits_2(self):
+        code, out, err = run_cli("bounds", "--hamiltonian", "preset:h0", "--t", "-1", "--r1", "1")
+        assert (code, out, err) == (2, "", "error: bounds require t >= 0, got -1.0\n")
+
+
+_STEP = {"phi1": 0.1, "phi2": 0.2, "t": 0.01}
+_NOT_AN_OBJECT = "must be an object with keys phi1, phi2 and t, not"
+
+
+class TestProtocolFileTypes:
+    @pytest.mark.parametrize(
+        "steps, named",
+        [
+            (5, "protocol steps must be a list of objects, not int"),
+            ({"a": 1}, "protocol steps must be a list of objects, not dict"),
+            ([5], f"protocol steps[0] {_NOT_AN_OBJECT} int"),
+            ([_STEP, _STEP, "abc"], f"protocol steps[2] {_NOT_AN_OBJECT} str"),
+            ([_STEP, {"phi1": [1], "phi2": 0.0, "t": 0.1}], "protocol steps[1]: float() argument"),
+            ([{"phi1": 0.0, "phi2": 0.0, "t": "soon"}], "protocol steps[0]: could not convert"),
+        ],
+    )
+    def test_wrong_typed_steps_are_named(self, tmp_path, steps, named):
+        h0 = {"a": 1.0, "b": 0.0, "c": 0.0, "d": 0.0}
+        data = {"native_K": h0, "steps": steps, "final": {"phi1": 0.0, "phi2": 0.0}}
+        path = write_json(tmp_path, "p.json", data)
+        code, out, err = run_cli("run", "--hamiltonian", "h0", "--strategy", f"file:{path}")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {named}") and err.endswith(f" (in {path})\n")
+        assert err.count("\n") == 1

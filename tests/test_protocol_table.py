@@ -1,0 +1,184 @@
+"""Protocols carry their step table and index, keyed once where they are built.
+
+Every producer (``flip_strategy``, ``plan_to_protocol``, ``compile_to_native``,
+``Protocol.from_dict``) must give the ``table`` and ``index`` that value
+keying of its per-step schedule gives (``helpers.reference_key_steps``), in
+order of first appearance.  A run of the protocol must be bit-identical to a
+run on the oracle's table, and ``total_time`` and the ``to_dict`` JSON bytes
+must equal the per-step reference.  ``steps`` is a read-only view that
+builds no step for ``len``.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import twomode.simulate
+from helpers import (
+    random_coupling,
+    random_pure_cm,
+    random_rotation_pair,
+    random_symplectic,
+    reference_compile_schedule,
+    reference_flip_schedule,
+    reference_key_steps,
+    reference_plan_schedule,
+    reference_protocol_dict,
+)
+from twomode.core import H0, HBS, LocalRotationPair, vacuum_cm
+from twomode.gates import compile_to_native, decompose_gate
+from twomode.protocols import flip_strategy, run_protocol
+from twomode.simulate import Protocol, ProtocolStep, plan_to_protocol, synthesize_plan
+
+
+def assert_carries_the_oracle_table(protocol, k, steps, final, gamma0):
+    """Table, index, run, total time and JSON bytes of ``protocol`` against the per-step ``steps``."""
+    table, index = reference_key_steps(steps)
+    assert protocol.table.tobytes() == table.tobytes() and protocol.table.shape == table.shape
+    assert protocol.index.dtype == np.intp and np.array_equal(protocol.index, index)
+    assert protocol.final == final
+
+    traj = run_protocol(gamma0, protocol)
+    ref = run_protocol(gamma0, Protocol.from_table(k, table, index, final))
+    assert np.array_equal(traj.times, ref.times) and np.array_equal(traj.cms, ref.cms)
+
+    assert protocol.total_time == float(sum(s.duration for s in steps))
+    assert json.dumps(protocol.to_dict()) == json.dumps(reference_protocol_dict(k, steps, final))
+
+
+def assert_view_is_a_sequence(protocol, steps):
+    view = protocol.steps
+    assert len(view) == len(steps)
+    assert view == tuple(steps) and tuple(steps) == view and tuple(view) == tuple(steps)
+    assert list(iter(view)) == list(steps)
+    if steps:
+        assert view[0] == steps[0] and view[-1] == steps[-1]
+        assert view[len(steps) // 2] == steps[len(steps) // 2]
+        assert view[1:4] == tuple(steps[1:4]) and view[::-3] == tuple(steps[::-3])
+        with pytest.raises(IndexError):
+            view[len(steps)]
+    assert view != tuple(steps) + (ProtocolStep(LocalRotationPair(), 1.0),)
+
+
+@pytest.fixture
+def gamma0(rng):
+    return random_pure_cm(rng)
+
+
+class TestFlipStrategy:
+    @pytest.mark.parametrize("n", [1, 2, 5, 10**4])
+    def test_carries_the_oracle_table(self, rng, gamma0, n):
+        for k, t in ((H0, 0.7), (random_coupling(rng), 1.3)):
+            steps, final = reference_flip_schedule(t, n)
+            protocol = flip_strategy(k, t, n)
+            assert_carries_the_oracle_table(protocol, k, steps, final, gamma0)
+            assert_view_is_a_sequence(protocol, steps)
+            assert len(protocol.table) == min(n, 2)
+
+
+def _plans(rng):
+    k, target = random_coupling(rng), random_coupling(rng)
+    return {
+        "random": synthesize_plan(k, target, 0.6),
+        "slow": synthesize_plan(k, target, 0.6, t=3 * synthesize_plan(k, target, 0.6).t),
+        "degenerate": synthesize_plan(HBS, 2.0 * HBS, 0.8),
+        "zero-target": synthesize_plan(H0, np.zeros((2, 2)), 1.0),
+    }
+
+
+class TestPlanToProtocol:
+    @pytest.mark.parametrize("slices", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["random", "slow", "degenerate", "zero-target"])
+    def test_carries_the_oracle_table(self, rng, gamma0, slices, kind):
+        plan = _plans(rng)[kind]
+        steps, final = reference_plan_schedule(plan, slices)
+        protocol = plan_to_protocol(plan, slices)
+        assert_carries_the_oracle_table(protocol, plan.native_k, steps, final, gamma0)
+        assert_view_is_a_sequence(protocol, steps)
+
+    def test_a_single_slice_has_no_entry_row(self, rng):
+        plan = _plans(rng)["random"]
+        assert len(plan_to_protocol(plan, 1).table) == len(plan.terms)
+        assert len(plan_to_protocol(plan, 2).table) == len(plan.terms) + 1
+
+
+class TestCompileToNative:
+    @pytest.mark.parametrize("native", ["h0", "random"])
+    def test_carries_the_oracle_table(self, rng, gamma0, native):
+        for slices in (1, 2, 7, 60):
+            k = H0 if native == "h0" else random_coupling(rng)
+            seq = decompose_gate(random_symplectic(rng, factors=2, tmax=0.5))
+            steps, final = reference_compile_schedule(seq, k, slices)
+            protocol = compile_to_native(seq, k, slices=slices)
+            assert_carries_the_oracle_table(protocol, k, steps, final, gamma0)
+            assert_view_is_a_sequence(protocol, steps)
+
+
+class TestFromDict:
+    def _producers(self, rng):
+        seq = decompose_gate(random_symplectic(rng, factors=2, tmax=0.5))
+        menu = [ProtocolStep(random_rotation_pair(rng), float(d)) for d in (0.0, 0.01, 0.02)]
+        random_steps = tuple(menu[i] for i in rng.integers(0, 3, size=300))
+        return [
+            flip_strategy(H0, 0.9, 5),
+            plan_to_protocol(_plans(rng)["random"], 4),
+            compile_to_native(seq, H0, slices=9),
+            Protocol(random_coupling(rng), random_steps, random_rotation_pair(rng)),
+            Protocol(H0, ()),
+        ]
+
+    def test_carries_the_oracle_table(self, rng, gamma0):
+        for source in self._producers(rng):
+            steps = tuple(source.steps)
+            data = json.loads(json.dumps(source.to_dict()))
+            protocol = Protocol.from_dict(data)
+            assert_carries_the_oracle_table(protocol, source.native_k, steps, source.final, gamma0)
+            assert_view_is_a_sequence(protocol, steps)
+
+    def test_builds_no_step(self, monkeypatch, rng):
+        seq = decompose_gate(random_symplectic(rng, factors=2, tmax=0.5))
+        data = json.loads(json.dumps(compile_to_native(seq, H0, slices=20).to_dict()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ProtocolStep was built")
+
+        monkeypatch.setattr(twomode.simulate, "ProtocolStep", refuse)
+        protocol = Protocol.from_dict(data)
+        assert len(protocol.steps) == len(data["steps"])
+        run_protocol(vacuum_cm(), protocol)
+
+
+class TestStepsView:
+    def test_len_builds_no_step(self, monkeypatch):
+        seq = decompose_gate(random_symplectic(np.random.default_rng(3), factors=2, tmax=0.5))
+        protocol = compile_to_native(seq, H0, slices=800)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ProtocolStep was built")
+
+        monkeypatch.setattr(twomode.simulate, "ProtocolStep", refuse)
+        assert len(protocol.steps) == len(protocol.index) > 4000
+
+    def test_run_protocol_reads_no_step(self, monkeypatch, rng, gamma0):
+        protocol = flip_strategy(H0, 1.0, 100)
+        expected = run_protocol(gamma0, protocol)
+        monkeypatch.setattr(Protocol, "steps", property(lambda self: pytest.fail("steps was read")))
+        assert np.array_equal(run_protocol(gamma0, protocol).cms, expected.cms)
+
+    def test_table_and_index_are_read_only(self):
+        protocol = flip_strategy(H0, 1.0, 10)
+        with pytest.raises(ValueError):
+            protocol.index[3] = 0
+        with pytest.raises(ValueError):
+            protocol.table[0, 2] = 1.0
+        with pytest.raises(AttributeError):
+            protocol.index = np.zeros(10, dtype=np.intp)
+
+    def test_refuses_bad_rows(self):
+        with pytest.raises(ValueError, match="durations must be finite and non-negative"):
+            Protocol.from_table(H0, [(0.0, 0.0, -0.1)], [0])
+        with pytest.raises(ValueError, match="durations must be finite and non-negative"):
+            flip_strategy(H0, np.inf, 3)
+        with pytest.raises(ValueError, match="rotation angles must be finite"):
+            Protocol.from_table(H0, [(0.0, 0.0, 0.1), (np.nan, 0.0, 0.1)], [0, 1])
