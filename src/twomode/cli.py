@@ -127,12 +127,15 @@ def _file_cm(spec: str, pure: bool, data) -> np.ndarray:
     """The CM of a state file: a bare 16-entry list or ``{"cm": [...]}``."""
     if isinstance(data, dict):
         data = data["cm"]
-    gamma = matrix_from_list(data)
-    # Checked, with 1e-12 relative slack, before the det >= 1 test that round-off breaks.
-    if np.isfinite(gamma).all():
-        top = np.linalg.eigvalsh((gamma + gamma.T) / 2.0)[-1]
-        _check_range(spec, top <= math.exp(_R_MAX) * (1.0 + 1e-12))
-    return valid_cm_stack(gamma, pure).cms[0]
+    gamma, top = matrix_from_list(data), math.exp(_R_MAX) * (1.0 + 1e-12)
+    try:  # the range rule (slack 1e-12) outranks a refusal: past it round-off breaks det >= 1
+        stack = valid_cm_stack(gamma, pure)
+    except ValueError:
+        if np.isfinite(gamma).all():
+            _check_range(spec, np.linalg.eigvalsh((gamma + gamma.T) / 2.0)[-1] <= top)
+        raise
+    _check_range(spec, stack.eigenvalues[0, -1] <= top)
+    return stack.cms[0]
 
 
 def _emit(payload, out: str | None) -> None:

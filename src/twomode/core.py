@@ -255,10 +255,11 @@ def _rsvd_angles(m):
     angle = np.arctan2(x[..., 2:], x[..., :2])
     q, r, alpha, beta = h[..., 0], h[..., 1], angle[..., 0], angle[..., 1]
     s1 = q + r
-    degenerate = np.minimum(q, r) <= 0.5e-12 * s1
-    theta = np.where(degenerate, 0.0, _wrap(alpha + beta) / 2.0)
-    psi = np.where(degenerate & (r <= q), alpha, theta - beta)
-    return theta, s1, q - r, psi
+    theta = _wrap(alpha + beta) / 2.0
+    if (degenerate := np.minimum(q, r) <= 0.5e-12 * s1).any():
+        theta = np.where(degenerate, 0.0, theta)
+        return theta, s1, q - r, np.where(degenerate & (r <= q), alpha, theta - beta)
+    return theta, s1, q - r, theta - beta
 
 
 def restricted_svd(k) -> RestrictedSVD:
@@ -296,11 +297,15 @@ class Generator:
     alpha: float
 
 
+def _flow_l(k: np.ndarray) -> np.ndarray:
+    """``L = J^T K`` of a checked coupling, the generator's upper-right block."""
+    return J.T @ k
+
+
 def generator(k) -> Generator:
     """Build the 4x4 phase-space generator of the coupling ``K``."""
     k = _as_k(k)
-    l = J.T @ k
-    lt = J.T @ k.T
+    l, lt = _flow_l(k), J.T @ k.T
     m = np.zeros((4, 4))
     m[:2, 2:] = l
     m[2:, :2] = lt
@@ -472,18 +477,17 @@ def det2(m) -> np.ndarray:
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-#: ``det A + det B + 2 det C`` less the slack ``1e-9 (det A + det B)``, as weighted products
-#: ``g_i g_j`` of flat CM entries.
-_DELTA_PAIRS = np.array([[0, 1, 10, 11, 2, 3], [5, 4, 15, 14, 7, 6]])
-_DELTA_WEIGHTS = np.array([1, -1, 1, -1, 2, -2]) - 1e-9 * np.array([1, -1, 1, -1, 0, 0])
+#: ``det A + det B + 2 det C`` less the slack ``1e-9 (det A + det B)`` from the flat blocks.
+_DELTA_WEIGHTS = np.array([1.0 - 1e-9, 1.0, 1.0, 1.0 - 1e-9])
 
 
 class CMStack(NamedTuple):
-    """Symmetrised ``(N, 4, 4)`` CMs with ascending spectra and determinants."""
+    """Symmetrised ``(N, 4, 4)`` CMs, ascending spectra, dets and block dets ``[[A, C], [C^T, B]]``."""
 
     cms: np.ndarray
     eigenvalues: np.ndarray
     dets: np.ndarray
+    blocks: np.ndarray
 
 
 def valid_cm_stack(cms, pure: bool = False) -> CMStack:
@@ -513,12 +517,12 @@ def valid_cm_stack(cms, pure: bool = False) -> CMStack:
     dets = np.linalg.det(cms)
     if (dets < 1.0 - 1e-9).any():
         raise ValueError("covariance matrix violates det >= 1")
-    g = cms.reshape(-1, 16)[:, _DELTA_PAIRS]
-    if ((g[:, 0] * g[:, 1]) @ _DELTA_WEIGHTS > 1.0 + dets).any():
+    blocks = det2(cms.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4))
+    if (blocks.reshape(-1, 4) @ _DELTA_WEIGHTS > 1.0 + dets).any():
         raise ValueError("covariance matrix violates the uncertainty principle")
     if pure and (impure := np.abs(dets - 1.0) > PURITY_TOL).any():
         raise NotPureError("state is not pure: det(gamma) = %.12g" % dets[np.argmax(impure)])
-    return CMStack(cms, eigenvalues, dets)
+    return CMStack(cms, eigenvalues, dets, blocks)
 
 
 def _one_cm(gamma, pure: bool = False) -> CMStack:
@@ -578,10 +582,10 @@ class PureStateStandardForm:
         return apply_symplectic(s, two_mode_squeezed_cm(self.r / 2.0))
 
 
-def _pure_r(cms) -> np.ndarray:
-    """Standard-form ``r`` of pure ``(..., 4, 4)`` CMs from ``sinh(r)^2 = -det C``, which
-    keeps every digit near product states, unlike inverting ``cosh(r)^2 = det A``."""
-    return np.arcsinh(np.sqrt(np.maximum(-det2(cms[..., :2, 2:]), 0.0)))
+def _pure_r(det_c) -> np.ndarray:
+    """Standard-form ``r`` of pure CMs from ``sinh(r)^2 = -det C``, which keeps every
+    digit near product states, unlike inverting ``cosh(r)^2 = det A``."""
+    return np.arcsinh(np.sqrt(np.maximum(-det_c, 0.0)))
 
 
 def pure_standard_form(gamma) -> PureStateStandardForm:
@@ -599,10 +603,11 @@ def pure_standard_form(gamma) -> PureStateStandardForm:
     NotPureError
         If ``det(gamma)`` deviates from 1 by more than ``PURITY_TOL``.
     """
-    gamma = _one_cm(gamma, pure=True).cms[0]
+    stack = _one_cm(gamma, pure=True)
+    gamma, (det_a, det_c) = stack.cms[0], stack.blocks[0, 0]
     a, b, c = gamma[:2, :2], gamma[2:, 2:], gamma[:2, 2:]
 
-    cosh_r = math.sqrt(max(float(det2(a)), 1.0))
+    cosh_r = math.sqrt(max(float(det_a), 1.0))
     product = bool(np.max(np.abs(c)) <= PRODUCT_TOL)
 
     # R(theta_k) diagonalises A and B with descending eigenvalues (w1_k, w2_k).
@@ -619,4 +624,4 @@ def pure_standard_form(gamma) -> PureStateStandardForm:
     inner1, _, _, inner2 = _rsvd_angles((o1.T @ c @ o2) / np.outer(d1, d2))
     s1 = o1 @ np.diag(d1) @ rotation(inner1)
     s2 = o2 @ np.diag(d2) @ rotation(-inner2)
-    return PureStateStandardForm(S1=s1, S2=s2, r=float(_pure_r(gamma)), is_product=False)
+    return PureStateStandardForm(S1=s1, S2=s2, r=float(_pure_r(det_c)), is_product=False)

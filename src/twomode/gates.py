@@ -39,7 +39,7 @@ from .core import (
     evolve,
     restricted_svd,
 )
-from .simulate import Protocol, _degenerate_scale, _trotterise, synthesize_plan
+from .simulate import Protocol, _degenerate_scale, _table, _trotterise, synthesize_plan
 
 __all__ = [
     "RotationGate",
@@ -356,7 +356,7 @@ def compile_to_native(seq: GateSequence, k, slices: int = 200) -> Protocol:
     rotation primitives merge into the neighbouring schedule.  Negative gate
     durations are folded into the sign of the target coupling so all emitted
     interaction windows are non-negative.  The pieces share one step table:
-    each keys its few distinct rows into it by value, and the protocol's
+    each keys its few distinct rows into it by their bytes, and the protocol's
     index is the concatenation of the pieces' indices.
 
     Raises
@@ -384,4 +384,4 @@ def compile_to_native(seq: GateSequence, k, slices: int = 200) -> Protocol:
             duration = -duration
         part, pending = _trotterise(synthesize_plan(k, target, duration), slices, slots, pending)
         parts.append(part)
-    return Protocol.from_table(k, list(slots), np.concatenate(parts) if parts else (), pending)
+    return Protocol.from_table(k, _table(slots), np.concatenate(parts) if parts else (), pending)

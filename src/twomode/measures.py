@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _one_cm, _pure_r, det2, valid_cm_stack
+from .core import _one_cm, _pure_r, valid_cm_stack
 from .rates import _balanced_min_eigenvector, _rate_column
 
 __all__ = [
@@ -30,15 +30,14 @@ __all__ = [
 ]
 
 
-def _negativity(cms: np.ndarray, dets: np.ndarray) -> np.ndarray:
+def _negativity(blocks: np.ndarray, dets: np.ndarray) -> np.ndarray:
     """Inverse smallest symplectic eigenvalue of the partial transposes.
 
     ``nu~^2 = (D - sqrt(D^2 - 4 det gamma)) / 2`` with ``D = det A + det B -
     2 det C`` (Vidal & Werner, PRA 65, 032314 (2002)), evaluated as
     ``2 det gamma / (D + sqrt(...))``, which does not cancel for large ``D``.
     """
-    a, b, c = cms[:, :2, :2], cms[:, 2:, 2:], cms[:, :2, 2:]
-    delta = det2(a) + det2(b) - 2.0 * det2(c)
+    delta = blocks[:, 0, 0] + blocks[:, 1, 1] - 2.0 * blocks[:, 0, 1]
     root = np.sqrt(np.maximum(delta * delta - 4.0 * dets, 0.0))
     return np.sqrt((delta + root) / (2.0 * dets))
 
@@ -58,8 +57,8 @@ def report_columns(cms, k) -> dict[str, np.ndarray]:
     stack = valid_cm_stack(cms, pure=True)
     s, q = _squeezing(stack.eigenvalues)
     return {
-        "E0": _pure_r(stack.cms),
-        "negativity": _negativity(stack.cms, stack.dets),
+        "E0": _pure_r(stack.blocks[:, 0, 1]),
+        "negativity": _negativity(stack.blocks, stack.dets),
         "S": s,
         "Q": q,
         "rate": _rate_column(stack.cms, k),
@@ -72,7 +71,7 @@ def negativity(gamma) -> float:
     Values above 1 witness entanglement; for pure states it is ``exp(E0)``.
     """
     stack = _one_cm(gamma)
-    return float(_negativity(stack.cms, stack.dets)[0])
+    return float(_negativity(stack.blocks, stack.dets)[0])
 
 
 @dataclass(frozen=True)
@@ -111,15 +110,15 @@ def entanglement(gamma) -> EntanglementReport:
         states.
     """
     stack = _one_cm(gamma, pure=True)
-    r = float(_pure_r(stack.cms)[0])
+    r = float(_pure_r(stack.blocks[:, 0, 1])[0])
     x = r / 2.0
     s = math.sinh(x) ** 2
     # s log(1 + 1/s) as 2 s log1p(e^-x / sinh x): nothing cancels at large r or overflows at tiny s
     entropy = math.log1p(s) + 2.0 * s * math.log1p(math.exp(-x) / math.sinh(x)) if s > 0.0 else 0.0
     return EntanglementReport(
         r=r,
-        negativity=float(_negativity(stack.cms, stack.dets)[0]),
-        det_a=max(float(det2(stack.cms[0, :2, :2])), 1.0),
+        negativity=float(_negativity(stack.blocks, stack.dets)[0]),
+        det_a=max(float(stack.blocks[0, 0, 0]), 1.0),
         entropy=entropy,
     )
 

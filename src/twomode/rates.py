@@ -32,11 +32,12 @@ from .core import (
     SIGMA_Z,
     CMStack,
     LocalRotationPair,
+    _as_k,
+    _flow_l,
     _one_cm,
     _rsvd_angles,
     _wrap,
     det2,
-    generator,
     restricted_svd,
 )
 
@@ -85,13 +86,11 @@ def _rate_kernel(cms: np.ndarray, theta_l: float = 0.0, psi_l: float = 0.0):
     phi = np.empty(l.shape + (2,))
     np.add(theta_l, psi_y, out=phi[:, 0])
     np.subtract(-psi_l, theta_y, out=phi[:, 1])
-    if np.count_nonzero(product):
-        blocks = cms[product]
-        theta_a, s_a, _, _ = _rsvd_angles(blocks[:, :2, :2])
-        theta_b, s_b, _, _ = _rsvd_angles(blocks[:, 2:, 2:])
-        l[product] = 0.5 * np.log(s_a * s_b)
-        phi[product, 0] = theta_l - theta_a - math.pi / 2.0
-        phi[product, 1] = -psi_l - theta_b
+    if np.count_nonzero(product):  # the A blocks, then the B blocks, in one kernel call
+        theta, s, _, _ = _rsvd_angles(np.stack([cms[product, :2, :2], cms[product, 2:, 2:]]))
+        l[product] = 0.5 * np.log(s[0] * s[1])
+        phi[product, 0] = theta_l - theta[0] - math.pi / 2.0
+        phi[product, 1] = -psi_l - theta[1]
     return y, product, l, phi
 
 
@@ -101,7 +100,7 @@ def _rate(l, s1: float, s2: float):
 
 def _rate_column(cms: np.ndarray, k) -> np.ndarray:
     """Optimal entanglement rate of each validated pure CM in a stack."""
-    _, s1, s2, _ = _rsvd_angles(generator(k).L)
+    _, s1, s2, _ = _rsvd_angles(_flow_l(_as_k(k)))
     return _rate(_rate_kernel(cms)[2], s1, s2)
 
 
@@ -144,7 +143,7 @@ def optimal_entanglement_rate(gamma, k) -> EntanglementRatePlan:
     states, where ``Y`` degenerates, they instead align the local squeezing
     axes of the two modes against the generator frame.
     """
-    theta_l, s1, s2, psi_l = (float(x) for x in _rsvd_angles(generator(k).L))
+    theta_l, s1, s2, psi_l = (float(x) for x in _rsvd_angles(_flow_l(_as_k(k))))
     cms = _one_cm(gamma, pure=True).cms
     y, product, l, phi = _rate_kernel(cms, theta_l, psi_l)
     l = float(l[0])
@@ -165,13 +164,13 @@ def entanglement_rate(gamma, k, o1, o2) -> float:
     interaction; the rate is ``tr(o1^T L o2 Y)``.  Requires an entangled pure
     state (the formula is singular for product states).
     """
-    gen = generator(k)
+    flow_l = _flow_l(_as_k(k))
     y, product, _ = _y_stack(_one_cm(gamma, pure=True).cms)
     if product[0]:
         raise ValueError("entanglement_rate needs an entangled state (det C < 0)")
     o1 = np.asarray(o1, dtype=float)
     o2 = np.asarray(o2, dtype=float)
-    return float(np.trace(o1.T @ gen.L @ o2 @ y[0]))
+    return float(np.trace(o1.T @ flow_l @ o2 @ y[0]))
 
 
 def squeezing_capability(k) -> float:

@@ -17,6 +17,7 @@ values of the two couplings.
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -49,6 +50,7 @@ __all__ = [
 
 _DEG_TOL = 1e-12
 _SLACK = 1e-12
+_pack = struct.Struct("3d").pack  # a protocol row (phi1, phi2, duration) as its bytes
 
 
 class DegenerateHamiltonianError(ValueError):
@@ -72,7 +74,7 @@ def _rsvd_pair(k, k_target):
     """``(k, k_target, theta, psi, s, sp)``: both couplings checked, ``K`` first, and their
     restricted SVD angles and singular values from one stacked kernel call."""
     k, k_target = _as_k(k), _as_k(k_target)
-    theta, s1, s2, psi = np.array(_rsvd_angles(np.stack([k, k_target]))).tolist()
+    theta, s1, s2, psi = np.array(_rsvd_angles(np.array([k, k_target]))).tolist()
     return k, k_target, theta, psi, *map(RestrictedSingularValues, s1, s2)
 
 
@@ -286,8 +288,11 @@ def effective_hamiltonian(plan: SimulationPlan) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_finite(pair: LocalRotationPair) -> None:
-    if not (math.isfinite(pair.phi1) and math.isfinite(pair.phi2)):
+def _check_rows(rows: np.ndarray) -> None:
+    """The step rule over rows ``(phi1, phi2, duration)``: finite durations >= 0, finite angles."""
+    if not ((rows[:, 2] >= 0.0) & (rows[:, 2] < math.inf)).all():
+        raise ValueError("protocol step durations must be finite and non-negative")
+    if not np.isfinite(rows[:, :2]).all():
         raise ValueError("protocol rotation angles must be finite")
 
 
@@ -299,14 +304,18 @@ class ProtocolStep:
     duration: float
 
     def __post_init__(self):
-        if not 0.0 <= self.duration < math.inf:
-            raise ValueError("protocol step durations must be finite and non-negative")
-        _check_finite(self.rotation)
+        _check_rows(np.array([[self.rotation.phi1, self.rotation.phi2, self.duration]]))
 
 
 def _key(slots: dict, rows, count: int) -> np.ndarray:
-    """Slot of every row ``(phi1, phi2, duration)`` in ``slots``, which gains each new value in turn."""
-    return np.fromiter((slots.setdefault(row, len(slots)) for row in rows), dtype=np.intp, count=count)
+    """Slot of every row ``(phi1, phi2, duration)`` in ``slots``, keyed by its bytes (so ``-0.0``
+    is not ``0.0``), which gains each new row in turn; :func:`_table` reads the rows back."""
+    return np.fromiter((slots.setdefault(_pack(*row), len(slots)) for row in rows), np.intp, count)
+
+
+def _table(slots: dict) -> np.ndarray:
+    """The rows keyed into ``slots`` by :func:`_key`, in order of first appearance."""
+    return np.frombuffer(b"".join(slots), dtype=float).reshape(-1, 3)
 
 
 def _json_row(i: int, step) -> tuple[float, float, float]:
@@ -372,7 +381,7 @@ class Protocol:
     A schedule cycles a few fixed windows, so a protocol stores each distinct
     step once: ``table`` has one row ``(phi1, phi2, duration)`` per distinct
     step, in order of first appearance, and ``index`` the row of every step.
-    Steps are keyed by value once, where the protocol is built:
+    Steps are keyed by their bytes once, where the protocol is built:
     ``Protocol(native_k, steps, final)`` keys a sequence of
     :class:`ProtocolStep`, and :meth:`from_dict` keys its JSON rows the same
     way.  The producers (``flip_strategy``, :func:`plan_to_protocol`,
@@ -387,9 +396,8 @@ class Protocol:
 
     def __init__(self, native_k, steps=(), final: LocalRotationPair = LocalRotationPair()):
         steps, slots = tuple(steps), {}
-        rows = ((s.rotation.phi1, s.rotation.phi2, s.duration) for s in steps)
-        index = _key(slots, rows, len(steps))
-        self._freeze(native_k, list(slots), index, final)
+        index = _key(slots, ((s.rotation.phi1, s.rotation.phi2, s.duration) for s in steps), len(steps))
+        self._freeze(native_k, _table(slots), index, final)
 
     @classmethod
     def from_table(cls, native_k, table, index, final: LocalRotationPair = LocalRotationPair()):
@@ -403,11 +411,7 @@ class Protocol:
 
     def _freeze(self, native_k, table, index, final: LocalRotationPair) -> None:
         table = np.array(table, dtype=float).reshape(-1, 3)
-        if not (np.isfinite(table).all() and (table[:, 2] >= 0.0).all()):
-            if not ((table[:, 2] >= 0.0) & (table[:, 2] < math.inf)).all():
-                raise ValueError("protocol step durations must be finite and non-negative")
-            raise ValueError("protocol rotation angles must be finite")
-        _check_finite(final)
+        _check_rows(np.vstack([table, (final.phi1, final.phi2, 0.0)]))
         index = np.asarray(index, dtype=np.intp)
         table.flags.writeable = index.flags.writeable = False
         for name, value in (("native_k", native_k), ("table", table), ("index", index), ("final", final)):
@@ -440,7 +444,7 @@ class Protocol:
         slots: dict = {}
         index = _key(slots, map(_json_row, range(len(steps)), steps), len(steps))
         final = LocalRotationPair(float(data["final"]["phi1"]), float(data["final"]["phi2"]))
-        return Protocol.from_table(native_k, list(slots), index, final)
+        return Protocol.from_table(native_k, _table(slots), index, final)
 
 
 def _trotterise(plan: SimulationPlan, slices: int, slots: dict, pending=None):
@@ -486,4 +490,4 @@ def plan_to_protocol(plan: SimulationPlan, slices: int) -> Protocol:
     """
     slots: dict = {}
     index, final = _trotterise(plan, slices, slots)
-    return Protocol.from_table(plan.native_k, list(slots), index, final)
+    return Protocol.from_table(plan.native_k, _table(slots), index, final)

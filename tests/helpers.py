@@ -48,6 +48,27 @@ def random_passive(n_modes, rng):
     return o
 
 
+def reference_rsvd_angles(m):
+    """``core._rsvd_angles`` as written with both ``np.where`` run on every call.
+
+    The kernel now skips them when no entry is degenerate; its four outputs
+    must stay bit-identical to this form.
+    """
+    m = np.asarray(m, dtype=float)
+    split = np.array([[1, 1, 0, 0], [0, 0, -1, 1], [0, 0, 1, 1], [1, -1, 0, 0]], dtype=float)
+    x = m.reshape(m.shape[:-2] + (4,)) @ split
+    h = np.hypot(x[..., :2], x[..., 2:]) / 2.0
+    angle = np.arctan2(x[..., 2:], x[..., :2])
+    q, r, alpha, beta = h[..., 0], h[..., 1], angle[..., 0], angle[..., 1]
+    s1 = q + r
+    degenerate = np.minimum(q, r) <= 0.5e-12 * s1
+    phi = alpha + beta
+    wrapped = phi - 2.0 * np.pi * np.ceil(phi / (2.0 * np.pi) - 0.5)
+    theta = np.where(degenerate, 0.0, wrapped / 2.0)
+    psi = np.where(degenerate & (r <= q), alpha, theta - beta)
+    return theta, s1, q - r, psi
+
+
 def two_mode_r(gamma):
     """Two-mode squeezing parameter from the reduced determinant (oracle path)."""
     det_a = np.linalg.det(np.asarray(gamma)[:2, :2])

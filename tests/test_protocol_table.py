@@ -149,6 +149,22 @@ class TestFromDict:
         run_protocol(vacuum_cm(), protocol)
 
 
+    def test_keeps_signed_zeros_apart(self):
+        """``from_dict`` then ``to_dict`` keeps the bytes of a file whose steps differ only in
+        the sign of a zero: rows are keyed by their bytes, not their values."""
+        steps = [(0.5, -0.0, 0.1), (0.5, 0.0, 0.1), (-0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.5, -0.0, 0.1)]
+        text = json.dumps(
+            {
+                "native_K": {"a": 1.0, "b": 0.0, "c": 0.0, "d": -0.0},
+                "steps": [{"phi1": phi1, "phi2": phi2, "t": t} for phi1, phi2, t in steps],
+                "final": {"phi1": -0.0, "phi2": 0.0},
+            }
+        )
+        protocol = Protocol.from_dict(json.loads(text))
+        assert json.dumps(protocol.to_dict()) == text
+        assert len(protocol.table) == 4 and protocol.index.tolist() == [0, 1, 2, 3, 0]
+
+
 class TestStepsView:
     def test_len_builds_no_step(self, monkeypatch):
         seq = decompose_gate(random_symplectic(np.random.default_rng(3), factors=2, tmax=0.5))
@@ -182,3 +198,14 @@ class TestStepsView:
             flip_strategy(H0, np.inf, 3)
         with pytest.raises(ValueError, match="rotation angles must be finite"):
             Protocol.from_table(H0, [(0.0, 0.0, 0.1), (np.nan, 0.0, 0.1)], [0, 1])
+
+    def test_steps_and_final_follow_the_same_rule(self):
+        for duration in (-0.1, np.inf, np.nan):
+            with pytest.raises(ValueError, match="durations must be finite and non-negative"):
+                ProtocolStep(LocalRotationPair(), duration)
+        with pytest.raises(ValueError, match="rotation angles must be finite"):
+            ProtocolStep(LocalRotationPair(0.0, np.inf), 0.1)
+        with pytest.raises(ValueError, match="rotation angles must be finite"):
+            Protocol(H0, (ProtocolStep(LocalRotationPair(), 0.1),), LocalRotationPair(np.nan, 0.0))
+        with pytest.raises(ValueError, match="durations must be finite and non-negative"):
+            Protocol.from_table(H0, [(np.nan, 0.0, -1.0)], [0], LocalRotationPair(np.nan, 0.0))
