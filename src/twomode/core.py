@@ -132,8 +132,25 @@ def k_to_dict(k: np.ndarray) -> dict:
 
 
 def k_from_dict(data: dict) -> np.ndarray:
-    """Inverse of :func:`k_to_dict`."""
-    return kmatrix(a=data["a"], b=data["b"], c=data["c"], d=data["d"])
+    """Inverse of :func:`k_to_dict`; a value of the wrong type names its key."""
+    if not isinstance(data, dict):
+        raise TypeError(f"coupling must be an object with keys a, b, c and d, not {type(data).__name__}")
+    entries = []
+    for key in "abcd":
+        try:
+            entries.append(np.asarray(data[key], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"coupling {key}: {exc}") from exc
+    return kmatrix(*entries)
+
+
+def _json_error(name: str, item, exc: Exception, shape: str) -> Exception:
+    """Error of JSON list entry ``name`` that raised ``exc``: not ``shape``, missing a key, or mistyped."""
+    if not isinstance(item, dict):
+        return TypeError(f"{name} must be {shape}, not {type(item).__name__}")
+    if isinstance(exc, KeyError):
+        return ValueError(f"{name}: missing key {exc}")
+    return type(exc)(f"{name}: {exc}")
 
 
 def _as_k(k) -> np.ndarray:

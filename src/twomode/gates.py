@@ -31,6 +31,7 @@ from .core import (
     LocalRotationPair,
     NotPassiveError,
     _as_k,
+    _json_error,
     _rsvd_angles,
     _wrap,
     apply_symplectic,
@@ -39,7 +40,7 @@ from .core import (
     evolve,
     restricted_svd,
 )
-from .simulate import Protocol, _degenerate_scale, _table, _trotterise, synthesize_plan
+from .simulate import Protocol, _degenerate_scale, _trotterise, synthesize_plan
 
 __all__ = [
     "RotationGate",
@@ -139,16 +140,26 @@ class GateSequence:
 
     @staticmethod
     def from_list(items: list[dict]) -> "GateSequence":
-        gates: list[GatePrimitive] = []
-        for item in items:
-            kind = item["kind"]
-            if kind == "rot":
-                gates.append(RotationGate(LocalRotationPair(float(item["phi1"]), float(item["phi2"]))))
-            elif kind in _COUPLING_GATES:
-                gates.append(_COUPLING_GATES[kind](float(item["t"]), bool(item.get("barred", False))))
-            else:
-                raise ValueError(f"unknown gate kind {kind!r}")
-        return GateSequence(tuple(gates))
+        """Inverse of :meth:`to_list`; a wrong type, a missing key or a bad value names the gate."""
+        if not isinstance(items, (list, tuple)):
+            raise TypeError(f"gates must be a list of objects, not {type(items).__name__}")
+        return GateSequence(tuple(map(_json_gate, range(len(items)), items)))
+
+
+def _json_gate(i: int, item) -> GatePrimitive:
+    """Gate ``i`` of a JSON gate list; ``barred`` is JSON ``true`` or ``false``, absent meaning false."""
+    try:
+        kind = item["kind"]
+        if kind == "rot":
+            return RotationGate(LocalRotationPair(float(item["phi1"]), float(item["phi2"])))
+        if kind not in _COUPLING_GATES:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        t, barred = float(item["t"]), item.get("barred", False)
+        if not isinstance(barred, bool):
+            raise ValueError(f"barred must be true or false, not {barred!r}")
+        return _COUPLING_GATES[kind](t, barred)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _json_error(f"gates[{i}]", item, exc, "an object with a kind key") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +366,9 @@ def compile_to_native(seq: GateSequence, k, slices: int = 200) -> Protocol:
     Each non-rotation primitive is simulated at its minimal interaction time;
     rotation primitives merge into the neighbouring schedule.  Negative gate
     durations are folded into the sign of the target coupling so all emitted
-    interaction windows are non-negative.  The pieces share one step table:
-    each keys its few distinct rows into it by their bytes, and the protocol's
-    index is the concatenation of the pieces' indices.
+    interaction windows are non-negative.  The protocol's rows are the
+    pieces' few rows in turn, and its index the pieces' indices, each offset
+    to its rows; :meth:`Protocol.from_table` keys them.
 
     Raises
     ------
@@ -368,20 +379,15 @@ def compile_to_native(seq: GateSequence, k, slices: int = 200) -> Protocol:
     k = _as_k(k)
     _degenerate_scale(restricted_svd(k).svals, None, "cannot simulate beam splitters and squeezers")
 
-    slots: dict = {}
-    parts = []
-    pending = LocalRotationPair()
+    rows, parts, pending = [], [], LocalRotationPair()
     for gate in seq.gates:
         if isinstance(gate, RotationGate):
             pending = gate.pair.compose(pending)
             continue
-        duration = gate.t
-        if abs(duration) <= 1e-15:
+        if abs(gate.t) <= 1e-15:
             continue
-        target = gate.coupling
-        if duration < 0:
-            target = -target
-            duration = -duration
-        part, pending = _trotterise(synthesize_plan(k, target, duration), slices, slots, pending)
-        parts.append(part)
-    return Protocol.from_table(k, _table(slots), np.concatenate(parts) if parts else (), pending)
+        target = -gate.coupling if gate.t < 0 else gate.coupling
+        head, part, pending = _trotterise(synthesize_plan(k, target, abs(gate.t)), slices, pending)
+        parts.append(part + len(rows))
+        rows += head
+    return Protocol.from_table(k, rows, np.concatenate(parts) if parts else (), pending)

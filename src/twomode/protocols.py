@@ -23,6 +23,7 @@ from .core import (
     LocalRotationPair,
     NotPassiveError,
     _as_k,
+    _flow_l,
     _pair_matrix,
     _rsvd_angles,
     _wrap,
@@ -30,7 +31,6 @@ from .core import (
     assert_passive,
     assert_valid_cm,
     evolve,
-    generator,
     pure_standard_form,
     restricted_svd,
     valid_cm_stack,
@@ -140,23 +140,25 @@ class Trajectory:
 def _prefix_scan(table: np.ndarray, index, gamma0: np.ndarray) -> np.ndarray:
     """CMs ``P_i gamma0 P_i^T`` for ``i = 0 .. len(index)``, ``P_i = table[index[i-1]] ... table[index[0]]``.
 
-    ``table[-1]`` must be the identity.  The scan carries factors, not CMs:
-    node ``i`` is the Gram product ``X_i X_i^T`` of ``X_i = P_i F``, with ``F``
-    the Cholesky factor of ``gamma0``; node 0 is ``gamma0`` itself.  A
-    two-level scan (Blelloch, CMU-CS-90-190): the ``n = len(index) + 1`` step
-    matrices (identity first) are gathered into ``ceil(n / w)`` chunks of
-    ``w = isqrt(n)``, padded with ``table[-1]``; the prefixes inside every chunk
-    are formed by ``w - 1`` matmuls stacked across chunks, and one pass over
-    the chunks multiplies them by the running factor and writes the chunk's
-    Gram products in place, so no second stack of ``n`` matrices is held.
+    ``table`` holds step matrices, and ``index`` must point into it: the
+    gather is not bounds-checked, since a checked one into ``out`` buffers a
+    copy of the whole stack.  The scan carries factors, not CMs: node ``i``
+    is the Gram product ``X_i X_i^T`` of ``X_i = P_i F``, with ``F`` the
+    Cholesky factor of ``gamma0``; node 0 is ``gamma0`` itself.  A two-level
+    scan (Blelloch, CMU-CS-90-190): the ``n = len(index) + 1`` step matrices
+    (identity first) are gathered into ``ceil(n / w)`` chunks of
+    ``w = isqrt(n)``, padded with the identity; the prefixes inside every
+    chunk are formed by ``w - 1`` matmuls stacked across chunks, and one pass
+    over the chunks multiplies them by the running factor and writes the
+    chunk's Gram products in place, so no second stack of ``n`` matrices is
+    held.
     """
     n = len(index) + 1
     w = math.isqrt(n)
-    chunks = -(-n // w)
-    gather = np.full(chunks * w, len(table) - 1, dtype=np.intp)
-    gather[1:n] = index
-    cms = np.take(table, gather, axis=0)
-    blocks = cms.reshape(chunks, w, 4, 4)
+    cms = np.empty((-(-n // w) * w, 4, 4))
+    cms[0] = cms[n:] = np.eye(4)
+    np.take(table, index, axis=0, out=cms[1:n], mode="clip")
+    blocks = cms.reshape(-1, w, 4, 4)
     for j in range(1, w):
         np.matmul(blocks[:, j], blocks[:, j - 1], out=blocks[:, j])
     total = np.linalg.cholesky(gamma0)
@@ -176,10 +178,9 @@ def run_protocol(gamma0, protocol: Protocol) -> Trajectory:
     Node ``i`` is ``P_i gamma0 P_i^T`` with ``P_i = M_i ... M_1`` the
     product of the step matrices ``M = S(duration) R`` ("rotation, then
     flow"); the trailing ``final`` rotation is applied to the last node.
-    The protocol was keyed once, where it was built: each row of its
-    ``table`` (a distinct step) is fused here, the flows of all rows from one
-    stacked :func:`~twomode.core.evolve`, and its ``index`` drives the factor
-    scan :func:`_prefix_scan`.
+    Each distinct step, a row of the protocol's ``table``, is fused here,
+    the flows of all rows from one stacked :func:`~twomode.core.evolve`, and
+    the protocol's ``index`` drives the factor scan :func:`_prefix_scan`.
     """
     k = _as_k(protocol.native_k)
     gamma0 = assert_valid_cm(gamma0)
@@ -187,10 +188,7 @@ def run_protocol(gamma0, protocol: Protocol) -> Trajectory:
     durations = np.ascontiguousarray(rows[:, 2])
     times = np.cumsum(np.concatenate([[0.0], durations[index]]))
     rotations = [_pair_matrix(phi1, phi2) for phi1, phi2 in rows[:, :2].tolist()]
-    table = np.empty((len(rows) + 1, 4, 4))
-    table[-1] = np.eye(4)
-    table[:-1] = evolve(k, durations) @ np.reshape(rotations, (-1, 4, 4))
-    cms = _prefix_scan(table, index, gamma0)
+    cms = _prefix_scan(evolve(k, durations) @ np.reshape(rotations, (-1, 4, 4)), index, gamma0)
     cms[-1] = apply_symplectic(protocol.final.matrix, cms[-1])
     return Trajectory(times, cms, k)
 
@@ -217,28 +215,28 @@ def flip_strategy(k, t: float, steps: int) -> Protocol:
     dt = t / steps
     index = np.full(steps, 1, dtype=np.intp)
     index[0] = 0
-    table = [(0.0, 0.0, dt), (_FLIP.phi1, _FLIP.phi2, dt)][: min(steps, 2)]
+    rows = [(0.0, 0.0, dt), (_FLIP.phi1, _FLIP.phi2, dt)][: min(steps, 2)]
     m, two_pi = (steps - 1) % 4, 2.0 * math.pi
     final = LocalRotationPair((-m * _FLIP.phi1) % two_pi, (-m * _FLIP.phi2) % two_pi)
-    return Protocol.from_table(k, table, index, final)
+    return Protocol.from_table(k, rows, index, final)
 
 
-def _neutral_flip_base(gamma, k) -> LocalRotationPair:
+def _neutral_flip_base(gamma, theta_l: float, psi_l: float) -> LocalRotationPair:
     """Rotation pair starting the rate-preserving squeezer schedule.
 
     On the rate plateau (local squeezing parameter near zero) the optimal
     rotations are degenerate; the gauge that keeps every node of the flip
-    cycle on the plateau is the canonical one evaluated in the state's
-    aligned frame, where the local standard-form factors are symmetric.  The
-    frame rotations (the orthogonal polar parts of the factors) are undone
-    first and folded into the returned pair, so the construction co-rotates
-    with the state.  ``pure_standard_form`` is the one check of ``gamma``.
+    cycle on the plateau is the canonical one, for the restricted SVD angles
+    ``theta_l``, ``psi_l`` of ``L``, evaluated in the state's aligned frame,
+    where the local standard-form factors are symmetric.  The frame rotations
+    (the orthogonal polar parts of the factors) are undone first and folded
+    into the returned pair, so the construction co-rotates with the state.
+    ``pure_standard_form`` is the one check of ``gamma``.
     """
     form = pure_standard_form(gamma)
     theta, _, _, psi = _rsvd_angles(np.stack([form.S1, form.S2]))
     undo = LocalRotationPair(*(-(theta + psi)).tolist())  # polar angles theta + psi
     aligned = apply_symplectic(undo.matrix, gamma)
-    theta_l, _, _, psi_l = _rsvd_angles(generator(k).L)
     phi = _rate_kernel(aligned[None], theta_l, psi_l)[3][0]
     return LocalRotationPair(*_wrap(phi).tolist()).compose(undo)
 
@@ -278,11 +276,10 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
         lock_band = 20.0 * float(np.max(np.diff(times))) if times.size > 1 else 0.0
     cms, last = np.empty((times.size, 4, 4)), times.size - 1
     cms[0] = valid_cm_stack(gamma0, pure=True).cms[0]
-    theta_l, _, _, psi_l = (float(x) for x in _rsvd_angles(generator(k).L))
+    theta_l, _, _, psi_l = (float(x) for x in _rsvd_angles(_flow_l(k)))
     dts, slot = np.unique(np.diff(times), return_inverse=True)
     flows = evolve(k, dts)
-    eye = np.eye(4)[None]  # identity last, for the scan
-    flips, coasts = np.concatenate([flows @ _FLIP.matrix, eye]), np.concatenate([flows, eye])
+    flips = flows @ _FLIP.matrix
 
     def coasting(l, phi):
         return (l > lock_band) & (np.abs(np.sin(phi @ _HALF_SUM_DIFF)).sum(axis=-1) <= _COAST_TOL)
@@ -309,10 +306,10 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
             cms[i + 1] = apply_symplectic(flows[slot[i]] @ _pair_matrix(*phi[0].tolist()), gamma)
             i += 1
             if coasting(l, phi)[0]:
-                i = stretch(coasts, i, coasting)
+                i = stretch(flows, i, coasting)
             continue
         start = i
-        cms[i + 1] = apply_symplectic(flows[slot[i]] @ _neutral_flip_base(gamma, k).matrix, gamma)
+        cms[i + 1] = apply_symplectic(flows[slot[i]] @ _neutral_flip_base(gamma, theta_l, psi_l).matrix, gamma)
         i = stretch(flips, i + 1, lambda l, phi: l <= lock_band)
         stretches.append((start, i - 1))
     return Trajectory(times=times, cms=cms, native_k=k, lock_stretches=stretches)

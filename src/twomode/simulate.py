@@ -17,9 +17,9 @@ values of the two couplings.
 from __future__ import annotations
 
 import math
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, count
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .core import (
     LocalRotationPair,
     RestrictedSingularValues,
     _as_k,
+    _json_error,
     _rsvd_angles,
     _wrap,
     k_from_dict,
@@ -50,7 +51,6 @@ __all__ = [
 
 _DEG_TOL = 1e-12
 _SLACK = 1e-12
-_pack = struct.Struct("3d").pack  # a protocol row (phi1, phi2, duration) as its bytes
 
 
 class DegenerateHamiltonianError(ValueError):
@@ -307,27 +307,12 @@ class ProtocolStep:
         _check_rows(np.array([[self.rotation.phi1, self.rotation.phi2, self.duration]]))
 
 
-def _key(slots: dict, rows, count: int) -> np.ndarray:
-    """Slot of every row ``(phi1, phi2, duration)`` in ``slots``, keyed by its bytes (so ``-0.0``
-    is not ``0.0``), which gains each new row in turn; :func:`_table` reads the rows back."""
-    return np.fromiter((slots.setdefault(_pack(*row), len(slots)) for row in rows), np.intp, count)
-
-
-def _table(slots: dict) -> np.ndarray:
-    """The rows keyed into ``slots`` by :func:`_key`, in order of first appearance."""
-    return np.frombuffer(b"".join(slots), dtype=float).reshape(-1, 3)
-
-
 def _json_row(i: int, step) -> tuple[float, float, float]:
-    """``(phi1, phi2, t)`` of JSON step ``i``; a value of the wrong type names the step."""
+    """``(phi1, phi2, t)`` of JSON step ``i``; a missing key or a wrong type names the step."""
     try:
         return float(step["phi1"]), float(step["phi2"]), float(step["t"])
-    except (TypeError, ValueError) as exc:
-        if isinstance(step, dict):
-            raise type(exc)(f"protocol steps[{i}]: {exc}") from exc
-        raise TypeError(
-            f"protocol steps[{i}] must be an object with keys phi1, phi2 and t, not {type(step).__name__}"
-        ) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _json_error(f"protocol steps[{i}]", step, exc, "an object with keys phi1, phi2 and t") from exc
 
 
 class ProtocolSteps(Sequence):
@@ -381,12 +366,11 @@ class Protocol:
     A schedule cycles a few fixed windows, so a protocol stores each distinct
     step once: ``table`` has one row ``(phi1, phi2, duration)`` per distinct
     step, in order of first appearance, and ``index`` the row of every step.
-    Steps are keyed by their bytes once, where the protocol is built:
-    ``Protocol(native_k, steps, final)`` keys a sequence of
-    :class:`ProtocolStep`, and :meth:`from_dict` keys its JSON rows the same
-    way.  The producers (``flip_strategy``, :func:`plan_to_protocol`,
-    ``compile_to_native``) hand their table and index to :meth:`from_table`.
-    ``steps`` is a read-only :class:`ProtocolSteps` view of ``table[index]``.
+    Rows are keyed by their bytes in one place, :meth:`from_table`: the
+    constructor hands it the rows of its :class:`ProtocolStep` sequence,
+    :meth:`from_dict` those of a JSON file, and ``flip_strategy``,
+    :func:`plan_to_protocol` and ``compile_to_native`` their few rows and an
+    index into them.  ``steps`` is a read-only view of ``table[index]``.
     """
 
     native_k: np.ndarray
@@ -395,27 +379,29 @@ class Protocol:
     final: LocalRotationPair
 
     def __init__(self, native_k, steps=(), final: LocalRotationPair = LocalRotationPair()):
-        steps, slots = tuple(steps), {}
-        index = _key(slots, ((s.rotation.phi1, s.rotation.phi2, s.duration) for s in steps), len(steps))
-        self._freeze(native_k, _table(slots), index, final)
+        rows = [(s.rotation.phi1, s.rotation.phi2, s.duration) for s in steps]
+        vars(self).update(vars(Protocol.from_table(native_k, rows, np.arange(len(rows)), final)))
 
     @classmethod
-    def from_table(cls, native_k, table, index, final: LocalRotationPair = LocalRotationPair()):
-        """Protocol whose step ``i`` is row ``index[i]`` of the distinct rows ``table``.
+    def from_table(cls, native_k, rows, index, final: LocalRotationPair = LocalRotationPair()):
+        """Protocol whose step ``i`` is row ``index[i]`` of ``rows``, rows ``(phi1, phi2, duration)``.
 
-        The rows are checked here, not keyed again; ``index`` is kept, read-only.
+        The rows need not be distinct: they are keyed by their bytes (so
+        ``-0.0`` is not ``0.0``), ``table`` keeps the distinct ones in order of
+        first appearance, checked once by the step rule, and ``index`` the
+        table row of every step.  Both are read-only.
         """
-        protocol = cls.__new__(cls)
-        protocol._freeze(native_k, table, index, final)
-        return protocol
-
-    def _freeze(self, native_k, table, index, final: LocalRotationPair) -> None:
-        table = np.array(table, dtype=float).reshape(-1, 3)
+        rows = np.ascontiguousarray(rows, dtype=float).reshape(-1, 3)
+        seen: dict = {}  # a row's bytes (so -0.0 is not 0.0) -> its first row, in order of appearance
+        first = np.fromiter(map(seen.setdefault, rows.view("V24").ravel().tolist(), count()), np.intp)
+        distinct = np.fromiter(seen.values(), np.intp, len(seen))
+        table, slot = rows[distinct], np.searchsorted(distinct, first)
         _check_rows(np.vstack([table, (final.phi1, final.phi2, 0.0)]))
-        index = np.asarray(index, dtype=np.intp)
+        index = slot[np.asarray(index, np.intp)]
         table.flags.writeable = index.flags.writeable = False
-        for name, value in (("native_k", native_k), ("table", table), ("index", index), ("final", final)):
-            object.__setattr__(self, name, value)
+        protocol = cls.__new__(cls)
+        vars(protocol).update(native_k=native_k, table=table, index=index, final=final)
+        return protocol
 
     @property
     def steps(self) -> ProtocolSteps:
@@ -441,26 +427,25 @@ class Protocol:
         steps = data["steps"]
         if not isinstance(steps, (list, tuple)):
             raise TypeError(f"protocol steps must be a list of objects, not {type(steps).__name__}")
-        slots: dict = {}
-        index = _key(slots, map(_json_row, range(len(steps)), steps), len(steps))
+        rows = np.fromiter(chain.from_iterable(map(_json_row, count(), steps)), float, 3 * len(steps))
         final = LocalRotationPair(float(data["final"]["phi1"]), float(data["final"]["phi2"]))
-        return Protocol.from_table(native_k, _table(slots), index, final)
+        return Protocol.from_table(native_k, rows, np.arange(len(steps)), final)
 
 
-def _trotterise(plan: SimulationPlan, slices: int, slots: dict, pending=None):
-    """``(index, final)`` of ``plan`` Trotterised into ``slices`` slices, its rows keyed into ``slots``.
+def _trotterise(plan: SimulationPlan, slices: int, pending=None):
+    """``(rows, index, final)`` of ``plan`` Trotterised into ``slices`` slices.
 
     Slice 1 holds the steps ``first``; every later slice repeats the cycle
-    ``(entry, *first[1:])``.  So only those at most five rows are keyed, in
-    order of first appearance, and the index is ``first`` followed by
-    ``slices - 1`` copies of the cycle.  ``pending``, if given, is composed
-    into the first step.
+    ``(entry, *first[1:])``.  So ``rows`` are those at most five steps,
+    ``first`` then ``entry``, and ``index`` points into them: ``first``
+    followed by ``slices - 1`` copies of the cycle.  ``pending``, if given,
+    is composed into the first step.
     """
     if slices < 1:
         raise ValueError("slices must be >= 1")
     terms = [t for t in plan.terms if t.weight > 0.0]
     if not terms:
-        return np.empty(0, dtype=np.intp), LocalRotationPair() if pending is None else pending
+        return [], np.empty(0, dtype=np.intp), LocalRotationPair() if pending is None else pending
     prevs = [LocalRotationPair(), *(term.rotations for term in terms)]
     head = [term.rotations.compose(prev.inverse()) for term, prev in zip(terms, prevs)]
     if pending is not None:
@@ -468,14 +453,10 @@ def _trotterise(plan: SimulationPlan, slices: int, slots: dict, pending=None):
     if slices > 1:
         head.append(terms[0].rotations.compose(prevs[-1].inverse()))
     durations = [term.weight * plan.t / slices for term in terms]
-    rows = ((pair.phi1, pair.phi2, duration) for pair, duration in zip(head, [*durations, durations[0]]))
-    ids = _key(slots, rows, len(head)).tolist()
-    n = len(terms)
-    index = np.empty((slices, n), dtype=np.intp)
-    index[0] = ids[:n]
-    if slices > 1:
-        index[1:] = ids[n:] + ids[1:n]
-    return index.reshape(-1), prevs[-1].inverse()
+    rows = [(pair.phi1, pair.phi2, duration) for pair, duration in zip(head, [*durations, durations[0]])]
+    index = np.tile(np.array([len(terms), *range(1, len(terms))], dtype=np.intp), slices)  # the cycles
+    index[0] = 0  # slice 1 starts with first[0], not entry
+    return rows, index, prevs[-1].inverse()
 
 
 def plan_to_protocol(plan: SimulationPlan, slices: int) -> Protocol:
@@ -488,6 +469,4 @@ def plan_to_protocol(plan: SimulationPlan, slices: int) -> Protocol:
     trailing rotation undoes the last one.  The schedule converges to the
     target flow at first order in ``1/slices``.
     """
-    slots: dict = {}
-    index, final = _trotterise(plan, slices, slots)
-    return Protocol.from_table(plan.native_k, _table(slots), index, final)
+    return Protocol.from_table(plan.native_k, *_trotterise(plan, slices))

@@ -308,7 +308,7 @@ def reference_greedy_rate_walk(gamma0, k, times, lock_band=None):
             rotation = _reference_optimal_rotations(gamma, ys, theta_l, psi_l).matrix
             locked = False
         elif not locked:
-            rotation = _neutral_flip_base(gamma, k).matrix
+            rotation = _neutral_flip_base(gamma, theta_l, psi_l).matrix
             locked = True
             stretches.append([i, i])
         else:

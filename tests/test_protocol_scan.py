@@ -27,7 +27,7 @@ from twomode.core import (
     vacuum_cm,
 )
 from twomode.gates import compile_to_native, decompose_gate
-from twomode.protocols import flip_strategy, run_protocol
+from twomode.protocols import _prefix_scan, flip_strategy, run_protocol
 from twomode.simulate import Protocol, ProtocolStep, plan_to_protocol, synthesize_plan
 
 _REL = 1e-10
@@ -105,3 +105,30 @@ class TestScanMatchesLoop:
             protocol = compile_to_native(seq, native, slices=300)
             for gamma0 in _start_states(rng):
                 assert_matches_reference(gamma0, protocol)
+
+
+class TestScanPadsItsOwnIdentity:
+    """``_prefix_scan`` is given step matrices only: no row of its table is the identity."""
+
+    @pytest.fixture
+    def table(self, rng):
+        return np.array([random_symplectic(rng, factors=2, tmax=0.4) for _ in range(3)])
+
+    def test_empty_index_gives_gamma0(self, rng, table):
+        gamma0 = random_pure_cm(rng)
+        for steps in (table, table[:0]):
+            cms = _prefix_scan(steps, np.empty(0, dtype=np.intp), gamma0)
+            assert cms.shape == (1, 4, 4) and cms.tobytes() == gamma0.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 16, 17, 99, 1000])
+    def test_nodes_are_the_step_products(self, rng, table, n):
+        gamma0 = random_pure_cm(rng)
+        index = rng.integers(0, len(table), size=n)
+        cms = _prefix_scan(table, index, gamma0)
+        assert cms.shape == (n + 1, 4, 4) and cms[0].tobytes() == gamma0.tobytes()
+        ref = [gamma0]
+        for i in index:
+            ref.append(apply_symplectic(table[i], ref[-1]))
+        ref = np.array(ref)
+        err = np.max(np.abs(cms - ref), axis=(1, 2))
+        assert np.all(err <= _REL * np.max(np.abs(ref), axis=(1, 2)))

@@ -209,3 +209,25 @@ class TestStepsView:
             Protocol(H0, (ProtocolStep(LocalRotationPair(), 0.1),), LocalRotationPair(np.nan, 0.0))
         with pytest.raises(ValueError, match="durations must be finite and non-negative"):
             Protocol.from_table(H0, [(np.nan, 0.0, -1.0)], [0], LocalRotationPair(np.nan, 0.0))
+
+
+class TestFromTableKeysRows:
+    def test_repeated_rows_are_keyed_by_their_bytes(self):
+        rows = [
+            (0.0, 0.5, 0.1),
+            (0.0, -0.0, 0.2),
+            (0.0, 0.5, 0.1),
+            (0.0, 0.0, 0.2),
+            (-0.0, 0.0, 0.2),
+            (0.0, -0.0, 0.2),
+        ]
+        index = [5, 0, 2, 3, 1, 4, 4, 3]
+        protocol = Protocol.from_table(H0, rows, index, LocalRotationPair(0.3, -0.0))
+        distinct, slot = [rows[0], rows[1], rows[3], rows[4]], [0, 1, 0, 2, 3, 1]
+        assert protocol.table.tobytes() == np.array(distinct).tobytes()
+        assert protocol.index.dtype == np.intp and protocol.index.tolist() == [slot[i] for i in index]
+
+        steps = [ProtocolStep(LocalRotationPair(rows[i][0], rows[i][1]), rows[i][2]) for i in index]
+        by_steps = Protocol(H0, steps, LocalRotationPair(0.3, -0.0))
+        assert by_steps.table.tobytes() == np.array([rows[5], rows[0], rows[3], rows[4]]).tobytes()
+        assert json.dumps(by_steps.to_dict()) == json.dumps(protocol.to_dict())

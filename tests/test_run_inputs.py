@@ -167,21 +167,26 @@ class TestWrongTypedJson:
         assert f"(in {path})" in err
 
     @pytest.mark.parametrize(
-        "command, option, data, key",
+        "command, option, data, reason",
         [
-            ("rsv", "--hamiltonian", {"a": 1.0, "b": 0.0, "c": 0.0}, "d"),
-            ("measure", "--state", {"gamma": [1.0] * 16}, "cm"),
-            ("run", "--strategy", {"native_K": _H0_DICT, "final": _FINAL}, "steps"),
-            ("run", "--strategy", {"native_K": _H0_DICT, "steps": [{"phi1": 0.0}]}, "phi2"),
+            ("rsv", "--hamiltonian", {"a": 1.0, "b": 0.0, "c": 0.0}, "missing key 'd'"),
+            ("measure", "--state", {"gamma": [1.0] * 16}, "missing key 'cm'"),
+            ("run", "--strategy", {"native_K": _H0_DICT, "final": _FINAL}, "missing key 'steps'"),
+            (
+                "run",
+                "--strategy",
+                {"native_K": _H0_DICT, "steps": [{"phi1": 0.0}]},
+                "protocol steps[0]: missing key 'phi2'",
+            ),
         ],
         ids=["coupling", "state", "protocol", "protocol-step"],
     )
-    def test_missing_key_is_named(self, tmp_path, command, option, data, key):
+    def test_missing_key_is_named(self, tmp_path, command, option, data, reason):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
         value = f"file:{path}" if option == "--strategy" else str(path)
         argv = [command, option, value] + (["--hamiltonian", "h0"] if command == "run" else [])
-        assert run_cli(argv) == (2, "", f"error: missing key '{key}' (in {path})\n")
+        assert run_cli(argv) == (2, "", f"error: {reason} (in {path})\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -203,6 +208,64 @@ class TestWrongTypedJson:
         assert (code, out) == (2, "")
         assert err.startswith("error: Expecting ") and err.endswith(f" (in {path})\n")
         assert err.count("\n") == 1
+
+
+_COUPLING_BAD_VALUE = "coupling a: float() argument must be a string or a real number, not 'dict'"
+
+
+class TestJsonFieldsAreNamed:
+    """A wrong type, a missing key or a bad value names the field and its position in the list."""
+
+    @pytest.mark.parametrize(
+        "command, data, reason",
+        [
+            ("rsv", [1, 2], "coupling must be an object with keys a, b, c and d, not list"),
+            ("rsv", {"a": {"x": 1}, "b": 0, "c": 0, "d": 0}, _COUPLING_BAD_VALUE),
+            ("compile", [5], "gates[0] must be an object with a kind key, not int"),
+            ("compile", {"x": 1}, "gates must be a list of objects, not dict"),
+            ("compile", [{"kind": "bs", "t": 0.1}, {"kind": "tms"}], "gates[1]: missing key 't'"),
+            ("compile", [{"kind": "rot", "phi1": 0.1}], "gates[0]: missing key 'phi2'"),
+            ("compile", [{"t": 0.1}], "gates[0]: missing key 'kind'"),
+            ("compile", [{"kind": "bs", "t": "x"}], "gates[0]: could not convert string to float: 'x'"),
+            ("compile", [{"kind": "bs", "t": 0.1}, {"kind": "swap"}], "gates[1]: unknown gate kind 'swap'"),
+            (
+                "run",
+                {"native_K": [1, 2], "steps": [_STEP], "final": _FINAL},
+                "coupling must be an object with keys a, b, c and d, not list",
+            ),
+            (
+                "run",
+                {"native_K": _H0_DICT, "steps": [_STEP, {"phi1": 0.0, "phi2": 0.0}], "final": _FINAL},
+                "protocol steps[1]: missing key 't'",
+            ),
+        ],
+    )
+    def test_reason_names_the_field(self, tmp_path, command, data, reason):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        option = {"rsv": "--hamiltonian", "compile": "--gate", "run": "--strategy"}[command]
+        value = f"file:{path}" if command == "run" else str(path)
+        argv = [command, option, value] + ([] if command == "rsv" else ["--hamiltonian", "h0"])
+        assert run_cli(argv) == (2, "", f"error: {reason} (in {path})\n")
+
+    @pytest.mark.parametrize("barred", ["false", "true", 0, 1, None, [False]])
+    def test_barred_is_json_true_or_false(self, tmp_path, barred):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps([{"kind": "bs", "t": 0.2}, {"kind": "tms", "t": 0.3, "barred": barred}]))
+        code, out, err = run_cli(["compile", "--hamiltonian", "h0", "--gate", str(path)])
+        reason = f"gates[1]: barred must be true or false, not {barred!r}"
+        assert (code, out, err) == (2, "", f"error: {reason} (in {path})\n")
+
+    def test_barred_false_is_the_default(self, tmp_path):
+        outputs = {}
+        for name, flag in (("absent", {}), ("false", {"barred": False}), ("true", {"barred": True})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps([{"kind": "tms", "t": 0.3, **flag}]))
+            code, outputs[name], err = run_cli(["compile", "--hamiltonian", "h0", "--gate", str(path)])
+            assert (code, err) == (0, "")
+        assert outputs["false"] == outputs["absent"] != outputs["true"]
+        gates = GateSequence.from_list([{"kind": "tms", "t": 0.3}, {"kind": "bs", "t": 0.1, "barred": True}])
+        assert [g.barred for g in gates.gates] == [False, True]
 
 
 class TestCouplingCheck:
