@@ -65,6 +65,13 @@ _PRESETS = {"h0": H0, "hbs": HBS, "htms": HTMS}
 #: ``tms:r/2``); past it purity and ``det gamma >= 1`` no longer survive round-off.
 _R_MAX = 6.5
 
+#: Each built-in ``--state`` kind: the number of values it takes, and that rule in words.
+_STATE_KINDS = {
+    "vacuum": (range(1), "vacuum takes no values"),
+    "squeezed": (range(1, 3), "squeezed:R1[,R2] takes one or two finite numbers"),
+    "tms": (range(1, 2), "tms:T takes one finite number"),
+}
+
 _FIG_HEADER = "t,E0_opt,E0_tms,E0_bare,rate_opt,rate_tms,rate_bare,rate_vacuum_ref,N_bound"
 
 
@@ -87,13 +94,6 @@ def _parse_hamiltonian(spec: str) -> np.ndarray:
     return _read_json(spec, k_from_dict)
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
-    return value
-
-
 def _check_range(spec: str, within: bool) -> None:
     """The one range rule of every ``--state``: no CM eigenvalue above ``e^_R_MAX`` (exit 3)."""
     if not within:
@@ -107,20 +107,23 @@ def _parse_state(spec: str, pure: bool = False) -> np.ndarray:
     """The CM ``spec`` names, checked once: built-in kinds are valid and pure as built."""
     kind, _, arg = spec.partition(":")
     kind = kind.lower()
+    if kind not in _STATE_KINDS:
+        return _read_json(spec, partial(_file_cm, spec, pure))
+    counts, usage = _STATE_KINDS[kind]
+    try:
+        values = [float(x) for x in arg.split(",")] if arg else []
+        if len(values) not in counts or not np.isfinite(values).all():
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{usage}, got {arg!r}") from None
     if kind == "vacuum":
         return vacuum_cm()
-    if kind == "squeezed":
-        parts = [_finite_float(x) for x in arg.split(",")] if arg else []
-        if len(parts) > 2:
-            raise ValueError(f"squeezed:R1[,R2] takes at most two values, got {arg!r}")
-        r1, r2 = parts + [0.0] * (2 - len(parts))
-        _check_range(spec, max(abs(r1), abs(r2)) <= _R_MAX)
-        return squeezed_product_cm(r1, r2)
     if kind == "tms":
-        t = _finite_float(arg)
-        _check_range(spec, 2.0 * abs(t) <= _R_MAX)
-        return two_mode_squeezed_cm(t)
-    return _read_json(spec, partial(_file_cm, spec, pure))
+        _check_range(spec, 2.0 * abs(values[0]) <= _R_MAX)
+        return two_mode_squeezed_cm(values[0])
+    r1, r2 = values + [0.0] * (2 - len(values))
+    _check_range(spec, max(abs(r1), abs(r2)) <= _R_MAX)
+    return squeezed_product_cm(r1, r2)
 
 
 def _file_cm(spec: str, pure: bool, data) -> np.ndarray:

@@ -132,25 +132,34 @@ def k_to_dict(k: np.ndarray) -> dict:
 
 
 def k_from_dict(data: dict) -> np.ndarray:
-    """Inverse of :func:`k_to_dict`; a value of the wrong type names its key."""
-    if not isinstance(data, dict):
-        raise TypeError(f"coupling must be an object with keys a, b, c and d, not {type(data).__name__}")
-    entries = []
-    for key in "abcd":
-        try:
-            entries.append(np.asarray(data[key], dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise type(exc)(f"coupling {key}: {exc}") from exc
-    return kmatrix(*entries)
+    """Inverse of :func:`k_to_dict`; a value that is not a number names its key."""
+    return kmatrix(*_json_numbers("coupling", [data], "abcd")[0])
 
 
-def _json_error(name: str, item, exc: Exception, shape: str) -> Exception:
-    """Error of JSON list entry ``name`` that raised ``exc``: not ``shape``, missing a key, or mistyped."""
-    if not isinstance(item, dict):
-        return TypeError(f"{name} must be {shape}, not {type(item).__name__}")
-    if isinstance(exc, KeyError):
-        return ValueError(f"{name}: missing key {exc}")
-    return type(exc)(f"{name}: {exc}")
+def _json_numbers(where: str, items, keys) -> np.ndarray:
+    """The numbers at ``keys`` of the JSON objects ``items``, one row of floats per object.
+
+    A number is an ``int`` or a ``float``, never a ``bool``.  Object ``i`` is named
+    ``where.format(i)`` when it is not an object, misses a key or holds a non-number.
+    """
+    try:  # one type check of every value; an object is named only if it fails
+        columns = [[item[key] for item in items] for key in keys]
+        if {type(value) for column in columns for value in column} <= {int, float}:
+            return np.array(columns, float).T
+    except (KeyError, TypeError):
+        pass
+    for i, item in enumerate(items):
+        for key in keys:
+            try:
+                value = item[key]
+            except KeyError:
+                raise ValueError(f"{where.format(i)}: missing key {key!r}") from None
+            except TypeError:
+                shape = f"an object with keys {', '.join(keys[:-1])} and {keys[-1]}"
+                raise TypeError(f"{where.format(i)} must be {shape}, not {type(item).__name__}") from None
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise TypeError(f"{where.format(i)}: {key} must be a number, not {type(value).__name__}")
+    return np.array(columns, float).T
 
 
 def _as_k(k) -> np.ndarray:
@@ -560,11 +569,12 @@ def matrix_to_list(m) -> list[float]:
 
 
 def matrix_from_list(values) -> np.ndarray:
-    """Inverse of :func:`matrix_to_list`: 16 row-major entries as a 4x4 matrix."""
-    values = np.asarray(values, dtype=float)
-    if values.size != 16:
-        raise ValueError(f"expected 16 entries, got {values.size}")
-    return values.reshape(4, 4)
+    """Inverse of :func:`matrix_to_list`: a list of 16 row-major numbers as a 4x4 matrix."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"matrix must be a list of 16 numbers, not {type(values).__name__}")
+    if len(values) != 16:
+        raise ValueError(f"expected 16 entries, got {len(values)}")
+    return _json_numbers("matrix", [values], range(16)).reshape(4, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .core import (
     LocalRotationPair,
     NotPassiveError,
     _as_k,
-    _json_error,
+    _json_numbers,
     _rsvd_angles,
     _wrap,
     apply_symplectic,
@@ -148,18 +148,20 @@ class GateSequence:
 
 def _json_gate(i: int, item) -> GatePrimitive:
     """Gate ``i`` of a JSON gate list; ``barred`` is JSON ``true`` or ``false``, absent meaning false."""
-    try:
-        kind = item["kind"]
-        if kind == "rot":
-            return RotationGate(LocalRotationPair(float(item["phi1"]), float(item["phi2"])))
-        if kind not in _COUPLING_GATES:
-            raise ValueError(f"unknown gate kind {kind!r}")
-        t, barred = float(item["t"]), item.get("barred", False)
-        if not isinstance(barred, bool):
-            raise ValueError(f"barred must be true or false, not {barred!r}")
-        return _COUPLING_GATES[kind](t, barred)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _json_error(f"gates[{i}]", item, exc, "an object with a kind key") from exc
+    where = f"gates[{i}]"
+    if not isinstance(item, dict):
+        raise TypeError(f"{where} must be an object with a kind key, not {type(item).__name__}")
+    if "kind" not in item:
+        raise ValueError(f"{where}: missing key 'kind'")
+    kind = item["kind"]
+    if kind == "rot":
+        return RotationGate(LocalRotationPair(*_json_numbers(where, [item], ("phi1", "phi2"))[0].tolist()))
+    if not isinstance(kind, str) or kind not in _COUPLING_GATES:
+        raise ValueError(f"{where}: unknown gate kind {kind!r}")
+    t, barred = _json_numbers(where, [item], ("t",)).item(), item.get("barred", False)
+    if not isinstance(barred, bool):
+        raise ValueError(f"{where}: barred must be true or false, not {barred!r}")
+    return _COUPLING_GATES[kind](t, barred)
 
 
 # ---------------------------------------------------------------------------

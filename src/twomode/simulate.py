@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import count
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .core import (
     LocalRotationPair,
     RestrictedSingularValues,
     _as_k,
-    _json_error,
+    _json_numbers,
     _rsvd_angles,
     _wrap,
     k_from_dict,
@@ -307,14 +307,6 @@ class ProtocolStep:
         _check_rows(np.array([[self.rotation.phi1, self.rotation.phi2, self.duration]]))
 
 
-def _json_row(i: int, step) -> tuple[float, float, float]:
-    """``(phi1, phi2, t)`` of JSON step ``i``; a missing key or a wrong type names the step."""
-    try:
-        return float(step["phi1"]), float(step["phi2"]), float(step["t"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _json_error(f"protocol steps[{i}]", step, exc, "an object with keys phi1, phi2 and t") from exc
-
-
 class ProtocolSteps(Sequence):
     """Read-only view of a protocol's steps: the ``table`` rows picked by ``index``.
 
@@ -423,13 +415,15 @@ class Protocol:
 
     @staticmethod
     def from_dict(data: dict) -> "Protocol":
-        native_k = k_from_dict(data["native_K"])
-        steps = data["steps"]
+        if not isinstance(data, dict):
+            kind = type(data).__name__
+            raise TypeError(f"protocol must be an object with keys native_K, steps and final, not {kind}")
+        native_k, steps = k_from_dict(data["native_K"]), data["steps"]
         if not isinstance(steps, (list, tuple)):
             raise TypeError(f"protocol steps must be a list of objects, not {type(steps).__name__}")
-        rows = np.fromiter(chain.from_iterable(map(_json_row, count(), steps)), float, 3 * len(steps))
-        final = LocalRotationPair(float(data["final"]["phi1"]), float(data["final"]["phi2"]))
-        return Protocol.from_table(native_k, rows, np.arange(len(steps)), final)
+        rows = _json_numbers("protocol steps[{}]", steps, ("phi1", "phi2", "t"))
+        final = _json_numbers("protocol final", [data["final"]], ("phi1", "phi2"))[0].tolist()
+        return Protocol.from_table(native_k, rows, np.arange(len(steps)), LocalRotationPair(*final))
 
 
 def _trotterise(plan: SimulationPlan, slices: int, pending=None):

@@ -255,6 +255,25 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "measure", "--state", "nonsense:1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [
+            ("vacuum:3", "vacuum takes no values, got '3'"),
+            ("squeezed", "squeezed:R1[,R2] takes one or two finite numbers, got ''"),
+            ("squeezed:", "squeezed:R1[,R2] takes one or two finite numbers, got ''"),
+            ("squeezed:1,2,3", "squeezed:R1[,R2] takes one or two finite numbers, got '1,2,3'"),
+            ("squeezed:0.5,", "squeezed:R1[,R2] takes one or two finite numbers, got '0.5,'"),
+            ("squeezed:nan", "squeezed:R1[,R2] takes one or two finite numbers, got 'nan'"),
+            ("tms", "tms:T takes one finite number, got ''"),
+            ("tms:", "tms:T takes one finite number, got ''"),
+            ("tms:0.1,0.2", "tms:T takes one finite number, got '0.1,0.2'"),
+            ("tms:x", "tms:T takes one finite number, got 'x'"),
+        ],
+    )
+    def test_state_spec_takes_exactly_its_values(self, capsys, spec, reason):
+        for argv in (["measure"], ["run", "--hamiltonian", "h0", "--t", "0.01"]):
+            assert run_cli(capsys, *argv, "--state", spec) == (2, "", f"error: {reason}\n")
+
     def test_unknown_command_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["definitely-not-a-command"])

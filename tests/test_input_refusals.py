@@ -192,8 +192,8 @@ class TestProtocolFileTypes:
             ({"a": 1}, "protocol steps must be a list of objects, not dict"),
             ([5], f"protocol steps[0] {_NOT_AN_OBJECT} int"),
             ([_STEP, _STEP, "abc"], f"protocol steps[2] {_NOT_AN_OBJECT} str"),
-            ([_STEP, {"phi1": [1], "phi2": 0.0, "t": 0.1}], "protocol steps[1]: float() argument"),
-            ([{"phi1": 0.0, "phi2": 0.0, "t": "soon"}], "protocol steps[0]: could not convert"),
+            ([_STEP, {"phi1": [1], "phi2": 0.0, "t": 0.1}], "protocol steps[1]: phi1 must be a number, not list"),
+            ([{"phi1": 0.0, "phi2": 0.0, "t": "soon"}], "protocol steps[0]: t must be a number, not str"),
         ],
     )
     def test_wrong_typed_steps_are_named(self, tmp_path, steps, named):

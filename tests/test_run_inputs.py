@@ -19,6 +19,7 @@ from twomode.core import (
     k_from_dict,
     k_to_dict,
     kmatrix,
+    matrix_from_list,
     restricted_svd,
 )
 from twomode.gates import GateSequence, compile_to_native
@@ -169,7 +170,7 @@ class TestWrongTypedJson:
     @pytest.mark.parametrize(
         "command, option, data, reason",
         [
-            ("rsv", "--hamiltonian", {"a": 1.0, "b": 0.0, "c": 0.0}, "missing key 'd'"),
+            ("rsv", "--hamiltonian", {"a": 1.0, "b": 0.0, "c": 0.0}, "coupling: missing key 'd'"),
             ("measure", "--state", {"gamma": [1.0] * 16}, "missing key 'cm'"),
             ("run", "--strategy", {"native_K": _H0_DICT, "final": _FINAL}, "missing key 'steps'"),
             (
@@ -210,7 +211,7 @@ class TestWrongTypedJson:
         assert err.count("\n") == 1
 
 
-_COUPLING_BAD_VALUE = "coupling a: float() argument must be a string or a real number, not 'dict'"
+_COUPLING_BAD_VALUE = "coupling: a must be a number, not dict"
 
 
 class TestJsonFieldsAreNamed:
@@ -226,7 +227,7 @@ class TestJsonFieldsAreNamed:
             ("compile", [{"kind": "bs", "t": 0.1}, {"kind": "tms"}], "gates[1]: missing key 't'"),
             ("compile", [{"kind": "rot", "phi1": 0.1}], "gates[0]: missing key 'phi2'"),
             ("compile", [{"t": 0.1}], "gates[0]: missing key 'kind'"),
-            ("compile", [{"kind": "bs", "t": "x"}], "gates[0]: could not convert string to float: 'x'"),
+            ("compile", [{"kind": "bs", "t": "x"}], "gates[0]: t must be a number, not str"),
             ("compile", [{"kind": "bs", "t": 0.1}, {"kind": "swap"}], "gates[1]: unknown gate kind 'swap'"),
             (
                 "run",
@@ -268,6 +269,107 @@ class TestJsonFieldsAreNamed:
         assert [g.barred for g in gates.gates] == [False, True]
 
 
+def _protocol(final=_FINAL, native_k=_H0_DICT, step=_STEP):
+    return {"native_K": native_k, "steps": [_STEP, step], "final": final}
+
+
+_IDENTITY = np.eye(4).ravel().tolist()
+_STEP_GATE = {"kind": "bs", "t": 0.1}
+
+# Every reader of a JSON number: its command and option, the file with ``bad`` in
+# one number's place, and the object and key that the refusal names.
+_NUMBER_READERS = {
+    "coupling": ("rsv", "--hamiltonian", lambda bad: {**_H0_DICT, "a": bad}, "coupling: a"),
+    "native_K": ("run", "--strategy", lambda bad: _protocol(native_k={**_H0_DICT, "d": bad}), "coupling: d"),
+    "step": ("run", "--strategy", lambda bad: _protocol(step={**_STEP, "t": bad}), "protocol steps[1]: t"),
+    "final": ("run", "--strategy", lambda bad: _protocol(final={"phi1": bad}), "protocol final: phi1"),
+    "rot": ("compile", "--gate", lambda bad: [{"kind": "rot", "phi1": 0, "phi2": bad}], "gates[0]: phi2"),
+    "gate-t": ("compile", "--gate", lambda bad: [_STEP_GATE, {"kind": "tms", "t": bad}], "gates[1]: t"),
+    "cm": ("measure", "--state", lambda bad: {"cm": [*_IDENTITY[:5], bad, *_IDENTITY[6:]]}, "matrix: 5"),
+    "decompose": ("decompose", "--gate", lambda bad: [*_IDENTITY[:15], bad], "matrix: 15"),
+}
+
+
+def _cli_on_json(directory, command, option, data):
+    """The path of a file holding ``data``, and exit code, stdout and stderr of ``command`` on it."""
+    path = directory / "input.json"
+    path.write_text(json.dumps(data))
+    value = f"file:{path}" if option == "--strategy" else str(path)
+    coupling = ["--hamiltonian", "h0"] if command in ("run", "compile") else []
+    return path, run_cli([command, option, value, *coupling])
+
+
+def _floats(data):
+    """``data`` with every JSON integer written as a float."""
+    if isinstance(data, dict):
+        return {key: _floats(value) for key, value in data.items()}
+    if isinstance(data, list):
+        return [_floats(value) for value in data]
+    return float(data) if type(data) is int else data
+
+
+class TestJsonNumbers:
+    """One rule reads every JSON number: an integer or a float, never a boolean."""
+
+    @pytest.mark.parametrize(
+        "bad, kind", [("1.5", "str"), (True, "bool"), (None, "NoneType"), ([1], "list"), ({"x": 1}, "dict")]
+    )
+    @pytest.mark.parametrize("reader", _NUMBER_READERS)
+    def test_a_value_that_is_not_a_number_is_named(self, tmp_path, reader, bad, kind):
+        command, option, build, named = _NUMBER_READERS[reader]
+        path, result = _cli_on_json(tmp_path, command, option, build(bad))
+        assert result == (2, "", f"error: {named} must be a number, not {kind} (in {path})\n")
+
+    @pytest.mark.parametrize(
+        "command, option, data, reason",
+        [
+            (
+                "run",
+                "--strategy",
+                [1, 2],
+                "protocol must be an object with keys native_K, steps and final, not list",
+            ),
+            (
+                "run",
+                "--strategy",
+                _protocol(final=5),
+                "protocol final must be an object with keys phi1 and phi2, not int",
+            ),
+            ("run", "--strategy", _protocol(final={"phi1": 0.0}), "protocol final: missing key 'phi2'"),
+            ("compile", "--gate", [{"kind": []}], "gates[0]: unknown gate kind []"),
+            ("compile", "--gate", [_STEP_GATE, {"kind": {"x": 1}}], "gates[1]: unknown gate kind {'x': 1}"),
+            ("measure", "--state", {"cm": {"a": 1}}, "matrix must be a list of 16 numbers, not dict"),
+            ("measure", "--state", {"cm": np.eye(4).tolist()}, "expected 16 entries, got 4"),
+        ],
+        ids=["protocol", "final-type", "final-key", "kind-list", "kind-object", "cm-object", "cm-nested"],
+    )
+    def test_a_wrong_shape_is_named(self, tmp_path, command, option, data, reason):
+        path, result = _cli_on_json(tmp_path, command, option, data)
+        assert result == (2, "", f"error: {reason} (in {path})\n")
+
+    @pytest.mark.parametrize(
+        "command, option, data",
+        [
+            ("rsv", "--hamiltonian", {"a": 1, "b": 0, "c": -2, "d": 0}),
+            ("measure", "--state", {"cm": _IDENTITY}),
+            ("run", "--strategy", _protocol({"phi1": 0, "phi2": 1}, step={"phi1": 1, "phi2": 0, "t": 2})),
+            ("compile", "--gate", [{"kind": "rot", "phi1": 1, "phi2": 0}, {"kind": "bs", "t": 1}]),
+            ("decompose", "--gate", _IDENTITY),
+        ],
+        ids=["coupling", "state", "protocol", "gates", "decompose"],
+    )
+    def test_integers_read_as_their_floats(self, tmp_path, command, option, data):
+        (tmp_path / "int").mkdir()
+        (tmp_path / "float").mkdir()
+        _, as_ints = _cli_on_json(tmp_path / "int", command, option, data)
+        _, as_floats = _cli_on_json(tmp_path / "float", command, option, _floats(data))
+        assert as_ints[0] == 0 and as_ints == as_floats
+
+    def test_numpy_floats_pass_the_library_readers(self):
+        assert np.array_equal(k_from_dict({key: np.float64(v) for key, v in _H0_DICT.items()}), H0)
+        assert np.array_equal(matrix_from_list(list(np.eye(4).ravel())), np.eye(4))
+
+
 class TestCouplingCheck:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_are_refused(self, bad):
@@ -290,7 +392,7 @@ class TestCouplingCheck:
     def test_vector_coefficients_are_refused(self):
         with pytest.raises(ValueError, match="coupling matrix must be 2x2"):
             kmatrix(*[[1.0, 2.0]] * 4)
-        with pytest.raises(ValueError, match="coupling matrix must be 2x2"):
+        with pytest.raises(TypeError, match="^coupling: a must be a number, not list$"):
             k_from_dict(dict.fromkeys("abcd", [1.0, 2.0]))
 
     def test_cli_refuses_a_nan_coupling_file(self, tmp_path):
