@@ -25,6 +25,7 @@ shared mutable state, so everything is safe to call concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -140,13 +141,14 @@ def _json_numbers(where: str, items, keys) -> np.ndarray:
     """The numbers at ``keys`` of the JSON objects ``items``, one row of floats per object.
 
     A number is an ``int`` or a ``float``, never a ``bool``.  Object ``i`` is named
-    ``where.format(i)`` when it is not an object, misses a key or holds a non-number.
+    ``where.format(i)`` when it is not an object, misses a key or holds a non-number
+    or an integer past the float range.
     """
     try:  # one type check of every value; an object is named only if it fails
         columns = [[item[key] for item in items] for key in keys]
         if {type(value) for column in columns for value in column} <= {int, float}:
             return np.array(columns, float).T
-    except (KeyError, TypeError):
+    except (KeyError, TypeError, OverflowError):
         pass
     for i, item in enumerate(items):
         for key in keys:
@@ -159,6 +161,8 @@ def _json_numbers(where: str, items, keys) -> np.ndarray:
                 raise TypeError(f"{where.format(i)} must be {shape}, not {type(item).__name__}") from None
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise TypeError(f"{where.format(i)}: {key} must be a number, not {type(value).__name__}")
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ValueError(f"{where.format(i)}: {key} is an integer past the float range")
     return np.array(columns, float).T
 
 

@@ -147,21 +147,26 @@ class GateSequence:
 
 
 def _json_gate(i: int, item) -> GatePrimitive:
-    """Gate ``i`` of a JSON gate list; ``barred`` is JSON ``true`` or ``false``, absent meaning false."""
+    """Gate ``i`` of a JSON gate list; its numbers are finite, ``barred`` is JSON ``true`` or ``false``."""
     where = f"gates[{i}]"
     if not isinstance(item, dict):
         raise TypeError(f"{where} must be an object with a kind key, not {type(item).__name__}")
     if "kind" not in item:
         raise ValueError(f"{where}: missing key 'kind'")
     kind = item["kind"]
-    if kind == "rot":
-        return RotationGate(LocalRotationPair(*_json_numbers(where, [item], ("phi1", "phi2"))[0].tolist()))
-    if not isinstance(kind, str) or kind not in _COUPLING_GATES:
+    if kind != "rot" and (not isinstance(kind, str) or kind not in _COUPLING_GATES):
         raise ValueError(f"{where}: unknown gate kind {kind!r}")
-    t, barred = _json_numbers(where, [item], ("t",)).item(), item.get("barred", False)
+    keys = ("phi1", "phi2") if kind == "rot" else ("t",)
+    values = _json_numbers(where, [item], keys)[0].tolist()
+    for key, value in zip(keys, values):
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: {key} must be finite")
+    if kind == "rot":
+        return RotationGate(LocalRotationPair(*values))
+    barred = item.get("barred", False)
     if not isinstance(barred, bool):
         raise ValueError(f"{where}: barred must be true or false, not {barred!r}")
-    return _COUPLING_GATES[kind](t, barred)
+    return _COUPLING_GATES[kind](*values, barred)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +375,7 @@ def compile_to_native(seq: GateSequence, k, slices: int = 200) -> Protocol:
     durations are folded into the sign of the target coupling so all emitted
     interaction windows are non-negative.  The protocol's rows are the
     pieces' few rows in turn, and its index the pieces' indices, each offset
-    to its rows; :meth:`Protocol.from_table` keys them.
+    to its rows; :class:`Protocol` keys them.
 
     Raises
     ------
@@ -392,4 +397,4 @@ def compile_to_native(seq: GateSequence, k, slices: int = 200) -> Protocol:
         head, part, pending = _trotterise(synthesize_plan(k, target, abs(gate.t)), slices, pending)
         parts.append(part + len(rows))
         rows += head
-    return Protocol.from_table(k, rows, np.concatenate(parts) if parts else (), pending)
+    return Protocol(k, rows, np.concatenate(parts) if parts else (), pending)

@@ -218,7 +218,7 @@ def flip_strategy(k, t: float, steps: int) -> Protocol:
     rows = [(0.0, 0.0, dt), (_FLIP.phi1, _FLIP.phi2, dt)][: min(steps, 2)]
     m, two_pi = (steps - 1) % 4, 2.0 * math.pi
     final = LocalRotationPair((-m * _FLIP.phi1) % two_pi, (-m * _FLIP.phi2) % two_pi)
-    return Protocol.from_table(k, rows, index, final)
+    return Protocol(k, rows, index, final)
 
 
 def _neutral_flip_base(gamma, theta_l: float, psi_l: float) -> LocalRotationPair:
@@ -270,8 +270,8 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
     """
     k = _as_k(k)
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be a strictly increasing 1-d grid")
+    if times.ndim != 1 or times.size < 1 or not np.isfinite(times).all() or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be a finite, strictly increasing 1-d grid")
     if lock_band is None:
         lock_band = 20.0 * float(np.max(np.diff(times))) if times.size > 1 else 0.0
     cms, last = np.empty((times.size, 4, 4)), times.size - 1

@@ -17,7 +17,6 @@ values of the two couplings.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -39,8 +38,6 @@ __all__ = [
     "InfeasibleTimeError",
     "PlanTerm",
     "SimulationPlan",
-    "ProtocolStep",
-    "ProtocolSteps",
     "Protocol",
     "can_simulate_efficiently",
     "min_simulation_time",
@@ -109,10 +106,16 @@ def _degenerate_scale(s, sp, refusal: str = "can only simulate locally equivalen
     raise DegenerateHamiltonianError(f"coupling with s1 = |s2| {refusal}")
 
 
+def _check_times(t_target: float, t: float | None = None) -> None:
+    """The time rule of both queries: ``t_target`` finite and >= 0, ``t``, if given, finite and > 0."""
+    if not 0.0 <= t_target < math.inf:
+        raise ValueError("t_target must be non-negative and finite")
+    if t is not None and not 0.0 < t < math.inf:
+        raise ValueError("total interaction time must be positive and finite")
+
+
 def _min_time(s, sp, t_target: float) -> float:
     """:func:`min_simulation_time` from the restricted singular values."""
-    if t_target < 0:
-        raise ValueError("t_target must be non-negative")
     rho = _degenerate_scale(s, sp)
     if rho is not None:
         return rho * t_target
@@ -128,6 +131,7 @@ def min_simulation_time(k, k_target, t_target: float) -> float:
     positive scale); anything else raises :class:`DegenerateHamiltonianError`.
     """
     *_, s, sp = _rsvd_pair(k, k_target)
+    _check_times(t_target)
     return _min_time(s, sp, t_target)
 
 
@@ -219,6 +223,7 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
         ``K_target`` after rescaling by ``kappa``.
     """
     k, k_target, theta, psi, s, sp = _rsvd_pair(k, k_target)
+    _check_times(t_target, t)
     # State rotations composed with the outer SVD factors of both couplings,
     # O1 = R_K R_i^T R'^T and O2 = S_K^T S_i S', as angles.
     offset = [theta[0] - theta[1], psi[1] - psi[0]]
@@ -228,8 +233,8 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
     if rho is not None:
         if t is None:
             t = rho * t_target if rho > 0 else t_target
-        if t <= 0:
-            raise ValueError("total interaction time must be positive")
+            if t == 0.0:
+                raise ValueError("total interaction time must be positive")
         if rho == 0.0:
             # Zero target: average the coupling with its sign-flipped copy.
             terms = (
@@ -244,8 +249,6 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
         t = _min_time(s, sp, t_target)
         if t == 0.0:
             t = t_target if t_target > 0 else 1.0
-    if t <= 0:
-        raise ValueError("total interaction time must be positive")
 
     kappa = t_target / t
     s1p, s2p = sp.s1 * kappa, sp.s2 * kappa
@@ -296,57 +299,6 @@ def _check_rows(rows: np.ndarray) -> None:
         raise ValueError("protocol rotation angles must be finite")
 
 
-@dataclass(frozen=True)
-class ProtocolStep:
-    """Rotation pair applied to the state, followed by ``duration`` of coupling."""
-
-    rotation: LocalRotationPair
-    duration: float
-
-    def __post_init__(self):
-        _check_rows(np.array([[self.rotation.phi1, self.rotation.phi2, self.duration]]))
-
-
-class ProtocolSteps(Sequence):
-    """Read-only view of a protocol's steps: the ``table`` rows picked by ``index``.
-
-    ``len`` reads ``len(index)`` and builds no step.  Indexing, slicing and
-    iteration build one :class:`ProtocolStep` per distinct row they reach;
-    a view equals any sequence of equal steps, a tuple included.
-    """
-
-    __slots__ = ("_table", "_index")
-
-    def __init__(self, table: np.ndarray, index: np.ndarray):
-        self._table, self._index = table, index
-
-    def _steps(self, rows: list[int]) -> list[ProtocolStep]:
-        distinct = list(dict.fromkeys(rows))
-        made = {
-            row: ProtocolStep(LocalRotationPair(phi1, phi2), duration)
-            for row, (phi1, phi2, duration) in zip(distinct, self._table[distinct].tolist())
-        }
-        return [made[row] for row in rows]
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self._steps(self._index[i].tolist()))
-        return self._steps([self._index[i].item()])[0]
-
-    def __iter__(self):
-        return iter(self._steps(self._index.tolist()))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class Protocol:
     """Finite ordered schedule of rotations and interaction windows.
@@ -356,13 +308,14 @@ class Protocol:
     trailing ``final`` rotation pair.
 
     A schedule cycles a few fixed windows, so a protocol stores each distinct
-    step once: ``table`` has one row ``(phi1, phi2, duration)`` per distinct
-    step, in order of first appearance, and ``index`` the row of every step.
-    Rows are keyed by their bytes in one place, :meth:`from_table`: the
-    constructor hands it the rows of its :class:`ProtocolStep` sequence,
-    :meth:`from_dict` those of a JSON file, and ``flip_strategy``,
+    step once.  Step ``i`` is row ``index[i]`` of ``rows`` ``(phi1, phi2,
+    duration)``, which need not be distinct: the constructor keys them by
+    their bytes (so ``-0.0`` is not ``0.0``), keeps the distinct ones in
+    ``table`` in order of first appearance, checked once by the step rule,
+    and the table row of every step in ``index``.  Both are read-only.
+    :meth:`from_dict` passes the rows of a JSON file, and ``flip_strategy``,
     :func:`plan_to_protocol` and ``compile_to_native`` their few rows and an
-    index into them.  ``steps`` is a read-only view of ``table[index]``.
+    index into them.
     """
 
     native_k: np.ndarray
@@ -370,19 +323,7 @@ class Protocol:
     index: np.ndarray
     final: LocalRotationPair
 
-    def __init__(self, native_k, steps=(), final: LocalRotationPair = LocalRotationPair()):
-        rows = [(s.rotation.phi1, s.rotation.phi2, s.duration) for s in steps]
-        vars(self).update(vars(Protocol.from_table(native_k, rows, np.arange(len(rows)), final)))
-
-    @classmethod
-    def from_table(cls, native_k, rows, index, final: LocalRotationPair = LocalRotationPair()):
-        """Protocol whose step ``i`` is row ``index[i]`` of ``rows``, rows ``(phi1, phi2, duration)``.
-
-        The rows need not be distinct: they are keyed by their bytes (so
-        ``-0.0`` is not ``0.0``), ``table`` keeps the distinct ones in order of
-        first appearance, checked once by the step rule, and ``index`` the
-        table row of every step.  Both are read-only.
-        """
+    def __init__(self, native_k, rows, index, final: LocalRotationPair = LocalRotationPair()):
         rows = np.ascontiguousarray(rows, dtype=float).reshape(-1, 3)
         seen: dict = {}  # a row's bytes (so -0.0 is not 0.0) -> its first row, in order of appearance
         first = np.fromiter(map(seen.setdefault, rows.view("V24").ravel().tolist(), count()), np.intp)
@@ -391,24 +332,23 @@ class Protocol:
         _check_rows(np.vstack([table, (final.phi1, final.phi2, 0.0)]))
         index = slot[np.asarray(index, np.intp)]
         table.flags.writeable = index.flags.writeable = False
-        protocol = cls.__new__(cls)
-        vars(protocol).update(native_k=native_k, table=table, index=index, final=final)
-        return protocol
+        vars(self).update(native_k=native_k, table=table, index=index, final=final)
 
     @property
-    def steps(self) -> ProtocolSteps:
-        return ProtocolSteps(self.table, self.index)
+    def steps(self) -> np.ndarray:
+        """The ``(len(index), 3)`` rows ``(phi1, phi2, duration)`` of every step."""
+        return np.take(self.table, self.index, axis=0)
 
     @property
     def total_time(self) -> float:
-        return float(sum(self.table[self.index, 2].tolist()))
+        return float(sum(self.steps[:, 2].tolist()))
 
     def to_dict(self) -> dict:
         return {
             "native_K": k_to_dict(self.native_k),
             "steps": [
                 {"phi1": phi1, "phi2": phi2, "t": duration}
-                for phi1, phi2, duration in self.table[self.index].tolist()
+                for phi1, phi2, duration in self.steps.tolist()
             ],
             "final": {"phi1": float(self.final.phi1), "phi2": float(self.final.phi2)},
         }
@@ -423,7 +363,7 @@ class Protocol:
             raise TypeError(f"protocol steps must be a list of objects, not {type(steps).__name__}")
         rows = _json_numbers("protocol steps[{}]", steps, ("phi1", "phi2", "t"))
         final = _json_numbers("protocol final", [data["final"]], ("phi1", "phi2"))[0].tolist()
-        return Protocol.from_table(native_k, rows, np.arange(len(steps)), LocalRotationPair(*final))
+        return Protocol(native_k, rows, np.arange(len(steps)), LocalRotationPair(*final))
 
 
 def _trotterise(plan: SimulationPlan, slices: int, pending=None):
@@ -463,4 +403,4 @@ def plan_to_protocol(plan: SimulationPlan, slices: int) -> Protocol:
     trailing rotation undoes the last one.  The schedule converges to the
     target flow at first order in ``1/slices``.
     """
-    return Protocol.from_table(plan.native_k, *_trotterise(plan, slices))
+    return Protocol(plan.native_k, *_trotterise(plan, slices))

@@ -15,6 +15,12 @@ def random_rotation_pair(rng):
     return LocalRotationPair(float(phi[0]), float(phi[1]))
 
 
+def random_rows(rng, durations):
+    """Protocol rows ``(phi1, phi2, duration)``: one random rotation pair per duration."""
+    pairs = [(random_rotation_pair(rng), float(d)) for d in durations]
+    return [(pair.phi1, pair.phi2, d) for pair, d in pairs]
+
+
 def random_symplectic(rng, factors=3, tmax=1.0):
     """Product of random coupling flows and local rotations."""
     s = np.eye(4)
@@ -149,50 +155,41 @@ def lapack_restricted_svd(k):
 
 
 def reference_plan_schedule(plan, slices):
-    """Per-window reference loop for ``simulate.plan_to_protocol``: ``(steps, final)``."""
-    from twomode.simulate import ProtocolStep
-
+    """Per-window reference loop for ``simulate.plan_to_protocol``: ``(rows, final)``,
+    one row ``(phi1, phi2, duration)`` per step."""
     terms = [t for t in plan.terms if t.weight > 0.0]
     if not terms:
-        return (), LocalRotationPair()
-    steps = []
+        return [], LocalRotationPair()
+    rows = []
     prev = LocalRotationPair()
     for _ in range(slices):
         for term in terms:
             quotient = term.rotations.compose(prev.inverse())
-            steps.append(ProtocolStep(quotient, term.weight * plan.t / slices))
+            rows.append((quotient.phi1, quotient.phi2, term.weight * plan.t / slices))
             prev = term.rotations
-    return tuple(steps), prev.inverse()
-
-
-def reference_plan_to_protocol(plan, slices):
-    """Per-window reference loop for ``simulate.plan_to_protocol``."""
-    from twomode.simulate import Protocol
-
-    return Protocol(plan.native_k, *reference_plan_schedule(plan, slices))
+    return rows, prev.inverse()
 
 
 def reference_flip_schedule(t, steps):
-    """Per-step reference for ``protocols.flip_strategy``: ``(steps, final)``."""
+    """Per-step reference for ``protocols.flip_strategy``: ``(rows, final)``."""
     from twomode.protocols import _FLIP
-    from twomode.simulate import ProtocolStep
 
     dt = t / steps
-    schedule = (ProtocolStep(LocalRotationPair(), dt),) + (ProtocolStep(_FLIP, dt),) * (steps - 1)
+    rows = [(0.0, 0.0, dt)] + [(_FLIP.phi1, _FLIP.phi2, dt)] * (steps - 1)
     m = (steps - 1) % 4
-    return schedule, LocalRotationPair((-m * _FLIP.phi1) % (2 * np.pi), (-m * _FLIP.phi2) % (2 * np.pi))
+    return rows, LocalRotationPair((-m * _FLIP.phi1) % (2 * np.pi), (-m * _FLIP.phi2) % (2 * np.pi))
 
 
 def reference_compile_schedule(seq, k, slices):
-    """Per-step reference loop for ``gates.compile_to_native``: ``(steps, final)``.
+    """Per-step reference loop for ``gates.compile_to_native``: ``(rows, final)``.
 
     Each gate's schedule comes from :func:`reference_plan_schedule`; its
     first step absorbs the rotations pending before it.
     """
     from twomode.gates import RotationGate
-    from twomode.simulate import ProtocolStep, synthesize_plan
+    from twomode.simulate import synthesize_plan
 
-    steps, pending = [], LocalRotationPair()
+    rows, pending = [], LocalRotationPair()
     for gate in seq.gates:
         if isinstance(gate, RotationGate):
             pending = gate.pair.compose(pending)
@@ -203,34 +200,33 @@ def reference_compile_schedule(seq, k, slices):
         if duration < 0:
             target, duration = -target, -duration
         piece, final = reference_plan_schedule(synthesize_plan(k, target, duration), slices)
-        steps.append(ProtocolStep(piece[0].rotation.compose(pending), piece[0].duration))
-        steps.extend(piece[1:])
+        phi1, phi2, first = piece[0]
+        entry = LocalRotationPair(phi1, phi2).compose(pending)
+        rows.append((entry.phi1, entry.phi2, first))
+        rows.extend(piece[1:])
         pending = final
-    return tuple(steps), pending
+    return rows, pending
 
 
-def reference_key_steps(steps):
-    """Value keying of a step sequence, the pass ``run_protocol`` made on every call
-    before protocols carried their table.
+def reference_key_steps(rows):
+    """Value keying of per-step rows ``(phi1, phi2, duration)``, the pass ``run_protocol``
+    made on every call before protocols carried their table.
 
-    Returns ``(table, index)``: the distinct rows ``(phi1, phi2, duration)`` in
-    order of first appearance, and the row of every step.
+    Returns ``(table, index)``: the distinct rows in order of first appearance,
+    and the row of every step.
     """
     slots = {}
-    index = [slots.setdefault((s.rotation.phi1, s.rotation.phi2, s.duration), len(slots)) for s in steps]
+    index = [slots.setdefault(tuple(row), len(slots)) for row in rows]
     return np.array(list(slots), dtype=float).reshape(-1, 3), np.array(index, dtype=np.intp)
 
 
-def reference_protocol_dict(k, steps, final):
+def reference_protocol_dict(k, rows, final):
     """``Protocol.to_dict`` written one step at a time."""
     from twomode.core import k_to_dict
 
     return {
         "native_K": k_to_dict(k),
-        "steps": [
-            {"phi1": float(s.rotation.phi1), "phi2": float(s.rotation.phi2), "t": float(s.duration)}
-            for s in steps
-        ],
+        "steps": [{"phi1": float(phi1), "phi2": float(phi2), "t": float(t)} for phi1, phi2, t in rows],
         "final": {"phi1": float(final.phi1), "phi2": float(final.phi2)},
     }
 
@@ -242,16 +238,17 @@ def reference_run_protocol(gamma0, protocol):
     ``apply_symplectic``, then the trailing rotation to the last node.
     Returns ``(times, cms)``.
     """
-    cms = np.empty((len(protocol.steps) + 1, 4, 4))
+    rows = [tuple(row) for row in protocol.steps.tolist()]
+    cms = np.empty((len(rows) + 1, 4, 4))
     cms[0] = gamma = assert_valid_cm(gamma0)
     fused = {}
-    for i, step in enumerate(protocol.steps, start=1):
-        key = (step.rotation.phi1, step.rotation.phi2, step.duration)
-        if key not in fused:
-            fused[key] = evolve(protocol.native_k, step.duration) @ step.rotation.matrix
-        cms[i] = gamma = apply_symplectic(fused[key], gamma)
+    for i, (phi1, phi2, duration) in enumerate(rows, start=1):
+        if (phi1, phi2, duration) not in fused:
+            rotation = LocalRotationPair(phi1, phi2).matrix
+            fused[phi1, phi2, duration] = evolve(protocol.native_k, duration) @ rotation
+        cms[i] = gamma = apply_symplectic(fused[phi1, phi2, duration], gamma)
     cms[-1] = apply_symplectic(protocol.final.matrix, cms[-1])
-    return np.cumsum([0.0, *(step.duration for step in protocol.steps)]), cms
+    return np.cumsum([0.0, *(duration for _, _, duration in rows)]), cms
 
 
 def _reference_local_squeezing(cms, ys):

@@ -12,7 +12,7 @@ from helpers import (
     random_coupling,
     random_passive,
     random_pure_cm,
-    random_rotation_pair,
+    random_rows,
     random_symplectic,
 )
 from twomode.core import (
@@ -41,7 +41,6 @@ from twomode.protocols import (
 from twomode.rates import optimal_entanglement_rate, optimal_squeezing_rate
 from twomode.simulate import (
     Protocol,
-    ProtocolStep,
     effective_hamiltonian,
     min_simulation_time,
     plan_to_protocol,
@@ -235,10 +234,7 @@ def test_criterion_10_no_strategy_beats_the_bounds():
             gamma = squeezed_product_cm(r1, r2)
             t_total = float(rng.uniform(0.2, 1.2))
             durations = rng.dirichlet(np.ones(10)) * t_total
-            steps = tuple(
-                ProtocolStep(random_rotation_pair(rng), float(d)) for d in durations
-            )
-            traj = run_protocol(gamma, Protocol(k, steps))
+            traj = run_protocol(gamma, Protocol(k, random_rows(rng, durations), np.arange(10)))
             s_bound, n_bound = finite_time_bounds(k, t_total, r1, r2)
             assert squeezing(traj.final).squeezing <= s_bound * (1 + 1e-9)
             assert negativity(traj.final) <= n_bound * (1 + 1e-9)

@@ -269,7 +269,7 @@ class TestCompileToNative:
     def test_negative_durations_folded(self):
         seq = GateSequence((TwoModeSqueezerGate(-0.3),))
         protocol = compile_to_native(seq, H0, slices=100)
-        assert all(step.duration >= 0.0 for step in protocol.steps)
+        assert (protocol.steps[:, 2] >= 0.0).all()
         traj = run_protocol(vacuum_cm(), protocol)
         target = apply_symplectic(evolve(HTMS, -0.3), vacuum_cm())
         assert np.max(np.abs(traj.final - target)) < 5e-3

@@ -139,6 +139,11 @@ class TestMalformedInputs:
         with pytest.raises(ValueError, match="strictly increasing"):
             greedy_rate_walk(vacuum_cm(), H0, np.array([0.0, 0.2, 0.1]))
 
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, np.inf], [np.nan], [-np.inf, 0.0]])
+    def test_greedy_walk_needs_a_finite_grid(self, times):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            greedy_rate_walk(vacuum_cm(), H0, np.array(times))
+
     def test_negative_ancilla_count(self):
         with pytest.raises(ValueError, match="n_anc must be >= 0"):
             extend_with_ancillas(vacuum_cm(), -1)
@@ -163,7 +168,7 @@ class TestScheduleEdges:
     def test_plan_without_weight_gives_an_empty_protocol(self):
         plan = SimulationPlan(H0, H0, 1.0, 1.0, (PlanTerm(0.0, LocalRotationPair(0.3, 0.1)),))
         protocol = plan_to_protocol(plan, 4)
-        assert protocol.steps == () and protocol.final == LocalRotationPair()
+        assert protocol.steps.shape == (0, 3) and protocol.final == LocalRotationPair()
 
 
 class TestBoundsTime:

@@ -15,6 +15,7 @@ from helpers import (
     random_coupling,
     random_pure_cm,
     random_rotation_pair,
+    random_rows,
     random_symplectic,
     reference_run_protocol,
 )
@@ -28,7 +29,7 @@ from twomode.core import (
 )
 from twomode.gates import compile_to_native, decompose_gate
 from twomode.protocols import _prefix_scan, flip_strategy, run_protocol
-from twomode.simulate import Protocol, ProtocolStep, plan_to_protocol, synthesize_plan
+from twomode.simulate import Protocol, plan_to_protocol, synthesize_plan
 
 _REL = 1e-10
 
@@ -60,9 +61,9 @@ def _random_protocol(rng, n_steps):
     """``n_steps`` steps drawn from 3-5 distinct (rotation, duration) pairs, one of duration 0."""
     distinct = int(rng.integers(3, 6))
     durations = [0.0, *rng.uniform(0.0, 0.05, size=distinct - 1)]
-    menu = [ProtocolStep(random_rotation_pair(rng), float(d)) for d in durations]
-    steps = tuple(menu[i] for i in rng.integers(0, distinct, size=n_steps))
-    return Protocol(random_coupling(rng), steps, random_rotation_pair(rng))
+    menu = random_rows(rng, durations)
+    index = rng.integers(0, distinct, size=n_steps)
+    return Protocol(random_coupling(rng), [menu[i] for i in index], np.arange(n_steps), random_rotation_pair(rng))
 
 
 class TestScanMatchesLoop:
@@ -79,8 +80,7 @@ class TestScanMatchesLoop:
             assert_matches_reference(random_pure_cm(rng), _random_protocol(rng, n_steps))
 
     def test_all_zero_durations(self, rng):
-        steps = tuple(ProtocolStep(random_rotation_pair(rng), 0.0) for _ in range(30))
-        protocol = Protocol(H0, steps, random_rotation_pair(rng))
+        protocol = Protocol(H0, random_rows(rng, [0.0] * 30), np.arange(30), random_rotation_pair(rng))
         assert_matches_reference(random_pure_cm(rng), protocol)
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 100, 1000, 10_000])

@@ -4,9 +4,8 @@ Every producer (``flip_strategy``, ``plan_to_protocol``, ``compile_to_native``,
 ``Protocol.from_dict``) must give the ``table`` and ``index`` that value
 keying of its per-step schedule gives (``helpers.reference_key_steps``), in
 order of first appearance.  A run of the protocol must be bit-identical to a
-run on the oracle's table, and ``total_time`` and the ``to_dict`` JSON bytes
-must equal the per-step reference.  ``steps`` is a read-only view that
-builds no step for ``len``.
+run on the oracle's table, and ``steps``, ``total_time`` and the ``to_dict``
+JSON bytes must equal the per-step reference.
 """
 
 import json
@@ -14,11 +13,11 @@ import json
 import numpy as np
 import pytest
 
-import twomode.simulate
 from helpers import (
     random_coupling,
     random_pure_cm,
     random_rotation_pair,
+    random_rows,
     random_symplectic,
     reference_compile_schedule,
     reference_flip_schedule,
@@ -26,39 +25,27 @@ from helpers import (
     reference_plan_schedule,
     reference_protocol_dict,
 )
-from twomode.core import H0, HBS, LocalRotationPair, vacuum_cm
+from twomode.core import H0, HBS, LocalRotationPair
 from twomode.gates import compile_to_native, decompose_gate
 from twomode.protocols import flip_strategy, run_protocol
-from twomode.simulate import Protocol, ProtocolStep, plan_to_protocol, synthesize_plan
+from twomode.simulate import Protocol, plan_to_protocol, synthesize_plan
 
 
-def assert_carries_the_oracle_table(protocol, k, steps, final, gamma0):
-    """Table, index, run, total time and JSON bytes of ``protocol`` against the per-step ``steps``."""
-    table, index = reference_key_steps(steps)
+def assert_carries_the_oracle_table(protocol, k, rows, final, gamma0):
+    """Table, index, steps, run, total time and JSON bytes of ``protocol`` against the per-step ``rows``."""
+    table, index = reference_key_steps(rows)
     assert protocol.table.tobytes() == table.tobytes() and protocol.table.shape == table.shape
     assert protocol.index.dtype == np.intp and np.array_equal(protocol.index, index)
     assert protocol.final == final
+    steps = np.array(rows, dtype=float).reshape(-1, 3)
+    assert protocol.steps.shape == steps.shape and protocol.steps.tobytes() == steps.tobytes()
 
     traj = run_protocol(gamma0, protocol)
-    ref = run_protocol(gamma0, Protocol.from_table(k, table, index, final))
+    ref = run_protocol(gamma0, Protocol(k, table, index, final))
     assert np.array_equal(traj.times, ref.times) and np.array_equal(traj.cms, ref.cms)
 
-    assert protocol.total_time == float(sum(s.duration for s in steps))
-    assert json.dumps(protocol.to_dict()) == json.dumps(reference_protocol_dict(k, steps, final))
-
-
-def assert_view_is_a_sequence(protocol, steps):
-    view = protocol.steps
-    assert len(view) == len(steps)
-    assert view == tuple(steps) and tuple(steps) == view and tuple(view) == tuple(steps)
-    assert list(iter(view)) == list(steps)
-    if steps:
-        assert view[0] == steps[0] and view[-1] == steps[-1]
-        assert view[len(steps) // 2] == steps[len(steps) // 2]
-        assert view[1:4] == tuple(steps[1:4]) and view[::-3] == tuple(steps[::-3])
-        with pytest.raises(IndexError):
-            view[len(steps)]
-    assert view != tuple(steps) + (ProtocolStep(LocalRotationPair(), 1.0),)
+    assert protocol.total_time == float(sum(t for _, _, t in rows))
+    assert json.dumps(protocol.to_dict()) == json.dumps(reference_protocol_dict(k, rows, final))
 
 
 @pytest.fixture
@@ -70,10 +57,9 @@ class TestFlipStrategy:
     @pytest.mark.parametrize("n", [1, 2, 5, 10**4])
     def test_carries_the_oracle_table(self, rng, gamma0, n):
         for k, t in ((H0, 0.7), (random_coupling(rng), 1.3)):
-            steps, final = reference_flip_schedule(t, n)
+            rows, final = reference_flip_schedule(t, n)
             protocol = flip_strategy(k, t, n)
-            assert_carries_the_oracle_table(protocol, k, steps, final, gamma0)
-            assert_view_is_a_sequence(protocol, steps)
+            assert_carries_the_oracle_table(protocol, k, rows, final, gamma0)
             assert len(protocol.table) == min(n, 2)
 
 
@@ -92,10 +78,9 @@ class TestPlanToProtocol:
     @pytest.mark.parametrize("kind", ["random", "slow", "degenerate", "zero-target"])
     def test_carries_the_oracle_table(self, rng, gamma0, slices, kind):
         plan = _plans(rng)[kind]
-        steps, final = reference_plan_schedule(plan, slices)
+        rows, final = reference_plan_schedule(plan, slices)
         protocol = plan_to_protocol(plan, slices)
-        assert_carries_the_oracle_table(protocol, plan.native_k, steps, final, gamma0)
-        assert_view_is_a_sequence(protocol, steps)
+        assert_carries_the_oracle_table(protocol, plan.native_k, rows, final, gamma0)
 
     def test_a_single_slice_has_no_entry_row(self, rng):
         plan = _plans(rng)["random"]
@@ -109,45 +94,29 @@ class TestCompileToNative:
         for slices in (1, 2, 7, 60):
             k = H0 if native == "h0" else random_coupling(rng)
             seq = decompose_gate(random_symplectic(rng, factors=2, tmax=0.5))
-            steps, final = reference_compile_schedule(seq, k, slices)
+            rows, final = reference_compile_schedule(seq, k, slices)
             protocol = compile_to_native(seq, k, slices=slices)
-            assert_carries_the_oracle_table(protocol, k, steps, final, gamma0)
-            assert_view_is_a_sequence(protocol, steps)
+            assert_carries_the_oracle_table(protocol, k, rows, final, gamma0)
 
 
 class TestFromDict:
     def _producers(self, rng):
         seq = decompose_gate(random_symplectic(rng, factors=2, tmax=0.5))
-        menu = [ProtocolStep(random_rotation_pair(rng), float(d)) for d in (0.0, 0.01, 0.02)]
-        random_steps = tuple(menu[i] for i in rng.integers(0, 3, size=300))
+        menu = random_rows(rng, (0.0, 0.01, 0.02))
         return [
             flip_strategy(H0, 0.9, 5),
             plan_to_protocol(_plans(rng)["random"], 4),
             compile_to_native(seq, H0, slices=9),
-            Protocol(random_coupling(rng), random_steps, random_rotation_pair(rng)),
-            Protocol(H0, ()),
+            Protocol(random_coupling(rng), menu, rng.integers(0, 3, size=300), random_rotation_pair(rng)),
+            Protocol(H0, [], []),
         ]
 
     def test_carries_the_oracle_table(self, rng, gamma0):
         for source in self._producers(rng):
-            steps = tuple(source.steps)
+            rows = [tuple(row) for row in source.steps.tolist()]
             data = json.loads(json.dumps(source.to_dict()))
             protocol = Protocol.from_dict(data)
-            assert_carries_the_oracle_table(protocol, source.native_k, steps, source.final, gamma0)
-            assert_view_is_a_sequence(protocol, steps)
-
-    def test_builds_no_step(self, monkeypatch, rng):
-        seq = decompose_gate(random_symplectic(rng, factors=2, tmax=0.5))
-        data = json.loads(json.dumps(compile_to_native(seq, H0, slices=20).to_dict()))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a ProtocolStep was built")
-
-        monkeypatch.setattr(twomode.simulate, "ProtocolStep", refuse)
-        protocol = Protocol.from_dict(data)
-        assert len(protocol.steps) == len(data["steps"])
-        run_protocol(vacuum_cm(), protocol)
-
+            assert_carries_the_oracle_table(protocol, source.native_k, rows, source.final, gamma0)
 
     def test_keeps_signed_zeros_apart(self):
         """``from_dict`` then ``to_dict`` keeps the bytes of a file whose steps differ only in
@@ -166,16 +135,6 @@ class TestFromDict:
 
 
 class TestStepsView:
-    def test_len_builds_no_step(self, monkeypatch):
-        seq = decompose_gate(random_symplectic(np.random.default_rng(3), factors=2, tmax=0.5))
-        protocol = compile_to_native(seq, H0, slices=800)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a ProtocolStep was built")
-
-        monkeypatch.setattr(twomode.simulate, "ProtocolStep", refuse)
-        assert len(protocol.steps) == len(protocol.index) > 4000
-
     def test_run_protocol_reads_no_step(self, monkeypatch, rng, gamma0):
         protocol = flip_strategy(H0, 1.0, 100)
         expected = run_protocol(gamma0, protocol)
@@ -193,25 +152,25 @@ class TestStepsView:
 
     def test_refuses_bad_rows(self):
         with pytest.raises(ValueError, match="durations must be finite and non-negative"):
-            Protocol.from_table(H0, [(0.0, 0.0, -0.1)], [0])
+            Protocol(H0, [(0.0, 0.0, -0.1)], [0])
         with pytest.raises(ValueError, match="durations must be finite and non-negative"):
             flip_strategy(H0, np.inf, 3)
         with pytest.raises(ValueError, match="rotation angles must be finite"):
-            Protocol.from_table(H0, [(0.0, 0.0, 0.1), (np.nan, 0.0, 0.1)], [0, 1])
+            Protocol(H0, [(0.0, 0.0, 0.1), (np.nan, 0.0, 0.1)], [0, 1])
 
     def test_steps_and_final_follow_the_same_rule(self):
         for duration in (-0.1, np.inf, np.nan):
             with pytest.raises(ValueError, match="durations must be finite and non-negative"):
-                ProtocolStep(LocalRotationPair(), duration)
+                Protocol(H0, [(0.0, 0.0, duration)], [0])
         with pytest.raises(ValueError, match="rotation angles must be finite"):
-            ProtocolStep(LocalRotationPair(0.0, np.inf), 0.1)
+            Protocol(H0, [(0.0, np.inf, 0.1)], [0])
         with pytest.raises(ValueError, match="rotation angles must be finite"):
-            Protocol(H0, (ProtocolStep(LocalRotationPair(), 0.1),), LocalRotationPair(np.nan, 0.0))
+            Protocol(H0, [(0.0, 0.0, 0.1)], [0], LocalRotationPair(np.nan, 0.0))
         with pytest.raises(ValueError, match="durations must be finite and non-negative"):
-            Protocol.from_table(H0, [(np.nan, 0.0, -1.0)], [0], LocalRotationPair(np.nan, 0.0))
+            Protocol(H0, [(np.nan, 0.0, -1.0)], [0], LocalRotationPair(np.nan, 0.0))
 
 
-class TestFromTableKeysRows:
+class TestConstructorKeysRows:
     def test_repeated_rows_are_keyed_by_their_bytes(self):
         rows = [
             (0.0, 0.5, 0.1),
@@ -222,12 +181,12 @@ class TestFromTableKeysRows:
             (0.0, -0.0, 0.2),
         ]
         index = [5, 0, 2, 3, 1, 4, 4, 3]
-        protocol = Protocol.from_table(H0, rows, index, LocalRotationPair(0.3, -0.0))
+        protocol = Protocol(H0, rows, index, LocalRotationPair(0.3, -0.0))
         distinct, slot = [rows[0], rows[1], rows[3], rows[4]], [0, 1, 0, 2, 3, 1]
         assert protocol.table.tobytes() == np.array(distinct).tobytes()
         assert protocol.index.dtype == np.intp and protocol.index.tolist() == [slot[i] for i in index]
 
-        steps = [ProtocolStep(LocalRotationPair(rows[i][0], rows[i][1]), rows[i][2]) for i in index]
-        by_steps = Protocol(H0, steps, LocalRotationPair(0.3, -0.0))
+        steps = [rows[i] for i in index]
+        by_steps = Protocol(H0, steps, np.arange(len(steps)), LocalRotationPair(0.3, -0.0))
         assert by_steps.table.tobytes() == np.array([rows[5], rows[0], rows[3], rows[4]]).tobytes()
         assert json.dumps(by_steps.to_dict()) == json.dumps(protocol.to_dict())

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_coupling, random_passive, random_pure_cm, random_rotation_pair
+from helpers import random_coupling, random_passive, random_pure_cm, random_rotation_pair, random_rows
 from twomode.core import (
     H0,
     HBS,
-    LocalRotationPair,
     apply_symplectic,
     evolve,
     pure_standard_form,
@@ -29,24 +28,23 @@ from twomode.protocols import (
     greedy_rate_strategy,
     run_protocol,
 )
-from twomode.simulate import Protocol, ProtocolStep, plan_to_protocol, synthesize_plan
+from twomode.simulate import Protocol, plan_to_protocol, synthesize_plan
 
 
 class TestRunProtocol:
     def test_empty_protocol(self):
-        traj = run_protocol(vacuum_cm(), Protocol(H0, ()))
+        traj = run_protocol(vacuum_cm(), Protocol(H0, [], []))
         assert len(traj) == 1
         assert np.allclose(traj.final, vacuum_cm())
 
     def test_nodes_and_times(self, rng):
-        steps = tuple(ProtocolStep(random_rotation_pair(rng), 0.1) for _ in range(5))
-        traj = run_protocol(vacuum_cm(), Protocol(H0, steps))
+        traj = run_protocol(vacuum_cm(), Protocol(H0, random_rows(rng, [0.1] * 5), np.arange(5)))
         assert len(traj) == 6
         assert np.allclose(traj.times, np.arange(6) * 0.1)
 
     def test_uncontrolled_run_is_suboptimal(self):
         """Bare interaction entangles less than the flip schedule."""
-        bare = run_protocol(vacuum_cm(), Protocol(H0, (ProtocolStep(LocalRotationPair(), 1.0),)))
+        bare = run_protocol(vacuum_cm(), Protocol(H0, [(0.0, 0.0, 1.0)], [0]))
         flip = run_protocol(vacuum_cm(), flip_strategy(H0, 1.0, 200))
         assert negativity(flip.final) > negativity(bare.final)
 
@@ -67,11 +65,11 @@ class TestRunProtocol:
         assert np.allclose(np.sort(np.linalg.eigvalsh(final[:2, :2])), [1.0, 1.0], atol=5e-3)
 
     def test_purity_preserved_along_trajectories(self, rng):
-        steps = tuple(
-            ProtocolStep(random_rotation_pair(rng), float(rng.uniform(0, 0.2)))
-            for _ in range(200)
-        )
-        traj = run_protocol(random_pure_cm(rng), Protocol(random_coupling(rng), steps))
+        rows = []
+        for _ in range(200):  # a pair, then its duration, per step
+            pair = random_rotation_pair(rng)
+            rows.append((pair.phi1, pair.phi2, float(rng.uniform(0, 0.2))))
+        traj = run_protocol(random_pure_cm(rng), Protocol(random_coupling(rng), rows, np.arange(200)))
         for cm in traj.cms[:: 20]:
             assert np.linalg.det(cm) == pytest.approx(1.0, abs=1e-8)
 
@@ -205,10 +203,7 @@ class TestBounds:
             g = squeezed_product_cm(r1, r2)
             t_total = rng.uniform(0.2, 1.0)
             durations = rng.dirichlet(np.ones(8)) * t_total
-            steps = tuple(
-                ProtocolStep(random_rotation_pair(rng), float(d)) for d in durations
-            )
-            traj = run_protocol(g, Protocol(k, steps))
+            traj = run_protocol(g, Protocol(k, random_rows(rng, durations), np.arange(8)))
             s_bound, n_bound = finite_time_bounds(k, t_total, r1, r2)
             assert squeezing(traj.final).squeezing <= s_bound * (1 + 1e-9)
             assert negativity(traj.final) <= n_bound * (1 + 1e-9)
@@ -321,7 +316,7 @@ class TestAncillasAndMeasurement:
 class TestInvariantEdges:
     def test_negative_step_duration_rejected(self):
         with pytest.raises(ValueError):
-            ProtocolStep(LocalRotationPair(), -0.1)
+            Protocol(H0, [(0.0, 0.0, -0.1)], [0])
 
     def test_thermal_state_ancilla_floor(self):
         """A state with lambda_min > 1 gains the ancilla floor eigenvalue 1."""

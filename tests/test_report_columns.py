@@ -37,7 +37,7 @@ from twomode.protocols import (
     run_protocol,
 )
 from twomode.rates import entanglement_rate, optimal_entanglement_rate, optimal_squeezing_rate
-from twomode.simulate import Protocol, ProtocolStep
+from twomode.simulate import Protocol
 
 _PARTIAL_TRANSPOSE = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -264,19 +264,20 @@ class TestStepCache:
         k = random_coupling(rng)
         pairs = [random_rotation_pair(rng) for _ in range(3)] + [LocalRotationPair()]
         durations = [0.01, 0.02, 0.005]
-        steps = tuple(ProtocolStep(pairs[i % 4], durations[i % 3]) for i in range(300))
-        protocol = Protocol(k, steps, random_rotation_pair(rng))
+        steps = [(pairs[i % 4], durations[i % 3]) for i in range(300)]
+        rows = [(pair.phi1, pair.phi2, duration) for pair, duration in steps]
+        protocol = Protocol(k, rows, np.arange(300), random_rotation_pair(rng))
         gamma0 = random_pure_cm(rng)
         traj = run_protocol(gamma0, protocol)
         gamma = gamma0
-        for i, step in enumerate(steps, start=1):
-            gamma = apply_symplectic(step.rotation.matrix, gamma)
-            gamma = apply_symplectic(evolve(k, step.duration), gamma)
+        for i, (pair, duration) in enumerate(steps, start=1):
+            gamma = apply_symplectic(pair.matrix, gamma)
+            gamma = apply_symplectic(evolve(k, duration), gamma)
             if i < len(steps):
                 assert np.max(np.abs(traj.cms[i] - gamma)) <= 1e-12 * np.max(np.abs(gamma))
         gamma = apply_symplectic(protocol.final.matrix, gamma)
         assert np.max(np.abs(traj.final - gamma)) <= 1e-12 * np.max(np.abs(gamma))
-        assert np.allclose(traj.times, np.cumsum([0.0] + [s.duration for s in steps]))
+        assert np.allclose(traj.times, np.cumsum([0.0] + [duration for _, duration in steps]))
 
     def test_flip_strategy_builds_two_fused_steps(self, monkeypatch):
         import twomode.protocols

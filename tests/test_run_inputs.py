@@ -28,7 +28,6 @@ from twomode.simulate import (
     DegenerateHamiltonianError,
     InfeasibleTimeError,
     Protocol,
-    ProtocolStep,
     can_simulate_efficiently,
     min_simulation_time,
     synthesize_plan,
@@ -106,13 +105,13 @@ class TestProtocolFiles:
 
     def test_protocol_objects_refuse_non_finite_values(self):
         with pytest.raises(ValueError):
-            ProtocolStep(LocalRotationPair(math.nan, 0.0), 0.1)
+            Protocol(H0, [(math.nan, 0.0, 0.1)], [0])
         with pytest.raises(ValueError):
-            ProtocolStep(LocalRotationPair(), math.inf)
+            Protocol(H0, [(0.0, 0.0, math.inf)], [0])
         with pytest.raises(ValueError):
-            ProtocolStep(LocalRotationPair(), -0.1)
+            Protocol(H0, [(0.0, 0.0, -0.1)], [0])
         with pytest.raises(ValueError):
-            Protocol(H0, (), LocalRotationPair(0.0, math.inf))
+            Protocol(H0, [], [], LocalRotationPair(0.0, math.inf))
 
     def test_coupling_must_match_the_protocols(self, tmp_path):
         strategy = _protocol_file(tmp_path)
@@ -365,6 +364,27 @@ class TestJsonNumbers:
         _, as_floats = _cli_on_json(tmp_path / "float", command, option, _floats(data))
         assert as_ints[0] == 0 and as_ints == as_floats
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("reader", _NUMBER_READERS)
+    def test_an_integer_past_the_float_range_is_named(self, tmp_path, reader, sign):
+        """Such an integer is a usage error, as the float literal ``1e400`` is, not an overflow."""
+        command, option, build, named = _NUMBER_READERS[reader]
+        path, result = _cli_on_json(tmp_path, command, option, build(sign * 10**400))
+        assert result == (2, "", f"error: {named} is an integer past the float range (in {path})\n")
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("reader", ["rot", "gate-t"])
+    def test_a_gate_value_that_is_not_finite_is_named(self, tmp_path, reader, bad):
+        command, option, build, named = _NUMBER_READERS[reader]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(build(0.5)).replace("0.5", bad))
+        result = run_cli([command, option, str(path), "--hamiltonian", "h0"])
+        assert result == (2, "", f"error: {named} must be finite (in {path})\n")
+
+    def test_largest_float_integer_is_read(self):
+        largest = np.finfo(float).max
+        assert np.max(k_from_dict({**_H0_DICT, "b": int(largest)})) == largest
+
     def test_numpy_floats_pass_the_library_readers(self):
         assert np.array_equal(k_from_dict({key: np.float64(v) for key, v in _H0_DICT.items()}), H0)
         assert np.array_equal(matrix_from_list(list(np.eye(4).ravel())), np.eye(4))
@@ -401,6 +421,30 @@ class TestCouplingCheck:
         assert math.isnan(json.loads(path.read_text())["a"])  # json.load accepts NaN
         code, out, err = run_cli(["rsv", "--hamiltonian", str(path)])
         assert (code, out, err) == (2, "", f"error: coupling matrix must be finite (in {path})\n")
+
+
+class TestTimeArguments:
+    """``t_target`` is finite and >= 0 and a given ``t`` finite and > 0, checked before either is used."""
+
+    @pytest.mark.parametrize("t_target", [math.nan, math.inf, -1.0])
+    def test_t_target_must_be_finite_and_non_negative(self, t_target):
+        for query in (min_simulation_time, synthesize_plan):
+            with pytest.raises(ValueError, match="t_target must be non-negative"):
+                query(H0, HBS, t_target)
+        for k, target in ((H0, HBS), (HBS, 2.0 * HBS)):
+            with pytest.raises(ValueError, match="t_target must be non-negative"):
+                synthesize_plan(k, target, t_target, t=5.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_total_time_must_be_finite(self, t):
+        for k, target in ((H0, HBS), (HBS, 2.0 * HBS)):
+            with pytest.raises(ValueError, match="total interaction time must be positive"):
+                synthesize_plan(k, target, 0.5, t=t)
+
+    def test_plan_refuses_a_negative_t_with_a_total(self):
+        argv = ["plan", "--hamiltonian", "preset:h0", "--target", "preset:hbs", "--t", "-1"]
+        expected = (2, "", "error: t_target must be non-negative and finite\n")
+        assert run_cli(argv) == expected and run_cli([*argv, "--total", "5"]) == expected
 
 
 class TestDegenerateCouplingRule:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_coupling, random_rotation_pair, reference_plan_to_protocol
+from helpers import random_coupling, random_rotation_pair, reference_plan_schedule, reference_protocol_dict
 from twomode.core import (
     H0,
     HBS,
@@ -225,8 +225,9 @@ class TestPlanToProtocol:
         plan = synthesize_plan(k, k, 0.8)
         protocol = plan_to_protocol(plan, slices=1)
         assert len(protocol.steps) == 1
-        assert protocol.steps[0].duration == pytest.approx(0.8)
-        net = protocol.final.compose(protocol.steps[0].rotation)
+        phi1, phi2, duration = protocol.steps[0].tolist()
+        assert duration == pytest.approx(0.8)
+        net = protocol.final.compose(LocalRotationPair(phi1, phi2))
         assert np.allclose(net.matrix, np.eye(4), atol=1e-12)
 
     def test_total_time_conserved(self):
@@ -234,7 +235,7 @@ class TestPlanToProtocol:
         for slices in (1, 7, 40):
             protocol = plan_to_protocol(plan, slices)
             assert protocol.total_time == pytest.approx(plan.t, abs=1e-12)
-            assert all(step.duration >= 0 for step in protocol.steps)
+            assert (protocol.steps[:, 2] >= 0).all()
 
     def test_trotter_limit_matches_target_flow(self):
         """The sliced schedule converges to the simulated squeezer flow."""
@@ -282,23 +283,19 @@ class TestPlanToProtocol:
         )
         for plan in plans:
             for slices in range(1, 6):
-                got, ref = plan_to_protocol(plan, slices), reference_plan_to_protocol(plan, slices)
-                rows = [
-                    [(s.rotation.phi1, s.rotation.phi2, s.duration) for s in p.steps]
-                    for p in (got, ref)
-                ]
-                assert rows[0] == rows[1]
-                assert got.final == ref.final
-                assert json.dumps(got.to_dict()) == json.dumps(ref.to_dict())
+                got, (rows, final) = plan_to_protocol(plan, slices), reference_plan_schedule(plan, slices)
+                assert [tuple(row) for row in got.steps.tolist()] == rows
+                assert got.final == final
+                assert json.dumps(got.to_dict()) == json.dumps(reference_protocol_dict(plan.native_k, rows, final))
 
     def test_protocol_json_roundtrip(self):
         protocol = plan_to_protocol(synthesize_plan(H0, HBS, 0.5), 3)
         again = Protocol.from_dict(json.loads(json.dumps(protocol.to_dict())))
         assert np.allclose(again.native_k, protocol.native_k)
         assert len(again.steps) == len(protocol.steps)
-        for a, b in zip(again.steps, protocol.steps):
-            assert a.duration == b.duration
-            assert np.allclose(a.rotation.matrix, b.rotation.matrix)
+        for (a1, a2, a), (b1, b2, b) in zip(again.steps.tolist(), protocol.steps.tolist()):
+            assert a == b
+            assert np.allclose(LocalRotationPair(a1, a2).matrix, LocalRotationPair(b1, b2).matrix)
         assert np.allclose(again.final.matrix, protocol.final.matrix)
 
 
