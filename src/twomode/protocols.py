@@ -32,11 +32,10 @@ from .core import (
     assert_valid_cm,
     evolve,
     pure_standard_form,
-    restricted_svd,
     valid_cm_stack,
 )
 from .measures import report_columns
-from .rates import _rate_kernel
+from .rates import _rate_kernel, squeezing_capability
 from .simulate import Protocol
 
 __all__ = [
@@ -347,8 +346,9 @@ def finite_time_bounds(k, t: float, r1: float = 0.0, r2: float = 0.0) -> tuple[f
         raise ValueError("bounds require r1 >= r2 >= 0")
     if not t >= 0.0:
         raise ValueError(f"bounds require t >= 0, got {t}")
-    _, svals, _ = restricted_svd(k)
-    cap = svals.s1 - svals.s2
+    if not all(map(math.isfinite, (t, r1, r2))):
+        raise ValueError(f"bounds require finite t, r1 and r2, got t = {t}, r1 = {r1}, r2 = {r2}")
+    cap = squeezing_capability(k)
     return math.exp(cap * t + r1), math.exp(cap * t + (r1 + r2) / 2.0)
 
 

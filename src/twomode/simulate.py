@@ -213,8 +213,8 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
     t_target : float
         Duration of the simulated evolution.
     t : float, optional
-        Total interaction time to spend.  Defaults to the minimal time; any
-        ``t`` below it raises :class:`InfeasibleTimeError`.
+        Total interaction time to spend.  Defaults to the minimal time, else
+        ``t_target``, else 1; any ``t`` below the minimal time raises :class:`InfeasibleTimeError`.
 
     Returns
     -------
@@ -229,37 +229,21 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
     offset = [theta[0] - theta[1], psi[1] - psi[0]]
     angles = _wrap(np.array(_BASE_PAIRS) * [-1.0, 1.0] + offset).tolist()
 
+    t_min = _min_time(s, sp, t_target)
+    if t is None:
+        t = t_min or t_target or 1.0
     rho = _degenerate_scale(s, sp)
     if rho is not None:
-        if t is None:
-            t = rho * t_target if rho > 0 else t_target
-            if t == 0.0:
-                raise ValueError("total interaction time must be positive")
-        if rho == 0.0:
-            # Zero target: average the coupling with its sign-flipped copy.
-            terms = (
-                PlanTerm(0.5, LocalRotationPair()),
-                PlanTerm(0.5, LocalRotationPair(0.0, math.pi)),
-            )
-            return SimulationPlan(k, k_target, float(t), float(t_target), terms)
-        pair = LocalRotationPair(*angles[0])  # R_i = S_i = I
-        return SimulationPlan(k, k_target, float(t), float(t_target), (PlanTerm(1.0, pair),))
-
-    if t is None:
-        t = _min_time(s, sp, t_target)
-        if t == 0.0:
-            t = t_target if t_target > 0 else 1.0
-
-    kappa = t_target / t
-    s1p, s2p = sp.s1 * kappa, sp.s2 * kappa
-    denom = s.s1**2 - s.s2**2
-    e = (s.s1 * s1p - s.s2 * s2p) / denom
-    f = (s.s1 * s2p - s.s2 * s1p) / denom
+        # s1 = |s2|: each window is a rotated +-K, pair 0 is K' / rho; e is exactly 1 at t = rho t_target.
+        e, f = (rho * t_target) / t, 0.0
+    else:
+        kappa = t_target / t
+        s1p, s2p = sp.s1 * kappa, sp.s2 * kappa
+        denom = s.s1**2 - s.s2**2
+        e = (s.s1 * s1p - s.s2 * s2p) / denom
+        f = (s.s1 * s2p - s.s2 * s1p) / denom
     if abs(e) + abs(f) > 1.0 + _SLACK:
-        raise InfeasibleTimeError(
-            f"requested time {t} is below the minimal simulation time "
-            f"{_min_time(s, sp, t_target)}"
-        )
+        raise InfeasibleTimeError(f"requested time {t} is below the minimal simulation time {t_min}")
 
     remainder = max(0.0, 1.0 - abs(e) - abs(f))
     weights = [
@@ -278,7 +262,9 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
 
 
 def effective_hamiltonian(plan: SimulationPlan) -> np.ndarray:
-    """Coupling matrix realised by a plan, ``(1/kappa) sum_i w_i R1_i^T K R2_i``."""
+    """Coupling matrix realised by a plan, ``(1/kappa) sum_i w_i R1_i^T K R2_i``, for ``t_target > 0``."""
+    if plan.t_target == 0.0:  # kappa = 0: the plan realises the zero coupling, whatever its target
+        raise ValueError("a plan with t_target = 0 determines no effective coupling")
     k = _as_k(plan.native_k)
     acc = np.zeros((2, 2))
     for term in plan.terms:
@@ -291,14 +277,6 @@ def effective_hamiltonian(plan: SimulationPlan) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_rows(rows: np.ndarray) -> None:
-    """The step rule over rows ``(phi1, phi2, duration)``: finite durations >= 0, finite angles."""
-    if not ((rows[:, 2] >= 0.0) & (rows[:, 2] < math.inf)).all():
-        raise ValueError("protocol step durations must be finite and non-negative")
-    if not np.isfinite(rows[:, :2]).all():
-        raise ValueError("protocol rotation angles must be finite")
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class Protocol:
     """Finite ordered schedule of rotations and interaction windows.
@@ -308,14 +286,14 @@ class Protocol:
     trailing ``final`` rotation pair.
 
     A schedule cycles a few fixed windows, so a protocol stores each distinct
-    step once.  Step ``i`` is row ``index[i]`` of ``rows`` ``(phi1, phi2,
-    duration)``, which need not be distinct: the constructor keys them by
-    their bytes (so ``-0.0`` is not ``0.0``), keeps the distinct ones in
-    ``table`` in order of first appearance, checked once by the step rule,
-    and the table row of every step in ``index``.  Both are read-only.
-    :meth:`from_dict` passes the rows of a JSON file, and ``flip_strategy``,
-    :func:`plan_to_protocol` and ``compile_to_native`` their few rows and an
-    index into them.
+    step once.  Step ``i`` is row ``index[i]`` of the ``(N, 3)`` ``rows``
+    ``(phi1, phi2, duration)``, with ``index`` 1-d integers in ``[0, N)``.  The
+    rows need not be distinct: the constructor keys them by their bytes (so
+    ``-0.0`` is not ``0.0``), keeps the distinct ones in ``table`` in order of
+    first appearance, checked once by the step rule, and the table row of
+    every step in ``index``.  Both are read-only.  :meth:`from_dict` passes
+    the rows of a JSON file, and ``flip_strategy``, :func:`plan_to_protocol`
+    and ``compile_to_native`` their few rows and an index into them.
     """
 
     native_k: np.ndarray
@@ -324,13 +302,23 @@ class Protocol:
     final: LocalRotationPair
 
     def __init__(self, native_k, rows, index, final: LocalRotationPair = LocalRotationPair()):
-        rows = np.ascontiguousarray(rows, dtype=float).reshape(-1, 3)
+        rows, index = np.ascontiguousarray(rows, dtype=float), np.asarray(index)
+        rows, index = rows if rows.size else np.empty((0, 3)), index if index.size else np.empty(0, np.intp)
+        if rows.shape[1:] != (3,):
+            raise ValueError(f"protocol rows must have shape (N, 3), got {rows.shape}")
+        if index.ndim != 1 or index.dtype.kind not in "iu" or (
+                index.size and not 0 <= index.min() <= index.max() < len(rows)):
+            raise ValueError(f"protocol index must be 1-d integers in [0, {len(rows)})")
         seen: dict = {}  # a row's bytes (so -0.0 is not 0.0) -> its first row, in order of appearance
         first = np.fromiter(map(seen.setdefault, rows.view("V24").ravel().tolist(), count()), np.intp)
         distinct = np.fromiter(seen.values(), np.intp, len(seen))
         table, slot = rows[distinct], np.searchsorted(distinct, first)
-        _check_rows(np.vstack([table, (final.phi1, final.phi2, 0.0)]))
-        index = slot[np.asarray(index, np.intp)]
+        checked = np.vstack([table, (final.phi1, final.phi2, 0.0)])  # the step rule, on each distinct row and final
+        if not ((checked[:, 2] >= 0.0) & (checked[:, 2] < math.inf)).all():
+            raise ValueError("protocol step durations must be finite and non-negative")
+        if not np.isfinite(checked[:, :2]).all():
+            raise ValueError("protocol rotation angles must be finite")
+        index = slot[index]
         table.flags.writeable = index.flags.writeable = False
         vars(self).update(native_k=native_k, table=table, index=index, final=final)
 

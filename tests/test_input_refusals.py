@@ -177,6 +177,14 @@ class TestBoundsTime:
         with pytest.raises(ValueError, match="bounds require t >= 0"):
             finite_time_bounds(H0, t, 1.0)
 
+    @pytest.mark.parametrize(
+        "k, t, r1, r2",
+        [(HBS, np.inf, 0.0, 0.0), (H0, np.inf, 0.0, 0.0), (H0, 1.0, np.inf, 0.0), (H0, 1.0, np.inf, np.inf)],
+    )
+    def test_refuses_infinite_values(self, k, t, r1, r2):
+        with pytest.raises(ValueError, match="bounds require finite t, r1 and r2"):
+            finite_time_bounds(k, t, r1, r2)
+
     def test_time_zero_is_the_initial_squeezing(self):
         assert finite_time_bounds(H0, 0.0, 1.0, 0.5) == (np.exp(1.0), np.exp(0.75))
 

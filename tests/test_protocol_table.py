@@ -170,6 +170,32 @@ class TestStepsView:
             Protocol(H0, [(np.nan, 0.0, -1.0)], [0], LocalRotationPair(np.nan, 0.0))
 
 
+class TestConstructorChecksRowsAndIndex:
+    """Rows are ``(N, 3)`` and the index is 1-d integers in ``[0, N)``; nothing is wrapped,
+    truncated or reshaped into another schedule."""
+
+    ROWS = [(0.0, 0.0, 0.1), (0.0, 0.0, 0.2)]
+
+    def test_refuses_a_negative_index(self):
+        with pytest.raises(ValueError, match=r"index must be 1-d integers in \[0, 2\)"):
+            Protocol(H0, self.ROWS, [-1])
+
+    def test_refuses_an_index_past_the_rows(self):
+        for index in ([5], [0, 2]):
+            with pytest.raises(ValueError, match=r"index must be 1-d integers in \[0, 2\)"):
+                Protocol(H0, self.ROWS, index)
+
+    def test_refuses_an_index_that_is_not_integers(self):
+        for index in ([0.9, 1.7], [True, False], [[0, 1]], 0):
+            with pytest.raises(ValueError, match="index must be 1-d integers"):
+                Protocol(H0, self.ROWS, index)
+
+    def test_refuses_rows_that_are_not_n_by_3(self):
+        for rows in (np.zeros((3, 4)), np.zeros(6), np.zeros((2, 1, 3)), 0.1):
+            with pytest.raises(ValueError, match=r"rows must have shape \(N, 3\), got \("):
+                Protocol(H0, rows, [0])
+
+
 class TestConstructorKeysRows:
     def test_repeated_rows_are_keyed_by_their_bytes(self):
         rows = [

@@ -27,8 +27,11 @@ from twomode.protocols import flip_strategy, uniform_grid
 from twomode.simulate import (
     DegenerateHamiltonianError,
     InfeasibleTimeError,
+    PlanTerm,
     Protocol,
+    SimulationPlan,
     can_simulate_efficiently,
+    effective_hamiltonian,
     min_simulation_time,
     synthesize_plan,
 )
@@ -445,6 +448,34 @@ class TestTimeArguments:
         argv = ["plan", "--hamiltonian", "preset:h0", "--target", "preset:hbs", "--t", "-1"]
         expected = (2, "", "error: t_target must be non-negative and finite\n")
         assert run_cli(argv) == expected and run_cli([*argv, "--total", "5"]) == expected
+
+
+class TestDegeneratePlanTimes:
+    """A degenerate coupling's ``plan`` takes ``--total`` and ``--t 0`` by the same rule as any other."""
+
+    def _argv(self, tmp_path, *extra):
+        target = tmp_path / "k.json"
+        target.write_text(json.dumps(k_to_dict(2.0 * HBS)))
+        return ["plan", "--hamiltonian", "preset:hbs", "--target", str(target), "--t", "1", *extra]
+
+    def test_a_total_below_tmin_is_infeasible(self, tmp_path):
+        assert run_cli(["tmin", *self._argv(tmp_path)[1:]]) == (0, "2.0\n", "")
+        expected = (3, "", "error: requested time 0.5 is below the minimal simulation time 2.0\n")
+        assert run_cli(self._argv(tmp_path, "--total", "0.5")) == expected
+
+    def test_a_longer_total_realises_the_target(self, tmp_path):
+        code, out, err = run_cli(self._argv(tmp_path, "--total", "5"))
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        terms = tuple(PlanTerm(d["weight"], LocalRotationPair(d["phi1"], d["phi2"])) for d in data["terms"])
+        plan = SimulationPlan(HBS, 2.0 * HBS, data["t"], data["t_target"], terms)
+        assert plan.t == 5.0
+        assert np.max(np.abs(effective_hamiltonian(plan) - 2.0 * HBS)) < 1e-12
+
+    def test_zero_target_time_spends_unit_time(self):
+        for coupling in ("preset:hbs", "preset:h0"):
+            code, out, err = run_cli(["plan", "--hamiltonian", coupling, "--target", "preset:hbs", "--t", "0"])
+            assert (code, err) == (0, "") and json.loads(out)["t"] == 1.0
 
 
 class TestDegenerateCouplingRule:

@@ -197,6 +197,12 @@ class TestEffectiveHamiltonian:
         expected = (k + J @ k @ J) / 2.0
         assert np.max(np.abs(effective_hamiltonian(plan) - expected)) < 1e-12
 
+    def test_refuses_a_plan_with_zero_target_time(self):
+        """Such a plan realises the zero coupling, so no effective coupling divides out of it."""
+        for k in (H0, HBS):
+            with pytest.raises(ValueError, match="t_target = 0"):
+                effective_hamiltonian(synthesize_plan(k, HBS, 0.0))
+
     def test_identity_plan(self, rng):
         k = random_coupling(rng)
         plan = SimulationPlan(k, k, 1.0, 1.0, (PlanTerm(1.0, LocalRotationPair()),))
@@ -316,6 +322,35 @@ class TestFeasibilityProperties:
             )
             with pytest.raises(InfeasibleTimeError):
                 synthesize_plan(k, kp, 1.0, t=t_min * 0.9)
+
+
+class TestOnePlanRule:
+    def test_every_coupling_plans_exactly_when_time_suffices(self, rng):
+        """Degenerate couplings (s1 = |s2|) and zero targets take the generic rule too:
+        a plan exists iff t >= t_min, the default t is the minimal one, and the plan
+        realises the target."""
+        pair = random_rotation_pair(rng)
+        natives = [HBS, HTMS, 2.0 * HBS, 0.6 * pair.block1.T @ HTMS @ pair.block2, np.zeros((2, 2))]
+        natives += [random_coupling(rng) for _ in range(4)]
+        for k in natives:
+            targets = [np.zeros((2, 2))]
+            for _ in range(12):
+                pair = random_rotation_pair(rng)
+                targets.append(rng.uniform(0.0, 3.0) * pair.block1.T @ k @ pair.block2)
+            for kp, t_target in ((kp, t_target) for kp in targets for t_target in (0.0, 0.7)):
+                t_min = min_simulation_time(k, kp, t_target)
+                base = t_min or 1.0  # t = 0 is refused by the time rule
+                for t in (None, base, 1.5 * base, 0.9 * base):
+                    if t is not None and t < t_min:
+                        with pytest.raises(InfeasibleTimeError, match=f"minimal simulation time {t_min!r}$"):
+                            synthesize_plan(k, kp, t_target, t=t)
+                        continue
+                    plan = synthesize_plan(k, kp, t_target, t=t)
+                    assert plan.t == (t if t is not None else t_min or t_target or 1.0)
+                    assert sum(term.weight for term in plan.terms) == pytest.approx(1.0, abs=1e-12)
+                    if t_target > 0.0:
+                        scale = max(1.0, float(np.max(np.abs(kp))))
+                        assert np.max(np.abs(effective_hamiltonian(plan) - kp)) < 1e-9 * scale
 
 
 class TestZeroTarget:
