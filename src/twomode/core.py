@@ -434,13 +434,14 @@ def standard_form_evolution(k, t: float) -> StandardFormEvolution:
 
 def is_symplectic(s) -> bool:
     """Whether a ``2n x 2n`` ``S`` has ``S Omega S^T = Omega``, ``Omega = I_n (x) J``, to
-    ``SYMPLECTIC_TOL * max(1, max|S|)^2``: the round-off of ``S Omega S^T`` grows as ``S^2``."""
+    ``SYMPLECTIC_TOL * max(1, max|S|)^2``: the round-off of ``S Omega S^T`` grows as ``S^2``.
+    A residual that overflows is not within it."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 or s.size == 0:
         return False
     form = (np.eye(len(s) // 2)[:, None, :, None] * J[:, None, :]).reshape(s.shape)
     scale = max(1.0, float(np.max(np.abs(s))))
-    return bool(np.max(np.abs(s @ form @ s.T - form)) <= SYMPLECTIC_TOL * scale * scale)
+    return bool(np.max(np.abs(s @ form @ s.T - form)) / scale / scale <= SYMPLECTIC_TOL)
 
 
 def assert_symplectic(s) -> np.ndarray:

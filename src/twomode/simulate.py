@@ -114,12 +114,13 @@ def _check_times(t_target: float, t: float | None = None) -> None:
         raise ValueError("total interaction time must be positive and finite")
 
 
-def _min_time(s, sp, t_target: float) -> float:
-    """:func:`min_simulation_time` from the restricted singular values."""
+def _min_time(s, sp, t_target: float) -> tuple[float | None, float]:
+    """``(rho, t_min)``: :func:`_degenerate_scale` and :func:`min_simulation_time`
+    from the restricted singular values."""
     rho = _degenerate_scale(s, sp)
     if rho is not None:
-        return rho * t_target
-    return t_target * max((sp.s1 + sp.s2) / (s.s1 + s.s2), (sp.s1 - sp.s2) / (s.s1 - s.s2))
+        return rho, rho * t_target
+    return rho, t_target * max((sp.s1 + sp.s2) / (s.s1 + s.s2), (sp.s1 - sp.s2) / (s.s1 - s.s2))
 
 
 def min_simulation_time(k, k_target, t_target: float) -> float:
@@ -132,7 +133,7 @@ def min_simulation_time(k, k_target, t_target: float) -> float:
     """
     *_, s, sp = _rsvd_pair(k, k_target)
     _check_times(t_target)
-    return _min_time(s, sp, t_target)
+    return _min_time(s, sp, t_target)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +230,9 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
     offset = [theta[0] - theta[1], psi[1] - psi[0]]
     angles = _wrap(np.array(_BASE_PAIRS) * [-1.0, 1.0] + offset).tolist()
 
-    t_min = _min_time(s, sp, t_target)
+    rho, t_min = _min_time(s, sp, t_target)
     if t is None:
         t = t_min or t_target or 1.0
-    rho = _degenerate_scale(s, sp)
     if rho is not None:
         # s1 = |s2|: each window is a rotated +-K, pair 0 is K' / rho; e is exactly 1 at t = rho t_target.
         e, f = (rho * t_target) / t, 0.0

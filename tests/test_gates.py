@@ -227,7 +227,7 @@ class TestDecomposeGateStages:
     @pytest.mark.parametrize(
         "gate, kinds, durations",
         [
-            (TwoModeSqueezerGate(0.4), ONE_SQUEEZER, [np.pi / 2.0, 0.4, np.pi / 2.0]),
+            (TwoModeSqueezerGate(0.4), ONE_SQUEEZER, [0.0, 0.4, 0.0]),
             (TwoModeSqueezerGate(0.4, barred=True), ONE_SQUEEZER, [np.pi / 2.0, 0.4, np.pi / 2.0]),
             (BeamSplitterGate(0.7), PASSIVE, [0.7]),
             (BeamSplitterGate(0.0), PASSIVE, [0.0]),

@@ -7,12 +7,13 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_pure_cm
+from helpers import random_passive, random_pure_cm
 from twomode.cli import main
 from twomode.core import (
     H0,
     HBS,
     HTMS,
+    J2,
     LocalRotationPair,
     evolve,
     is_symplectic,
@@ -27,6 +28,7 @@ from twomode.gates import (
     TwoModeSqueezerGate,
     compile_to_native,
     decompose_gate,
+    euler_decompose,
 )
 from twomode.protocols import extend_with_ancillas, finite_time_bounds, greedy_rate_walk
 from twomode.simulate import PlanTerm, SimulationPlan, plan_to_protocol, synthesize_plan
@@ -87,20 +89,67 @@ class TestDecomposeRange:
         bent[0, 0] += 1.0
         assert not is_symplectic(bent)
 
-    def test_round_off_past_the_range_exits_3(self, tmp_path):
-        gate = write_json(tmp_path, "gate.json", matrix_to_list(evolve(HTMS, 8.0)))
+    def test_is_symplectic_refuses_an_overflowing_residual(self):
+        """``S Omega S^T`` overflows to inf past ``max|S| ~ 1e154``; inf is not within the tolerance."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not is_symplectic(np.diag([1e200, 1e200, 1.0, 1.0]))
+            assert is_symplectic(np.diag([1e200, 1e-200, 1.0, 1.0]))
+
+    def test_past_the_old_ceiling_exits_0(self, tmp_path):
+        """``e^8`` was refused past a ceiling of ``e^5.5``; the one-SVD factors hold."""
+        s = evolve(HTMS, 8.0)
+        code, out, err = run_cli("decompose", "--gate", write_json(tmp_path, "gate.json", matrix_to_list(s)))
+        assert (code, err) == (0, "")
+        recomposed = GateSequence.from_list(json.loads(out)).matrix()
+        assert np.max(np.abs(recomposed - s)) <= 1e-10 * np.max(np.abs(s))
+
+    @pytest.mark.parametrize("log_d1", [8.0, 12.0, 20.0, 30.0, 100.0, 300.0])
+    def test_haar_gates_round_trip(self, rng, log_d1):
+        """``O1 D O2`` with Haar passives and ``log d2`` below ``log d1``; the factors stay passive."""
+        for _ in range(20):
+            log_d2 = rng.uniform(0.0, log_d1)
+            d = np.diag(np.exp([log_d1, -log_d1, log_d2, -log_d2]))
+            s = random_passive(2, rng) @ d @ random_passive(2, rng)
+            dec = euler_decompose(s)
+            for o in (dec.O, dec.O_tilde):
+                assert np.max(np.abs(o @ o.T - np.eye(4))) <= 1e-14
+                assert np.max(np.abs(o @ J2 @ o.T - J2)) <= 1e-14
+            assert np.max(np.abs(decompose_gate(s).matrix() - s)) <= 1e-10 * np.max(np.abs(s))
+
+    def test_overflow_exits_3(self, tmp_path):
+        """Past ``max|S| ~ 1e154`` the symplectic check overflows: one line, no traceback."""
+        gate = write_json(tmp_path, "gate.json", matrix_to_list(evolve(HTMS, 360.0)))
         code, out, err = run_cli("decompose", "--gate", gate)
         assert (code, out) == (3, "")
-        assert "out of range" in err and "e^8 is past e^5.5" in err
-        with pytest.raises(OverflowError):
-            decompose_gate(evolve(HTMS, 8.0))
+        assert err.startswith("error: overflow") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-8, 1e-6])
+    def test_near_passive_gates_round_trip(self, rng, eps):
+        """Singular values clustered at 1: equal squeezers, one squeezer and a ``tms`` flow.
+        A squeezer stage at or below ``1e-12`` is dropped, so the gates recompose to ``1e-11``."""
+        for _ in range(20):
+            o1, o2 = random_passive(2, rng), random_passive(2, rng)
+            equal, one = np.diag(np.exp([eps, -eps, eps, -eps])), np.diag(np.exp([eps, -eps, 0.0, 0.0]))
+            for s in (o1 @ equal @ o2, o1 @ one @ o2, o1 @ evolve(HTMS, eps) @ o2):
+                assert np.max(np.abs(euler_decompose(s).assemble() - s)) <= 1e-14
+                assert np.max(np.abs(decompose_gate(s).matrix() - s)) <= 1e-11
+
+    @pytest.mark.parametrize("log_d", [2.0, 12.0])
+    def test_degenerate_gates_round_trip(self, rng, log_d):
+        """``d1 = d2``: the top singular space is two-dimensional."""
+        d = np.diag(np.exp([log_d, -log_d, log_d, -log_d]))
+        for _ in range(20):
+            s = random_passive(2, rng) @ d @ random_passive(2, rng)
+            dec = euler_decompose(s)
+            assert (dec.alpha, dec.beta) == pytest.approx((log_d, 0.0), abs=1e-12)
+            assert np.max(np.abs(decompose_gate(s).matrix() - s)) <= 1e-10 * np.max(np.abs(s))
 
     def test_inside_the_range_still_decomposes(self):
         s = evolve(HTMS, 6.0)
         assert np.max(np.abs(decompose_gate(s).matrix() - s)) <= 1e-10 * np.max(np.abs(s))
 
     def test_slightly_bent_gate_inside_the_range_exits_2(self, tmp_path):
-        """It passes the relative symplectic check but not a passive factor's."""
+        """It passes the relative symplectic check, but its Euler factors miss it by 3.7e-12 relative."""
         bent = evolve(HTMS, 3.0)
         bent[0, 1] += 3e-10
         assert is_symplectic(bent)

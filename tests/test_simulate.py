@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import twomode.gates
+import twomode.simulate
 from helpers import random_coupling, random_rotation_pair, reference_plan_schedule, reference_protocol_dict
 from twomode.core import (
     H0,
@@ -19,6 +21,7 @@ from twomode.core import (
     restricted_svd,
     vacuum_cm,
 )
+from twomode.gates import BeamSplitterGate, GateSequence, RotationGate, TwoModeSqueezerGate, compile_to_native
 from twomode.protocols import run_protocol
 from twomode.simulate import (
     DegenerateHamiltonianError,
@@ -351,6 +354,22 @@ class TestOnePlanRule:
                     if t_target > 0.0:
                         scale = max(1.0, float(np.max(np.abs(kp))))
                         assert np.max(np.abs(effective_hamiltonian(plan) - kp)) < 1e-9 * scale
+
+    def test_one_degeneracy_test_per_plan(self, monkeypatch):
+        """A plan decides ``s1 = |s2|`` once; a compile once for ``K`` and once per coupling gate."""
+        calls = []
+        scale = twomode.simulate._degenerate_scale
+        monkeypatch.setattr(twomode.simulate, "_degenerate_scale", lambda *a: calls.append(a) or scale(*a))
+        monkeypatch.setattr(twomode.gates, "_degenerate_scale", twomode.simulate._degenerate_scale)
+        for k, kp in ((H0, HBS), (HBS, 2.0 * HBS)):
+            calls.clear()
+            synthesize_plan(k, kp, 1.0)
+            assert len(calls) == 1
+        calls.clear()
+        seq = GateSequence((BeamSplitterGate(0.3), RotationGate(LocalRotationPair(0.1, 0.2)),
+                            TwoModeSqueezerGate(0.4), BeamSplitterGate(-0.5, barred=True)))
+        compile_to_native(seq, H0, slices=3)
+        assert len(calls) == 1 + 3
 
 
 class TestZeroTarget:
