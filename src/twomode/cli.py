@@ -22,6 +22,7 @@ from .core import (
     H0,
     HBS,
     HTMS,
+    CMStack,
     NotPureError,
     apply_symplectic,
     evolve,
@@ -103,8 +104,8 @@ def _check_range(spec: str, within: bool) -> None:
         )
 
 
-def _parse_state(spec: str, pure: bool = False) -> np.ndarray:
-    """The CM ``spec`` names, checked once: built-in kinds are valid and pure as built."""
+def _parse_state(spec: str, pure: bool = False) -> CMStack:
+    """The validated state ``spec`` names: the one check of a ``--state``."""
     kind, _, arg = spec.partition(":")
     kind = kind.lower()
     if kind not in _STATE_KINDS:
@@ -117,17 +118,17 @@ def _parse_state(spec: str, pure: bool = False) -> np.ndarray:
     except ValueError:
         raise ValueError(f"{usage}, got {arg!r}") from None
     if kind == "vacuum":
-        return vacuum_cm()
+        return valid_cm_stack(vacuum_cm(), pure)
     if kind == "tms":
         _check_range(spec, 2.0 * abs(values[0]) <= _R_MAX)
-        return two_mode_squeezed_cm(values[0])
+        return valid_cm_stack(two_mode_squeezed_cm(values[0]), pure)
     r1, r2 = values + [0.0] * (2 - len(values))
     _check_range(spec, max(abs(r1), abs(r2)) <= _R_MAX)
-    return squeezed_product_cm(r1, r2)
+    return valid_cm_stack(squeezed_product_cm(r1, r2), pure)
 
 
-def _file_cm(spec: str, pure: bool, data) -> np.ndarray:
-    """The CM of a state file: a bare 16-entry list or ``{"cm": [...]}``."""
+def _file_cm(spec: str, pure: bool, data) -> CMStack:
+    """The validated state of a state file: a bare 16-entry list or ``{"cm": [...]}``."""
     if isinstance(data, dict):
         data = data["cm"]
     gamma, top = matrix_from_list(data), math.exp(_R_MAX) * (1.0 + 1e-12)
@@ -138,7 +139,7 @@ def _file_cm(spec: str, pure: bool, data) -> np.ndarray:
             _check_range(spec, np.linalg.eigvalsh((gamma + gamma.T) / 2.0)[-1] <= top)
         raise
     _check_range(spec, stack.eigenvalues[0, -1] <= top)
-    return stack.cms[0]
+    return stack
 
 
 def _emit(payload, out: str | None) -> None:
@@ -190,26 +191,26 @@ def _cmd_evolve(args):
     s = evolve(_parse_hamiltonian(args.hamiltonian), args.t)
     if args.state is None:
         return {"symplectic": matrix_to_list(s)}
-    gamma = apply_symplectic(s, _parse_state(args.state))
+    gamma = apply_symplectic(s, _parse_state(args.state).cms[0])
     return {"cm": matrix_to_list(gamma)}
 
 
 def _cmd_measure(args):
-    gamma = _parse_state(args.state)
-    payload = squeezing(gamma).to_dict()
+    state = _parse_state(args.state)
+    payload = squeezing(state).to_dict()
     try:
-        payload.update(entanglement(gamma).to_dict())
+        payload.update(entanglement(state).to_dict())
     except NotPureError:
-        payload["negativity"] = negativity(gamma)
+        payload["negativity"] = negativity(state)
         payload["pure"] = False
     return payload
 
 
 def _cmd_rates(args):
-    gamma = _parse_state(args.state)
+    state = _parse_state(args.state)
     k = _parse_hamiltonian(args.hamiltonian)
-    ent = optimal_entanglement_rate(gamma, k)
-    sq = optimal_squeezing_rate(gamma, k)
+    ent = optimal_entanglement_rate(state, k)
+    sq = optimal_squeezing_rate(state, k)
     return {
         "entanglement_rate": ent.rate,
         "l": ent.l,
@@ -267,11 +268,11 @@ def _strategy(args):
         return partial(run_protocol, state, flip_strategy(k, args.t, args.steps))
     times = uniform_grid(args.t, args.dt)
     if args.strategy == "bare":
-        return partial(_flow_trajectory, state, k, times, k)
+        return partial(_flow_trajectory, state.cms[0], k, times, k)
     if args.strategy == "greedy":
         return partial(greedy_rate_walk, state, k, times)
     if args.strategy == "tms":
-        return partial(_flow_trajectory, state, flip_effective_coupling(k), times, k)
+        return partial(_flow_trajectory, state.cms[0], flip_effective_coupling(k), times, k)
     raise ValueError(f"unknown strategy {args.strategy!r}")
 
 

@@ -529,37 +529,45 @@ def valid_cm_stack(cms, pure: bool = False) -> CMStack:
     ``det A + det B + 2 det C <= 1 + det`` to 1e-9 (det A + det B) (Serafini et al.,
     J. Phys. B 37, L21 (2004)) and, with ``pure``, ``|det - 1| <= PURITY_TOL``
     (:class:`NotPureError` naming the first impure det; else ``ValueError``).
+    A :class:`CMStack` is the validated state, with read-only arrays, and this is its only
+    producer: one is returned as it is, after the purity test from its ``dets`` if ``pure``.
     """
-    cms = np.asarray(cms, dtype=float)
-    if cms.ndim == 2:
-        cms = cms[None]
-    if cms.ndim != 3 or cms.shape[1:] != (4, 4):
-        raise ValueError(f"covariance matrices must be 4x4, got {cms.shape[1:]}")
-    if not np.isfinite(cms).all():
-        raise ValueError("covariance matrix must be finite")
-    transposed = cms.transpose(0, 2, 1)
-    scale = np.maximum(np.abs(cms).max(axis=(1, 2)), 1.0)
-    if (np.abs(cms - transposed).max(axis=(1, 2)) > 1e-10 * scale).any():
-        raise ValueError("covariance matrix is not symmetric")
-    cms = (cms + transposed) / 2.0
-    eigenvalues = np.linalg.eigvalsh(cms)
-    if (eigenvalues[:, 0] <= 0.0).any():
-        raise ValueError("covariance matrix is not positive definite")
-    dets = np.linalg.det(cms)
-    if (dets < 1.0 - 1e-9).any():
-        raise ValueError("covariance matrix violates det >= 1")
-    blocks = det2(cms.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4))
-    if (blocks.reshape(-1, 4) @ _DELTA_WEIGHTS > 1.0 + dets).any():
-        raise ValueError("covariance matrix violates the uncertainty principle")
-    if pure and (impure := np.abs(dets - 1.0) > PURITY_TOL).any():
-        raise NotPureError("state is not pure: det(gamma) = %.12g" % dets[np.argmax(impure)])
-    return CMStack(cms, eigenvalues, dets, blocks)
+    if isinstance(cms, CMStack):
+        stack = cms
+    else:
+        cms = np.asarray(cms, dtype=float)
+        if cms.ndim == 2:
+            cms = cms[None]
+        if cms.ndim != 3 or cms.shape[1:] != (4, 4):
+            raise ValueError(f"covariance matrices must be 4x4, got {cms.shape[1:]}")
+        if not np.isfinite(cms).all():
+            raise ValueError("covariance matrix must be finite")
+        transposed = cms.transpose(0, 2, 1)
+        scale = np.maximum(np.abs(cms).max(axis=(1, 2)), 1.0)
+        if (np.abs(cms - transposed).max(axis=(1, 2)) > 1e-10 * scale).any():
+            raise ValueError("covariance matrix is not symmetric")
+        cms = (cms + transposed) / 2.0
+        eigenvalues = np.linalg.eigvalsh(cms)
+        if (eigenvalues[:, 0] <= 0.0).any():
+            raise ValueError("covariance matrix is not positive definite")
+        dets = np.linalg.det(cms)
+        if (dets < 1.0 - 1e-9).any():
+            raise ValueError("covariance matrix violates det >= 1")
+        blocks = det2(cms.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4))
+        if (blocks.reshape(-1, 4) @ _DELTA_WEIGHTS > 1.0 + dets).any():
+            raise ValueError("covariance matrix violates the uncertainty principle")
+        cms.flags.writeable = eigenvalues.flags.writeable = dets.flags.writeable = blocks.flags.writeable = False
+        stack = CMStack(cms, eigenvalues, dets, blocks)
+    if pure and (impure := np.abs(stack.dets - 1.0) > PURITY_TOL).any():
+        raise NotPureError("state is not pure: det(gamma) = %.12g" % stack.dets[np.argmax(impure)])
+    return stack
 
 
 def _one_cm(gamma, pure: bool = False) -> CMStack:
-    """:func:`valid_cm_stack` of a single 4x4 CM, for the scalar queries: a stack is refused."""
-    if np.shape(gamma) != (4, 4):
-        raise ValueError(f"covariance matrix must be 4x4, got {np.shape(gamma)}")
+    """:func:`valid_cm_stack` of one 4x4 CM or one-CM stack, for the scalar queries: more are refused."""
+    stacked = isinstance(gamma, CMStack)
+    if (shape := np.shape(gamma.cms if stacked else gamma)) != ((1, 4, 4) if stacked else (4, 4)):
+        raise ValueError(f"covariance matrix must be 4x4, got {shape}")
     return valid_cm_stack(gamma, pure)
 
 

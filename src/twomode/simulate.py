@@ -288,12 +288,13 @@ class Protocol:
     A schedule cycles a few fixed windows, so a protocol stores each distinct
     step once.  Step ``i`` is row ``index[i]`` of the ``(N, 3)`` ``rows``
     ``(phi1, phi2, duration)``, with ``index`` 1-d integers in ``[0, N)``.  The
-    rows need not be distinct: the constructor keys them by their bytes (so
-    ``-0.0`` is not ``0.0``), keeps the distinct ones in ``table`` in order of
-    first appearance, checked once by the step rule, and the table row of
-    every step in ``index``.  Both are read-only.  :meth:`from_dict` passes
-    the rows of a JSON file, and ``flip_strategy``, :func:`plan_to_protocol`
-    and ``compile_to_native`` their few rows and an index into them.
+    rows need not be distinct or used: the constructor keys the used rows by
+    their bytes (so ``-0.0`` is not ``0.0``), keeps the distinct ones in
+    ``table`` in order of first appearance, checked once by the step rule, and
+    the table row of every step in ``index``.  Both are read-only.
+    :meth:`from_dict` passes the rows of a JSON file, and ``flip_strategy``,
+    :func:`plan_to_protocol` and ``compile_to_native`` their few rows and an
+    index into them.
     """
 
     native_k: np.ndarray
@@ -309,6 +310,9 @@ class Protocol:
         if index.ndim != 1 or index.dtype.kind not in "iu" or (
                 index.size and not 0 <= index.min() <= index.max() < len(rows)):
             raise ValueError(f"protocol index must be 1-d integers in [0, {len(rows)})")
+        used = np.zeros(len(rows), bool)
+        used[index] = True
+        rows, index = rows[used], (np.cumsum(used) - 1)[index]  # only the rows some step uses
         seen: dict = {}  # a row's bytes (so -0.0 is not 0.0) -> its first row, in order of appearance
         first = np.fromiter(map(seen.setdefault, rows.view("V24").ravel().tolist(), count()), np.intp)
         distinct = np.fromiter(seen.values(), np.intp, len(seen))

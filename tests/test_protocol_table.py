@@ -25,7 +25,7 @@ from helpers import (
     reference_plan_schedule,
     reference_protocol_dict,
 )
-from twomode.core import H0, HBS, LocalRotationPair
+from twomode.core import H0, HBS, LocalRotationPair, evolve
 from twomode.gates import compile_to_native, decompose_gate
 from twomode.protocols import flip_strategy, run_protocol
 from twomode.simulate import Protocol, plan_to_protocol, synthesize_plan
@@ -216,3 +216,19 @@ class TestConstructorKeysRows:
         by_steps = Protocol(H0, steps, np.arange(len(steps)), LocalRotationPair(0.3, -0.0))
         assert by_steps.table.tobytes() == np.array([rows[5], rows[0], rows[3], rows[4]]).tobytes()
         assert json.dumps(by_steps.to_dict()) == json.dumps(protocol.to_dict())
+
+    def test_rows_no_step_uses_are_dropped(self, monkeypatch):
+        import twomode.protocols
+
+        protocol = Protocol(H0, [(0.0, 0.0, 0.1), (0.0, 0.0, 0.2)], [0])
+        assert protocol.table.tolist() == [[0.0, 0.0, 0.1]] and protocol.index.tolist() == [0]
+        durations = []
+        monkeypatch.setattr(twomode.protocols, "evolve", lambda k, t: durations.append(t) or evolve(k, t))
+        run_protocol(np.eye(4), protocol)
+        assert [np.shape(t) for t in durations] == [(1,)]
+
+    def test_a_bad_row_no_step_uses_is_not_refused(self):
+        rows = [(np.nan, 0.0, 0.1), (0.0, 0.0, 0.2), (0.0, 0.0, -1.0), (0.5, 0.0, 0.3), (0.0, 0.0, 0.2)]
+        protocol = Protocol(H0, rows, [3, 1, 4, 3])
+        assert protocol.table.tolist() == [[0.0, 0.0, 0.2], [0.5, 0.0, 0.3]]
+        assert protocol.index.tolist() == [1, 0, 0, 1]

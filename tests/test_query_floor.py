@@ -138,7 +138,7 @@ class TestOneDecompositionPerJsonState:
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-        assert np.array_equal(twomode.cli._parse_state(str(path), pure), valid_cm_stack(gamma).cms[0])
+        assert np.array_equal(twomode.cli._parse_state(str(path), pure).cms, valid_cm_stack(gamma).cms)
         assert calls == [(1, 4, 4), (1, 4, 4)]  # the parse, then the comparison's own
 
     def test_a_refused_state_in_range_keeps_its_refusal(self, tmp_path):

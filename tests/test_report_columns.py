@@ -15,6 +15,7 @@ from twomode.cli import _flow_trajectory, main, reproduce_figures
 from twomode.core import (
     J2,
     H0,
+    CMStack,
     LocalRotationPair,
     NotPureError,
     _as_k,
@@ -166,8 +167,9 @@ class TestOneValidationPerReport:
 
         shapes = []
 
-        def recording(cms, pure=False):
-            shapes.append(np.shape(cms))
+        def recording(cms, pure=False):  # a CMStack is passed through, not checked: count raw arrays only
+            if not isinstance(cms, CMStack):
+                shapes.append(np.shape(cms))
             return valid_cm_stack(cms, pure)
 
         for module in (twomode.core, twomode.protocols, twomode.measures, twomode.cli):
@@ -213,11 +215,10 @@ class TestOneValidationPerReport:
     def test_run_checks_its_start_state_once_per_boundary(
         self, validated_shapes, monkeypatch, tmp_path, strategy, state
     ):
-        """The CLI checks a JSON state once; built-in states are valid as built.
+        """The CLI checks every state once, and hands the library the validated stack.
 
-        Behind it, ``run_protocol`` checks the state once, and the greedy walk
-        once plus once per locked stretch (``pure_standard_form`` in
-        ``_neutral_flip_base``).
+        Behind it, only the greedy walk checks a node again, once per locked
+        stretch (``pure_standard_form`` in ``_neutral_flip_base``).
         """
         import twomode.cli
 
@@ -234,13 +235,25 @@ class TestOneValidationPerReport:
         argv = ["run", "--hamiltonian", "h0", "--state", str(state), "--t", "0.1"]
         argv += ["--strategy", strategy, "--steps", "100", "--out", str(tmp_path / "run.csv")]
         assert main(argv) == 0
-        if strategy == "greedy":
-            expected = 1 + len(walks[0].lock_stretches)
-        else:
-            expected = {"flip": 1, "tms": 0, "bare": 0}[strategy]
-        expected += str(state).endswith(".json")
+        expected = 1 + len(walks[0].lock_stretches) if strategy == "greedy" else 1
         assert validated_shapes.count((4, 4)) == expected
         assert validated_shapes.count((101, 4, 4)) == 1
+
+    @pytest.mark.parametrize("state", ["vacuum", "squeezed:0.5,0.2", "tms:0.3", "pure", "mixed"])
+    @pytest.mark.parametrize(
+        "command",
+        [["measure"], ["rates", "--hamiltonian", "h0"], ["evolve", "--hamiltonian", "h0", "--t", "0.3"]],
+        ids=["measure", "rates", "evolve"],
+    )
+    def test_a_state_query_checks_its_state_once(self, validated_shapes, tmp_path, command, state):
+        """Including a mixed JSON state, which ``measure`` reports and ``rates`` refuses (exit 2)."""
+        code = 2 if state == "mixed" and command[0] == "rates" else 0
+        if state in ("pure", "mixed"):
+            gamma = random_pure_cm(np.random.default_rng(3)) if state == "pure" else 1.5 * np.eye(4)
+            state = tmp_path / "state.json"
+            state.write_text(json.dumps(gamma.ravel().tolist()))
+        assert main([*command, "--state", str(state)]) == code
+        assert validated_shapes == [(4, 4)]
 
     @pytest.mark.parametrize(
         "query",
