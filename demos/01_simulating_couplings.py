@@ -58,9 +58,8 @@ print("  squeezer:     ", min_simulation_time(H0, HTMS, 1.0))
 
 plan = synthesize_plan(H0, HTMS, 1.0)
 print("\nsqueezer plan (kappa = %.2f):" % plan.kappa)
-for term in plan.terms:
-    print(f"  weight {term.weight:.2f}  rotations (phi1, phi2) = "
-          f"({term.rotations.phi1:+.4f}, {term.rotations.phi2:+.4f})")
+for phi1, phi2, weight in plan.terms:
+    print(f"  weight {weight:.2f}  rotations (phi1, phi2) = ({phi1:+.4f}, {phi2:+.4f})")
 print("effective coupling realised:\n", effective_hamiltonian(plan))
 
 # %% Slicing the plan into alternating windows gives a runnable protocol that

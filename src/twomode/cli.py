@@ -95,9 +95,10 @@ def _parse_hamiltonian(spec: str) -> np.ndarray:
     return _read_json(spec, k_from_dict)
 
 
-def _check_range(spec: str, within: bool) -> None:
-    """The one range rule of every ``--state``: no CM eigenvalue above ``e^_R_MAX`` (exit 3)."""
-    if not within:
+def _check_range(spec: str, log_top: float) -> None:
+    """The one range rule of every ``--state``: the log of its top CM eigenvalue, at most ``_R_MAX``
+    with 1e-12 relative slack (exit 3); a built-in's is its parameter, checked before its CM is built."""
+    if not log_top <= _R_MAX + 1e-12:
         raise OverflowError(
             f"state {spec} is out of range: a CM eigenvalue exceeds e^{_R_MAX:g}"
             f" (that of tms:{_R_MAX / 2:g})"
@@ -120,10 +121,10 @@ def _parse_state(spec: str, pure: bool = False) -> CMStack:
     if kind == "vacuum":
         return valid_cm_stack(vacuum_cm(), pure)
     if kind == "tms":
-        _check_range(spec, 2.0 * abs(values[0]) <= _R_MAX)
+        _check_range(spec, 2.0 * abs(values[0]))
         return valid_cm_stack(two_mode_squeezed_cm(values[0]), pure)
     r1, r2 = values + [0.0] * (2 - len(values))
-    _check_range(spec, max(abs(r1), abs(r2)) <= _R_MAX)
+    _check_range(spec, max(abs(r1), abs(r2)))
     return valid_cm_stack(squeezed_product_cm(r1, r2), pure)
 
 
@@ -131,14 +132,14 @@ def _file_cm(spec: str, pure: bool, data) -> CMStack:
     """The validated state of a state file: a bare 16-entry list or ``{"cm": [...]}``."""
     if isinstance(data, dict):
         data = data["cm"]
-    gamma, top = matrix_from_list(data), math.exp(_R_MAX) * (1.0 + 1e-12)
-    try:  # the range rule (slack 1e-12) outranks a refusal: past it round-off breaks det >= 1
+    gamma = matrix_from_list(data)
+    try:  # the range rule outranks a refusal: past it round-off breaks det >= 1
         stack = valid_cm_stack(gamma, pure)
     except ValueError:
-        if np.isfinite(gamma).all():
-            _check_range(spec, np.linalg.eigvalsh((gamma + gamma.T) / 2.0)[-1] <= top)
+        if np.isfinite(gamma).all():  # an eigenvalue up to 1 is in range, whatever its sign
+            _check_range(spec, math.log(max(np.linalg.eigvalsh((gamma + gamma.T) / 2.0)[-1], 1.0)))
         raise
-    _check_range(spec, stack.eigenvalues[0, -1] <= top)
+    _check_range(spec, math.log(stack.eigenvalues[0, -1]))
     return stack
 
 

@@ -217,9 +217,6 @@ class LocalRotationPair:
     def matrix(self) -> np.ndarray:
         return _pair_matrix(self.phi1, self.phi2)
 
-    def inverse(self) -> "LocalRotationPair":
-        return LocalRotationPair(-self.phi1, -self.phi2)
-
     def compose(self, other: "LocalRotationPair") -> "LocalRotationPair":
         """Pair equivalent to applying ``other`` first, then ``self``."""
         return LocalRotationPair(self.phi1 + other.phi1, self.phi2 + other.phi2)

@@ -27,7 +27,6 @@ from .core import (
     HBS,
     HTMS,
     J,
-    J2,
     LocalRotationPair,
     _as_k,
     _json_numbers,
@@ -309,7 +308,8 @@ def local_squeezer_sequence(alpha: float, beta: float) -> GateSequence:
 # Full gate decomposition
 # ---------------------------------------------------------------------------
 
-_SQUEEZE_TOL = 1e-12
+#: Largest ``|t|`` of a round-off coupling gate, which decomposition drops and compilation skips.
+_NEGLIGIBLE_T = 1e-12
 
 
 def decompose_gate(s) -> GateSequence:
@@ -329,7 +329,7 @@ def decompose_gate(s) -> GateSequence:
     out: tuple[GatePrimitive, ...] = ()
     acc = dec.O_tilde
     for strength, (entry, exit_) in zip((dec.beta, dec.alpha), _STAGE_MAPS):
-        if abs(strength) > _SQUEEZE_TOL:
+        if abs(strength) > _NEGLIGIBLE_T:
             out += passive_decompose(entry @ acc).gates() + (TwoModeSqueezerGate(strength),)
             acc = exit_
     return GateSequence(out + passive_decompose(dec.O @ acc).gates())
@@ -343,8 +343,8 @@ def decompose_gate(s) -> GateSequence:
 def compile_to_native(seq: GateSequence, k, slices: int = 200) -> Protocol:
     """Replace every beam splitter / squeezer by a simulation protocol on ``K``.
 
-    Each non-rotation primitive is simulated at its minimal interaction time;
-    rotation primitives merge into the neighbouring schedule.  Negative gate
+    Each coupling gate with ``|t| > 1e-12`` is simulated at its minimal interaction
+    time; rotation primitives merge into the neighbouring schedule.  Negative gate
     durations are folded into the sign of the target coupling so all emitted
     interaction windows are non-negative.  The protocol's rows are the
     pieces' few rows in turn, and its index the pieces' indices, each offset
@@ -364,7 +364,7 @@ def compile_to_native(seq: GateSequence, k, slices: int = 200) -> Protocol:
         if isinstance(gate, RotationGate):
             pending = gate.pair.compose(pending)
             continue
-        if abs(gate.t) <= 1e-15:
+        if abs(gate.t) <= _NEGLIGIBLE_T:
             continue
         target = -gate.coupling if gate.t < 0 else gate.coupling
         head, part, pending = _trotterise(synthesize_plan(k, target, abs(gate.t)), slices, pending)

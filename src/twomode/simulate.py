@@ -31,12 +31,12 @@ from .core import (
     _wrap,
     k_from_dict,
     k_to_dict,
+    rotation,
 )
 
 __all__ = [
     "DegenerateHamiltonianError",
     "InfeasibleTimeError",
-    "PlanTerm",
     "SimulationPlan",
     "Protocol",
     "can_simulate_efficiently",
@@ -141,26 +141,17 @@ def min_simulation_time(k, k_target, t_target: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlanTerm:
-    """One window type of a simulation plan.
-
-    ``weight`` is the fraction of the total interaction time spent with the
-    state pre-rotated by ``rotations`` (the rotations are undone after each
-    window, so the window contributes ``weight * R1^T K R2`` to the effective
-    coupling).
-    """
-
-    weight: float
-    rotations: LocalRotationPair
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationPlan:
     """Probability-weighted rotation schedule realising an effective coupling.
 
-    The outer rotations from the restricted SVDs of both the native and the
-    target coupling are already folded into the stored pairs, so
+    ``terms`` is an ``(n, 3)`` float array of rows ``(phi1, phi2, weight)``, the
+    layout of :attr:`Protocol.table`.  Row ``i`` is one window type: the
+    fraction ``weight`` of the total interaction time is spent with the state
+    pre-rotated by ``R1 (+) R2 = R(phi1) (+) R(phi2)``, undone after each
+    window, so the row contributes ``weight * R1^T K R2`` to the effective
+    coupling.  The outer rotations from the restricted SVDs of both the native
+    and the target coupling are already folded into the angles, so
 
         ``sum_i weight_i * R1_i^T K R2_i = kappa * K_target``
 
@@ -171,7 +162,7 @@ class SimulationPlan:
     target_k: np.ndarray
     t: float
     t_target: float
-    terms: tuple[PlanTerm, ...] = field(default_factory=tuple)
+    terms: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
 
     @property
     def kappa(self) -> float:
@@ -184,12 +175,7 @@ class SimulationPlan:
             "t": float(self.t),
             "t_target": float(self.t_target),
             "terms": [
-                {
-                    "weight": float(term.weight),
-                    "phi1": float(term.rotations.phi1),
-                    "phi2": float(term.rotations.phi2),
-                }
-                for term in self.terms
+                {"weight": weight, "phi1": phi1, "phi2": phi2} for phi1, phi2, weight in self.terms.tolist()
             ],
         }
 
@@ -228,7 +214,7 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
     # State rotations composed with the outer SVD factors of both couplings,
     # O1 = R_K R_i^T R'^T and O2 = S_K^T S_i S', as angles.
     offset = [theta[0] - theta[1], psi[1] - psi[0]]
-    angles = _wrap(np.array(_BASE_PAIRS) * [-1.0, 1.0] + offset).tolist()
+    angles = _wrap(np.array(_BASE_PAIRS) * [-1.0, 1.0] + offset)
 
     rho, t_min = _min_time(s, sp, t_target)
     if t is None:
@@ -255,10 +241,8 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
 
     # Weights at round-off level (from remainder/2 and +-f) would only add
     # Trotter windows of near-zero duration.
-    terms = tuple(
-        PlanTerm(w, LocalRotationPair(*pair)) for w, pair in zip(weights, angles) if w > _SLACK
-    )
-    return SimulationPlan(k, k_target, float(t), float(t_target), terms)
+    rows = np.column_stack([angles, weights])
+    return SimulationPlan(k, k_target, float(t), float(t_target), rows[rows[:, 2] > _SLACK])
 
 
 def effective_hamiltonian(plan: SimulationPlan) -> np.ndarray:
@@ -267,8 +251,8 @@ def effective_hamiltonian(plan: SimulationPlan) -> np.ndarray:
         raise ValueError("a plan with t_target = 0 determines no effective coupling")
     k = _as_k(plan.native_k)
     acc = np.zeros((2, 2))
-    for term in plan.terms:
-        acc += term.weight * (term.rotations.block1.T @ k @ term.rotations.block2)
+    for phi1, phi2, weight in plan.terms.tolist():
+        acc += weight * (rotation(phi1).T @ k @ rotation(phi2))
     return acc / plan.kappa
 
 
@@ -369,20 +353,18 @@ def _trotterise(plan: SimulationPlan, slices: int, pending=None):
     """
     if slices < 1:
         raise ValueError("slices must be >= 1")
-    terms = [t for t in plan.terms if t.weight > 0.0]
+    terms = [row for row in plan.terms.tolist() if row[2] > 0.0]
     if not terms:
         return [], np.empty(0, dtype=np.intp), LocalRotationPair() if pending is None else pending
-    prevs = [LocalRotationPair(), *(term.rotations for term in terms)]
-    head = [term.rotations.compose(prev.inverse()) for term, prev in zip(terms, prevs)]
-    if pending is not None:
-        head[0] = head[0].compose(pending)
-    if slices > 1:
-        head.append(terms[0].rotations.compose(prevs[-1].inverse()))
-    durations = [term.weight * plan.t / slices for term in terms]
-    rows = [(pair.phi1, pair.phi2, duration) for pair, duration in zip(head, [*durations, durations[0]])]
+    # Each step's control is the quotient of consecutive pre-rotations, the difference of their
+    # angles; before the first, the pre-rotation that ``pending`` undoes.
+    start = (0.0, 0.0, 0.0) if pending is None else (-pending.phi1, -pending.phi2, 0.0)
+    windows = [*terms, terms[0]] if slices > 1 else terms
+    rows = [(phi1 - prev1, phi2 - prev2, weight * plan.t / slices)
+            for (phi1, phi2, weight), (prev1, prev2, _) in zip(windows, [start, *terms])]
     index = np.tile(np.array([len(terms), *range(1, len(terms))], dtype=np.intp), slices)  # the cycles
     index[0] = 0  # slice 1 starts with first[0], not entry
-    return rows, index, prevs[-1].inverse()
+    return rows, index, LocalRotationPair(-terms[-1][0], -terms[-1][1])
 
 
 def plan_to_protocol(plan: SimulationPlan, slices: int) -> Protocol:

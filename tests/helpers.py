@@ -157,17 +157,16 @@ def lapack_restricted_svd(k):
 def reference_plan_schedule(plan, slices):
     """Per-window reference loop for ``simulate.plan_to_protocol``: ``(rows, final)``,
     one row ``(phi1, phi2, duration)`` per step."""
-    terms = [t for t in plan.terms if t.weight > 0.0]
+    terms = [row for row in plan.terms.tolist() if row[2] > 0.0]
     if not terms:
         return [], LocalRotationPair()
     rows = []
     prev = LocalRotationPair()
-    for _ in range(slices):
-        for term in terms:
-            quotient = term.rotations.compose(prev.inverse())
-            rows.append((quotient.phi1, quotient.phi2, term.weight * plan.t / slices))
-            prev = term.rotations
-    return rows, prev.inverse()
+    for phi1, phi2, weight in terms * slices:
+        quotient = LocalRotationPair(phi1, phi2).compose(LocalRotationPair(-prev.phi1, -prev.phi2))
+        rows.append((quotient.phi1, quotient.phi2, weight * plan.t / slices))
+        prev = LocalRotationPair(phi1, phi2)
+    return rows, LocalRotationPair(-prev.phi1, -prev.phi2)
 
 
 def reference_flip_schedule(t, steps):
@@ -195,7 +194,7 @@ def reference_compile_schedule(seq, k, slices):
             pending = gate.pair.compose(pending)
             continue
         duration, target = gate.t, gate.coupling
-        if abs(duration) <= 1e-15:
+        if abs(duration) <= 1e-12:
             continue
         if duration < 0:
             target, duration = -target, -duration

@@ -425,6 +425,10 @@ class TestInputRange:
             ("squeezed:0,-8", squeezed_product_cm(0.0, -8.0), False),
             ("tms:3.3", two_mode_squeezed_cm(3.3), False),
             ("tms:-3.3", two_mode_squeezed_cm(-3.3), False),
+            ("tms:3.2500000000001", two_mode_squeezed_cm(3.2500000000001), True),
+            ("tms:-3.2500000000001", two_mode_squeezed_cm(-3.2500000000001), True),
+            ("squeezed:6.5000000000003", squeezed_product_cm(6.5000000000003, 0.0), True),
+            ("tms:3.2500000001", two_mode_squeezed_cm(3.2500000001), False),
         ],
     )
     def test_same_cm_gets_the_same_decision(self, capsys, tmp_path, spec, gamma, inside):

@@ -266,6 +266,18 @@ class TestCompileToNative:
         with pytest.raises(DegenerateHamiltonianError):
             compile_to_native(GateSequence((TwoModeSqueezerGate(0.1),)), HBS)
 
+    def test_round_off_coupling_gates_add_no_steps(self):
+        """The beam splitters of about 1e-15 that a squeezer's decomposition carries are skipped."""
+        seq = decompose_gate(TwoModeSqueezerGate(0.05).matrix)
+        assert [g.to_dict()["kind"] for g in seq.gates] == ["rot", "bs", "rot", "tms", "rot", "bs", "rot"]
+        assert all(1e-15 < abs(g.t) <= 1e-12 for g in seq.gates if isinstance(g, BeamSplitterGate))
+        assert len(compile_to_native(seq, H0, slices=200).index) == 400
+
+    @pytest.mark.parametrize("t, steps", [(1e-12, 0), (-1e-12, 0), (2e-12, 2), (-2e-12, 2)])
+    def test_one_threshold_for_a_negligible_gate(self, t, steps):
+        """Compilation skips a coupling gate with |t| <= 1e-12, as decomposition drops such a stage."""
+        assert len(compile_to_native(GateSequence((BeamSplitterGate(t),)), H0, slices=1).index) == steps
+
     def test_negative_durations_folded(self):
         seq = GateSequence((TwoModeSqueezerGate(-0.3),))
         protocol = compile_to_native(seq, H0, slices=100)

@@ -31,7 +31,7 @@ from twomode.gates import (
     euler_decompose,
 )
 from twomode.protocols import extend_with_ancillas, finite_time_bounds, greedy_rate_walk
-from twomode.simulate import PlanTerm, SimulationPlan, plan_to_protocol, synthesize_plan
+from twomode.simulate import SimulationPlan, plan_to_protocol, synthesize_plan
 
 #: Positive definite CMs with ``det = 1`` that violate ``gamma + i Omega >= 0``.
 UNPHYSICAL = [np.diag([2.0, 3.0, 1 / 2, 1 / 3]), np.diag([2.0, 2.0, 1 / 2, 1 / 2])]
@@ -215,7 +215,7 @@ class TestScheduleEdges:
             plan_to_protocol(synthesize_plan(H0, HTMS, 1.0), 0)
 
     def test_plan_without_weight_gives_an_empty_protocol(self):
-        plan = SimulationPlan(H0, H0, 1.0, 1.0, (PlanTerm(0.0, LocalRotationPair(0.3, 0.1)),))
+        plan = SimulationPlan(H0, H0, 1.0, 1.0, np.array([(0.3, 0.1, 0.0)]))
         protocol = plan_to_protocol(plan, 4)
         assert protocol.steps.shape == (0, 3) and protocol.final == LocalRotationPair()
 

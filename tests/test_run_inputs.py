@@ -27,7 +27,6 @@ from twomode.protocols import flip_strategy, uniform_grid
 from twomode.simulate import (
     DegenerateHamiltonianError,
     InfeasibleTimeError,
-    PlanTerm,
     Protocol,
     SimulationPlan,
     can_simulate_efficiently,
@@ -467,7 +466,7 @@ class TestDegeneratePlanTimes:
         code, out, err = run_cli(self._argv(tmp_path, "--total", "5"))
         assert (code, err) == (0, "")
         data = json.loads(out)
-        terms = tuple(PlanTerm(d["weight"], LocalRotationPair(d["phi1"], d["phi2"])) for d in data["terms"])
+        terms = np.array([(d["phi1"], d["phi2"], d["weight"]) for d in data["terms"]])
         plan = SimulationPlan(HBS, 2.0 * HBS, data["t"], data["t_target"], terms)
         assert plan.t == 5.0
         assert np.max(np.abs(effective_hamiltonian(plan) - 2.0 * HBS)) < 1e-12

@@ -7,7 +7,7 @@ import pytest
 
 import twomode.gates
 import twomode.simulate
-from helpers import random_coupling, random_rotation_pair, reference_plan_schedule, reference_protocol_dict
+from helpers import random_coupling, random_rotation_pair, random_rows, reference_plan_schedule, reference_protocol_dict
 from twomode.core import (
     H0,
     HBS,
@@ -26,7 +26,6 @@ from twomode.protocols import run_protocol
 from twomode.simulate import (
     DegenerateHamiltonianError,
     InfeasibleTimeError,
-    PlanTerm,
     Protocol,
     SimulationPlan,
     can_simulate_efficiently,
@@ -35,6 +34,10 @@ from twomode.simulate import (
     plan_to_protocol,
     synthesize_plan,
 )
+
+
+#: Plan rows ``(phi1, phi2, weight)`` whose angles carry ``-0.0``.
+_NEGATIVE_ZERO_ROWS = np.array([(-0.0, 0.0, 0.5), (0.3, -0.0, 0.25), (-0.0, -0.0, 0.25)])
 
 
 class TestSimulabilityCondition:
@@ -102,21 +105,21 @@ class TestSynthesizePlan:
         plan = synthesize_plan(H0, HTMS, 1.0)
         assert plan.t == pytest.approx(2.0)
         assert plan.kappa == pytest.approx(0.5)
-        weights = sorted(term.weight for term in plan.terms)
+        weights = sorted(plan.terms[:, 2].tolist())
         assert weights == pytest.approx([0.5, 0.5])
         assert np.max(np.abs(effective_hamiltonian(plan) - HTMS)) < 1e-12
 
     def test_beam_splitter_plan(self):
         plan = synthesize_plan(H0, HBS, 1.0)
-        assert sorted(t.weight for t in plan.terms) == pytest.approx([0.5, 0.5])
+        assert sorted(plan.terms[:, 2].tolist()) == pytest.approx([0.5, 0.5])
         assert np.max(np.abs(effective_hamiltonian(plan) - HBS)) < 1e-12
 
     def test_self_simulation_single_trivial_term(self, rng):
         k = random_coupling(rng)
         plan = synthesize_plan(k, k, 0.7)
         assert len(plan.terms) == 1
-        assert plan.terms[0].weight == pytest.approx(1.0)
-        assert np.allclose(plan.terms[0].rotations.matrix, np.eye(4), atol=1e-12)
+        assert plan.terms[0, 2] == pytest.approx(1.0)
+        assert np.allclose(LocalRotationPair(*plan.terms[0, :2].tolist()).matrix, np.eye(4), atol=1e-12)
 
     def test_weights_form_distribution(self, rng):
         for _ in range(200):
@@ -126,8 +129,8 @@ class TestSynthesizePlan:
                 continue
             plan = synthesize_plan(k, kp, rng.uniform(0.1, 2.0))
             assert len(plan.terms) <= 4
-            assert sum(t.weight for t in plan.terms) == pytest.approx(1.0, abs=1e-12)
-            assert all(t.weight > 0 for t in plan.terms)
+            assert sum(plan.terms[:, 2].tolist()) == pytest.approx(1.0, abs=1e-12)
+            assert all(plan.terms[:, 2] > 0)
 
     def test_minimal_time_plans_hit_target(self, rng):
         """At minimal interaction time the plan reproduces the target exactly."""
@@ -153,7 +156,7 @@ class TestSynthesizePlan:
             if s.s1 - abs(s.s2) < 1e-6:
                 continue
             plan = synthesize_plan(k, kp, 1.0)
-            assert min(t.weight for t in plan.terms) > 1e-12
+            assert min(plan.terms[:, 2]) > 1e-12
             scale = max(1.0, float(np.max(np.abs(kp))))
             assert np.max(np.abs(effective_hamiltonian(plan) - kp)) < 1e-9 * scale
             gate_plan = synthesize_plan(k, HBS, 0.4)
@@ -175,14 +178,21 @@ class TestSynthesizePlan:
             synthesize_plan(HBS, H0, 1.0)
 
     def test_json_roundtrip(self):
-        plan = synthesize_plan(H0, HTMS, 1.0)
-        data = json.loads(json.dumps(plan.to_dict()))
-        assert np.array_equal(k_from_dict(data["native_K"]), plan.native_k)
-        assert np.array_equal(k_from_dict(data["target_K"]), plan.target_k)
-        assert (data["t"], data["t_target"]) == (plan.t, plan.t_target)
-        assert len(data["terms"]) == len(plan.terms)
-        for a, b in zip(data["terms"], plan.terms):
-            assert (a["weight"], a["phi1"], a["phi2"]) == (b.weight, b.rotations.phi1, b.rotations.phi2)
+        """``terms`` is an ``(n, 3)`` float array of rows ``(phi1, phi2, weight)``; the JSON lists them
+        in order (squeezer, generic, degenerate and zero-target plans)."""
+        generic = kmatrix(a=0.3, b=-1.2, c=0.7, d=2.0)
+        for args in ((H0, HTMS, 1.0), (generic, HBS, 0.6), (HBS, 2.0 * HBS, 0.8), (H0, HBS, 0.0)):
+            plan = synthesize_plan(*args)
+            assert plan.terms.dtype == float and plan.terms.shape == (len(plan.terms), 3)
+            data = json.loads(json.dumps(plan.to_dict()))
+            rows = np.array([(d["phi1"], d["phi2"], d["weight"]) for d in data["terms"]])
+            assert rows.tobytes() == plan.terms.tobytes()
+            assert np.array_equal(k_from_dict(data["native_K"]), plan.native_k)
+            assert np.array_equal(k_from_dict(data["target_K"]), plan.target_k)
+            assert (data["t"], data["t_target"]) == (plan.t, plan.t_target)
+            assert len(data["terms"]) == len(plan.terms)
+            for a, (phi1, phi2, weight) in zip(data["terms"], plan.terms.tolist()):
+                assert (a["weight"], a["phi1"], a["phi2"]) == (weight, phi1, phi2)
 
 
 class TestEffectiveHamiltonian:
@@ -195,7 +205,7 @@ class TestEffectiveHamiltonian:
             target_k=k,
             t=1.0,
             t_target=1.0,
-            terms=(PlanTerm(0.5, LocalRotationPair()), PlanTerm(0.5, flip)),
+            terms=np.array([(0.0, 0.0, 0.5), (flip.phi1, flip.phi2, 0.5)]),
         )
         expected = (k + J @ k @ J) / 2.0
         assert np.max(np.abs(effective_hamiltonian(plan) - expected)) < 1e-12
@@ -208,7 +218,7 @@ class TestEffectiveHamiltonian:
 
     def test_identity_plan(self, rng):
         k = random_coupling(rng)
-        plan = SimulationPlan(k, k, 1.0, 1.0, (PlanTerm(1.0, LocalRotationPair()),))
+        plan = SimulationPlan(k, k, 1.0, 1.0, np.array([(0.0, 0.0, 1.0)]))
         assert np.allclose(effective_hamiltonian(plan), k)
 
     def test_no_random_plan_beats_the_bound(self, rng):
@@ -217,10 +227,7 @@ class TestEffectiveHamiltonian:
             k = random_coupling(rng)
             n_terms = int(rng.integers(1, 5))
             weights = rng.dirichlet(np.ones(n_terms))
-            terms = tuple(
-                PlanTerm(float(w), random_rotation_pair(rng)) for w in weights
-            )
-            plan = SimulationPlan(k, k, 1.0, 1.0, terms)
+            plan = SimulationPlan(k, k, 1.0, 1.0, np.array(random_rows(rng, weights)))
             keff = effective_hamiltonian(plan)
             _, s, _ = restricted_svd(k)
             _, se, _ = restricted_svd(keff)
@@ -287,15 +294,29 @@ class TestPlanToProtocol:
             plans.append(synthesize_plan(k, k, rng.uniform(0.1, 1.0)))
         plans.append(
             SimulationPlan(
-                H0, H0, 1.0, 1.0, tuple(PlanTerm(0.25, random_rotation_pair(rng)) for _ in range(4))
+                H0, H0, 1.0, 1.0, np.array(random_rows(rng, [0.25] * 4))
             )
         )
+        plans.append(SimulationPlan(H0, H0, 1.0, 1.0, _NEGATIVE_ZERO_ROWS))
         for plan in plans:
             for slices in range(1, 6):
                 got, (rows, final) = plan_to_protocol(plan, slices), reference_plan_schedule(plan, slices)
                 assert [tuple(row) for row in got.steps.tolist()] == rows
                 assert got.final == final
                 assert json.dumps(got.to_dict()) == json.dumps(reference_protocol_dict(plan.native_k, rows, final))
+
+    @pytest.mark.parametrize("slices", [1, 2, 5])
+    def test_negative_zero_angles_keep_their_bytes(self, slices):
+        """A plan with ``-0.0`` angles, Trotterised after a ``-0.0`` pending pair, gives the
+        per-window loop's rows and final pair bit for bit."""
+        plan, pending = SimulationPlan(H0, H0, 1.0, 1.0, _NEGATIVE_ZERO_ROWS), LocalRotationPair(-0.0, -0.0)
+        rows, index, final = twomode.simulate._trotterise(plan, slices, pending)
+        expected, expected_final = reference_plan_schedule(plan, slices)
+        entry = LocalRotationPair(*expected[0][:2]).compose(pending)
+        expected[0] = (entry.phi1, entry.phi2, expected[0][2])
+        assert np.array(rows)[index].tobytes() == np.array(expected).tobytes()
+        assert np.array([final.phi1, final.phi2]).tobytes() == np.array(
+            [expected_final.phi1, expected_final.phi2]).tobytes()
 
     def test_protocol_json_roundtrip(self):
         protocol = plan_to_protocol(synthesize_plan(H0, HBS, 0.5), 3)
@@ -350,7 +371,7 @@ class TestOnePlanRule:
                         continue
                     plan = synthesize_plan(k, kp, t_target, t=t)
                     assert plan.t == (t if t is not None else t_min or t_target or 1.0)
-                    assert sum(term.weight for term in plan.terms) == pytest.approx(1.0, abs=1e-12)
+                    assert sum(plan.terms[:, 2].tolist()) == pytest.approx(1.0, abs=1e-12)
                     if t_target > 0.0:
                         scale = max(1.0, float(np.max(np.abs(kp))))
                         assert np.max(np.abs(effective_hamiltonian(plan) - kp)) < 1e-9 * scale
@@ -380,4 +401,4 @@ class TestZeroTarget:
             assert min_simulation_time(k, zero, 1.0) == 0.0
             plan = synthesize_plan(k, zero, 1.0)
             assert np.max(np.abs(effective_hamiltonian(plan))) < 1e-12
-            assert sum(t.weight for t in plan.terms) == pytest.approx(1.0)
+            assert sum(plan.terms[:, 2].tolist()) == pytest.approx(1.0)
