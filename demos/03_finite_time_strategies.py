@@ -103,6 +103,6 @@ for _ in range(200):
     ext = extend_with_ancillas(state, 1, random_passive(3, rng))
     out = gaussian_measurement(ext)
     s_out = 1.0 / np.linalg.eigvalsh(out)[0]
-    s_ext = 1.0 / np.linalg.eigvalsh(ext.gamma)[0]
+    s_ext = 1.0 / np.linalg.eigvalsh(ext)[0]
     worst = max(worst, s_out - s_ext)
 print(f"\nmax squeezing gain over 200 measured passive extensions: {worst:.2e} (never > 0)")

@@ -43,7 +43,6 @@ from .gates import (
 )
 from .measures import entanglement, negativity, squeezing
 from .protocols import (
-    ExtendedCM,
     Trajectory,
     extend_with_ancillas,
     finite_time_bounds,

@@ -306,7 +306,7 @@ def _figure_rows(gamma0, k, times, r1: float, r2: float) -> list:
     bare = _flow_trajectory(gamma0, k, times, k).columns()
     columns = [times] + [c[key] for key in ("E0", "rate") for c in (greedy, tms, bare)]
     cap = np.full(len(times), squeezing_capability(k))
-    return columns + [cap, [finite_time_bounds(k, t, r1, r2)[1] for t in times.tolist()]]
+    return columns + [cap, finite_time_bounds(k, times.tolist(), r1, r2)[1]]
 
 
 def reproduce_figures(which: str, outdir: str) -> str:
@@ -341,8 +341,7 @@ def reproduce_figures(which: str, outdir: str) -> str:
 
 def _cmd_figures(args):
     for which in args.which:
-        path = reproduce_figures(which, args.outdir)
-        sys.stdout.write(path + "\n")
+        sys.stdout.write(reproduce_figures(which, args.outdir) + "\n")
     return None
 
 

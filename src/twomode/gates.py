@@ -356,6 +356,8 @@ def compile_to_native(seq: GateSequence, k, slices: int = 200) -> Protocol:
         If ``K`` has ``s1 = |s2|`` (such couplings cannot simulate the gate
         set).
     """
+    if slices < 1:
+        raise ValueError("slices must be >= 1")
     k = _as_k(k)
     _degenerate_scale(restricted_svd(k).svals, None, "cannot simulate beam splitters and squeezers")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 
@@ -42,7 +43,6 @@ __all__ = [
     "NotPassiveError",
     "SingularBlockError",
     "Trajectory",
-    "ExtendedCM",
     "run_protocol",
     "flip_strategy",
     "flip_effective_coupling",
@@ -62,6 +62,9 @@ CSV_HEADER = "t,E0,negativity,S,Q,rate"
 #: Largest condition number of a measured ancilla block.
 _COND_LIMIT = 1e12
 
+#: Longest float64 or intp array NumPy can address; a longer grid or step index is refused unallocated.
+_MAX_NODES = sys.maxsize // 8
+
 #: Nodes in the first scanned chunk of a stretch; each later chunk doubles.
 _FIRST_CHUNK = 16
 
@@ -77,15 +80,22 @@ class SingularBlockError(ValueError):
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    """Atomic write: temp file in the target directory, then rename.  ``path`` gets the mode
+    ``open(path, "w")`` would leave it, and an ``OSError`` names ``path``, not the temp file."""
+    tmp = None
     try:
+        os.umask(umask := os.umask(0o077))  # read the umask: a new file gets 0o666 less it
+        mode = os.stat(path).st_mode & 0o777 if os.path.exists(path) else 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, mode)
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 
@@ -210,6 +220,8 @@ def flip_strategy(k, t: float, steps: int) -> Protocol:
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if steps > _MAX_NODES:
+        raise MemoryError(f"{steps} flip steps are too many to allocate")
     k = _as_k(k)
     dt = t / steps
     index = np.full(steps, 1, dtype=np.intp)
@@ -321,7 +333,10 @@ def uniform_grid(t: float, dt: float) -> np.ndarray:
     """
     if not (dt > 0 and 0 < t < math.inf):
         raise ValueError("t and dt must be positive and t finite")
-    nodes = np.arange(max(1, int(math.ceil(t / dt - 1e-12)))) * dt
+    steps = max(1, math.ceil(t / dt - 1e-12))
+    if steps > _MAX_NODES:
+        raise MemoryError(f"a grid of t / dt = {t / dt:.6g} steps is too large to allocate")
+    nodes = np.arange(steps) * dt
     return np.append(nodes[nodes < t], t)
 
 
@@ -330,7 +345,7 @@ def greedy_rate_strategy(gamma0, k, t: float, dt: float = 1e-3) -> Trajectory:
     return greedy_rate_walk(gamma0, k, uniform_grid(t, dt))
 
 
-def finite_time_bounds(k, t: float, r1: float = 0.0, r2: float = 0.0) -> tuple[float, float]:
+def finite_time_bounds(k, t, r1: float = 0.0, r2: float = 0.0):
     """Attainability bounds after interaction time ``t`` from a squeezed product.
 
     The initial product state has single-mode squeezings ``e^{r1} >= e^{r2}``.
@@ -340,16 +355,20 @@ def finite_time_bounds(k, t: float, r1: float = 0.0, r2: float = 0.0) -> tuple[f
     * negativity can never exceed ``exp((s1 - s2) t + (r1 + r2)/2)``.
 
     From the vacuum (``r1 = r2 = 0``) both bounds coincide and are saturated
-    by the flip strategy.
+    by the flip strategy.  ``t`` may be a 1-d sequence of times: the bounds are
+    then two lists, one entry per time, from one read of ``s1 - s2``.
     """
+    times = [t] if np.ndim(t) == 0 else list(t)
     if not (r1 >= r2 >= 0.0):
         raise ValueError("bounds require r1 >= r2 >= 0")
-    if not t >= 0.0:
-        raise ValueError(f"bounds require t >= 0, got {t}")
-    if not all(map(math.isfinite, (t, r1, r2))):
-        raise ValueError(f"bounds require finite t, r1 and r2, got t = {t}, r1 = {r1}, r2 = {r2}")
+    for x in times:
+        if not x >= 0.0:
+            raise ValueError(f"bounds require t >= 0, got {x}")
+        if not all(map(math.isfinite, (x, r1, r2))):
+            raise ValueError(f"bounds require finite t, r1 and r2, got t = {x}, r1 = {r1}, r2 = {r2}")
     cap = squeezing_capability(k)
-    return math.exp(cap * t + r1), math.exp(cap * t + (r1 + r2) / 2.0)
+    bounds = [(math.exp(cap * x + r1), math.exp(cap * x + (r1 + r2) / 2.0)) for x in times]
+    return bounds[0] if np.ndim(t) == 0 else ([s for s, _ in bounds], [n for _, n in bounds])
 
 
 # ---------------------------------------------------------------------------
@@ -357,37 +376,13 @@ def finite_time_bounds(k, t: float, r1: float = 0.0, r2: float = 0.0) -> tuple[f
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtendedCM:
-    """CM of the two system modes joined with ``n_anc`` vacuum ancillas.
-
-    The system occupies the first four rows/columns; the blocks follow the
-    usual ``[[A', C'], [C'^T, B']]`` split with ``B'`` the ancilla block.
-    """
-
-    gamma: np.ndarray
-    n_anc: int
-
-    @property
-    def system(self) -> np.ndarray:
-        return self.gamma[:4, :4]
-
-    @property
-    def ancilla(self) -> np.ndarray:
-        return self.gamma[4:, 4:]
-
-    @property
-    def cross(self) -> np.ndarray:
-        return self.gamma[:4, 4:]
-
-
-def extend_with_ancillas(gamma, n_anc: int, o=None) -> ExtendedCM:
+def extend_with_ancillas(gamma, n_anc: int, o=None) -> np.ndarray:
     """Join vacuum ancillas and mix passively: ``gamma' = O^T (gamma (+) I) O``.
 
-    ``o`` must be orthogonal and symplectic on ``2 + n_anc`` modes (a passive
-    optical network); it defaults to the identity.  Passive mixing cannot
-    change the squeezing: the spectrum of ``gamma'`` is that of
-    ``gamma (+) I``.
+    Returns the ``(4 + 2 n_anc)``-square extended CM, the system first.  ``o``
+    must be orthogonal and symplectic on ``2 + n_anc`` modes (a passive optical
+    network); it defaults to the identity.  Passive mixing cannot change the
+    squeezing: the spectrum of ``gamma'`` is that of ``gamma (+) I``.
 
     Raises
     ------
@@ -401,27 +396,32 @@ def extend_with_ancillas(gamma, n_anc: int, o=None) -> ExtendedCM:
     o = assert_passive(np.eye(dim) if o is None else o, dim)
     big = np.eye(dim)
     big[:4, :4] = gamma
-    return ExtendedCM(gamma=apply_symplectic(o.T, big), n_anc=n_anc)
+    return apply_symplectic(o.T, big)
 
 
-def gaussian_measurement(ext: ExtendedCM) -> np.ndarray:
-    """System CM after a complete Gaussian measurement of the ancilla block.
+def gaussian_measurement(ext) -> np.ndarray:
+    """System CM after a complete Gaussian measurement of the ancillas of ``ext``.
 
-    Returns the Schur complement ``A' - C' B'^-1 C'^T``.  The outcome-
-    independent part of any complete homodyne/heterodyne measurement of the
-    ancillas has exactly this form, so measurements can never increase the
-    squeezing of the remaining state.
+    ``ext`` must be a finite matrix of side ``4 + 2n``, ``n >= 0`` (else ``ValueError``), as
+    :func:`extend_with_ancillas` returns it, split ``[[A', C'], [C'^T, B']]`` after the four
+    system rows.  Returns the Schur complement ``A' - C' B'^-1 C'^T`` (``A'`` if ``n = 0``).
+    The outcome-independent part of any complete homodyne/heterodyne measurement of the
+    ancillas has exactly this form, so measurements can never increase the squeezing of the
+    remaining state.
 
     Raises
     ------
     SingularBlockError
         If the measured block has condition number above ``_COND_LIMIT``.
     """
-    if ext.n_anc == 0:
-        return ext.system.copy()
-    b = ext.ancilla
+    ext = np.asarray(ext, dtype=float)
+    side = ext.shape[0] if ext.ndim == 2 and ext.shape[0] == ext.shape[1] else 0
+    if side < 4 or side % 2 or not np.isfinite(ext).all():
+        raise ValueError(f"extended CM must be a finite square matrix of side 4 + 2n, got shape {ext.shape}")
+    a, b, c = ext[:4, :4], ext[4:, 4:], ext[:4, 4:]
+    if side == 4:
+        return a.copy()
     if np.linalg.cond(b) >= _COND_LIMIT:
         raise SingularBlockError("measured block is numerically singular")
-    c = ext.cross
-    out = ext.system - c @ np.linalg.solve(b, c.T)
+    out = a - c @ np.linalg.solve(b, c.T)
     return (out + out.T) / 2.0

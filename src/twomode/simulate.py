@@ -351,8 +351,6 @@ def _trotterise(plan: SimulationPlan, slices: int, pending=None):
     followed by ``slices - 1`` copies of the cycle.  ``pending``, if given,
     is composed into the first step.
     """
-    if slices < 1:
-        raise ValueError("slices must be >= 1")
     terms = [row for row in plan.terms.tolist() if row[2] > 0.0]
     if not terms:
         return [], np.empty(0, dtype=np.intp), LocalRotationPair() if pending is None else pending
@@ -377,4 +375,6 @@ def plan_to_protocol(plan: SimulationPlan, slices: int) -> Protocol:
     trailing rotation undoes the last one.  The schedule converges to the
     target flow at first order in ``1/slices``.
     """
+    if slices < 1:
+        raise ValueError("slices must be >= 1")
     return Protocol(plan.native_k, *_trotterise(plan, slices))

@@ -184,7 +184,7 @@ def test_criterion_8_measurements_cannot_increase_squeezing():
         gamma = random_pure_cm(rng)
         n_anc = int(rng.integers(1, 3))
         ext = extend_with_ancillas(gamma, n_anc, random_passive(2 + n_anc, rng))
-        s_ext = 1.0 / float(np.linalg.eigvalsh(ext.gamma)[0])
+        s_ext = 1.0 / float(np.linalg.eigvalsh(ext)[0])
         s_out = 1.0 / float(np.linalg.eigvalsh(gaussian_measurement(ext))[0])
         worst = max(worst, s_out - s_ext)
         if s_out > s_ext + 1e-10:

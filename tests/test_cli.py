@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -228,6 +229,62 @@ class TestGateCommands:
         assert code == 0
         protocol = Protocol.from_dict(json.loads(out))
         assert protocol.total_time == pytest.approx(np.pi, abs=1e-9)
+
+    @pytest.mark.parametrize("slices", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "gates",
+        [[{"kind": "rot", "phi1": 0.1, "phi2": 0.2}], [{"kind": "bs", "t": 0.3}], []],
+        ids=["rotations-only", "coupling", "empty"],
+    )
+    def test_slices_below_one_is_usage_error(self, capsys, tmp_path, slices, gates):
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(json.dumps(gates))
+        argv = ["compile", "--hamiltonian", "h0", "--gate", str(seq_path), "--slices", slices]
+        assert run_cli(capsys, *argv) == (2, "", "error: slices must be >= 1\n")
+
+
+class TestWrittenFiles:
+    """``--out`` files and figure CSVs get the mode ``open(path, "w")`` would leave."""
+
+    _WRITERS = [
+        (["rsv", "--hamiltonian", "h0", "--out"], "a.json"),
+        (["run", "--hamiltonian", "h0", "--strategy", "flip", "--t", "1", "--steps", "3", "--out"], "x.csv"),
+        (["figures", "--which", "fig1", "--outdir"], "fig1.csv"),
+    ]
+
+    @staticmethod
+    def _write(capsys, tmp_path, argv, name, umask):
+        old = os.umask(umask)
+        try:
+            target = tmp_path if argv[0] == "figures" else tmp_path / name
+            assert run_cli(capsys, *argv, str(target))[0] == 0
+        finally:
+            os.umask(old)
+        return tmp_path / name
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=oct)
+    @pytest.mark.parametrize("argv, name", _WRITERS, ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_new_file_gets_the_umask_mode(self, capsys, tmp_path, argv, name, umask, mode):
+        path = self._write(capsys, tmp_path, argv, name, umask)
+        assert os.stat(path).st_mode & 0o777 == mode
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o666], ids=oct)
+    @pytest.mark.parametrize("argv, name", _WRITERS, ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_replaced_file_keeps_its_mode(self, capsys, tmp_path, argv, name, mode):
+        path = tmp_path / name
+        path.write_text("previous\n")
+        os.chmod(path, mode)
+        self._write(capsys, tmp_path, argv, name, 0o022)
+        assert path.read_text() != "previous\n"
+        assert os.stat(path).st_mode & 0o777 == mode
+
+    def test_missing_directory_names_the_given_path(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--hamiltonian", "h0", "--strategy", "flip", "--t", "1", "--steps", "3"]
+        message = "error: [Errno 2] No such file or directory: 'nodir/x.csv'\n"
+        assert run_cli(capsys, *argv, "--out", "nodir/x.csv") == (2, "", message)
+        assert run_cli(capsys, "rsv", "--hamiltonian", "h0", "--out", "nodir/x.csv") == (2, "", message)
+        assert os.listdir(tmp_path) == []
 
 
 class TestExitCodes:
@@ -495,6 +552,18 @@ class TestInputRange:
         assert out == ""
         assert err.startswith("error: ") and err.strip() != "error:"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["greedy", "--t", "1", "--dt", "1e-300"], "a grid of t / dt = 1e+300 steps is too large to allocate"),
+            (["flip", "--steps", str(10**22)], f"{10**22} flip steps are too many to allocate"),
+        ],
+        ids=["greedy-grid", "flip-steps"],
+    )
+    def test_request_past_numpy_sizes_is_numeric_error(self, capsys, argv, reason):
+        """Past the longest array NumPy can address the count is refused before any allocation."""
+        assert run_cli(capsys, "run", "--hamiltonian", "h0", "--strategy", *argv) == (3, "", f"error: {reason}\n")
 
 
 def _csv_columns(text):

@@ -46,7 +46,7 @@ class TestStackedCongruence:
         passives = np.stack([random_passive(3, rng) for _ in range(5)])
         for o in passives:
             ext = extend_with_ancillas(gamma, 1, o)
-            assert np.array_equal(ext.gamma, apply_symplectic(o.T, big))
+            assert np.array_equal(ext, apply_symplectic(o.T, big))
         stacked = apply_symplectic(passives.transpose(0, 2, 1), big)
         for o, node in zip(passives, stacked):
             assert np.array_equal(node, apply_symplectic(o.T, big))

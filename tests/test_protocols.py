@@ -1,5 +1,7 @@
 """Tests for protocol execution, finite-time strategies, bounds and measurements."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from twomode.protocols import (
     gaussian_measurement,
     greedy_rate_strategy,
     run_protocol,
+    uniform_grid,
 )
 from twomode.simulate import Protocol, plan_to_protocol, synthesize_plan
 
@@ -139,6 +142,19 @@ class TestFlipStrategy:
         )
 
 
+class TestNodeCounts:
+    """A count past the longest array NumPy can address is refused before anything is allocated."""
+
+    def test_flip_steps_past_numpy_sizes(self):
+        steps = sys.maxsize // 8 + 1
+        with pytest.raises(MemoryError, match=f"{steps} flip steps are too many to allocate"):
+            flip_strategy(H0, 1.0, steps)
+
+    def test_grid_past_numpy_sizes(self):
+        with pytest.raises(MemoryError, match=r"a grid of t / dt = 1\.2e\+18 steps is too large"):
+            uniform_grid(1.2, 1e-18)
+
+
 class TestGreedyStrategy:
     def test_vacuum_rate_stays_unity(self):
         traj = greedy_rate_strategy(vacuum_cm(), H0, 0.03, 3e-5)
@@ -195,6 +211,14 @@ class TestBounds:
         with pytest.raises(ValueError):
             finite_time_bounds(H0, 1.0, 0.5, 1.0)
 
+    def test_a_batch_of_times_is_the_scalar_bounds(self):
+        times = [0.0, 0.25, 1.0, 3.5]
+        s_bound, n_bound = finite_time_bounds(H0, times, 2.0, 1.0)
+        assert list(zip(s_bound, n_bound)) == [finite_time_bounds(H0, t, 2.0, 1.0) for t in times]
+        assert finite_time_bounds(H0, np.array(times), 2.0, 1.0) == (s_bound, n_bound)
+        with pytest.raises(ValueError, match="bounds require t >= 0, got -1.0"):
+            finite_time_bounds(H0, [0.5, -1.0])
+
     def test_random_protocols_respect_bounds(self, rng):
         """No rotation schedule beats the negativity/squeezing bounds."""
         for _ in range(20):
@@ -242,14 +266,14 @@ class TestAncillasAndMeasurement:
     def test_no_ancillas_identity(self, rng):
         g = random_pure_cm(rng)
         ext = extend_with_ancillas(g, 0)
-        assert np.allclose(ext.gamma, g)
+        assert np.allclose(ext, g)
         assert np.allclose(gaussian_measurement(ext), g)
 
     def test_vacuum_ancilla_spectrum(self, rng):
         """Identity mixing: the spectrum gains the ancilla 1s and nothing else."""
         g = random_pure_cm(rng)
         ext = extend_with_ancillas(g, 1)
-        lam = np.linalg.eigvalsh(ext.gamma)
+        lam = np.linalg.eigvalsh(ext)
         expected = np.sort(np.concatenate([np.linalg.eigvalsh(g), [1.0, 1.0]]))
         assert np.allclose(lam, expected, atol=1e-12)
 
@@ -259,7 +283,7 @@ class TestAncillasAndMeasurement:
             o = random_passive(3, rng)
             ext = extend_with_ancillas(g, 1, o)
             s_in = min(squeezing(g).lambda_min, 1.0)
-            assert np.linalg.eigvalsh(ext.gamma)[0] == pytest.approx(s_in, rel=1e-10)
+            assert np.linalg.eigvalsh(ext)[0] == pytest.approx(s_in, rel=1e-10)
 
     def test_not_passive_rejected(self, rng):
         g = random_pure_cm(rng)
@@ -296,10 +320,28 @@ class TestAncillasAndMeasurement:
     def test_singular_block_rejected(self, rng):
         g = random_pure_cm(rng)
         ext = extend_with_ancillas(g, 1)
-        broken = ext.gamma.copy()
+        broken = ext.copy()
         broken[4:, 4:] = np.diag([1e-15, 1e15])
         with pytest.raises(SingularBlockError):
-            gaussian_measurement(type(ext)(gamma=broken, n_anc=1))
+            gaussian_measurement(broken)
+
+    @pytest.mark.parametrize(
+        "ext",
+        [np.eye(5), np.ones((4, 6)), np.eye(2), np.ones((2, 6, 6)), np.diag([1.0, 1.0, 1.0, 1.0, 1.0, np.nan])],
+        ids=["5x5", "4x6", "2x2", "3-d", "nan"],
+    )
+    def test_refuses_what_is_not_an_extended_cm(self, ext):
+        with pytest.raises(ValueError, match="side 4 \\+ 2n"):
+            gaussian_measurement(ext)
+
+    def test_ancilla_count_is_read_from_the_shape(self):
+        """One ancilla mixed with mode 2: the measured mode conditions the system."""
+        o = np.eye(6)
+        o[2:, 2:] = evolve(HBS, 0.7)
+        ext = extend_with_ancillas(two_mode_squeezed_cm(0.4), 1, o)
+        system = gaussian_measurement(ext)
+        assert system[0, 0] == pytest.approx(1.050308, abs=1e-6)
+        assert system[0, 0] < ext[0, 0]
 
     def test_measurement_never_gains_squeezing(self, rng):
         for _ in range(200):
@@ -307,7 +349,7 @@ class TestAncillasAndMeasurement:
             m = int(rng.integers(1, 3))
             o = random_passive(2 + m, rng)
             ext = extend_with_ancillas(g, m, o)
-            s_ext = 1.0 / np.linalg.eigvalsh(ext.gamma)[0]
+            s_ext = 1.0 / np.linalg.eigvalsh(ext)[0]
             out = gaussian_measurement(ext)
             s_out = 1.0 / np.linalg.eigvalsh(out)[0]
             assert s_out <= s_ext + 1e-10
@@ -322,10 +364,10 @@ class TestInvariantEdges:
         """A state with lambda_min > 1 gains the ancilla floor eigenvalue 1."""
         thermal = 2.0 * np.eye(4)
         ext = extend_with_ancillas(thermal, 1)
-        assert np.linalg.eigvalsh(ext.gamma)[0] == pytest.approx(1.0)
+        assert np.linalg.eigvalsh(ext)[0] == pytest.approx(1.0)
         squeezed = squeezed_product_cm(0.5, 0.0)
         ext = extend_with_ancillas(squeezed, 1)
-        assert np.linalg.eigvalsh(ext.gamma)[0] == pytest.approx(np.exp(-0.5))
+        assert np.linalg.eigvalsh(ext)[0] == pytest.approx(np.exp(-0.5))
 
 
 class TestGreedyLockRobustness:
