@@ -206,25 +206,12 @@ class LocalRotationPair:
     phi2: float = 0.0
 
     @property
-    def block1(self) -> np.ndarray:
-        return rotation(self.phi1)
-
-    @property
-    def block2(self) -> np.ndarray:
-        return rotation(self.phi2)
-
-    @property
     def matrix(self) -> np.ndarray:
         return _pair_matrix(self.phi1, self.phi2)
 
     def compose(self, other: "LocalRotationPair") -> "LocalRotationPair":
         """Pair equivalent to applying ``other`` first, then ``self``."""
         return LocalRotationPair(self.phi1 + other.phi1, self.phi2 + other.phi2)
-
-    @staticmethod
-    def from_matrices(r1: np.ndarray, r2: np.ndarray) -> "LocalRotationPair":
-        """Recover angles in ``(-pi, pi]`` from two SO(2) matrices."""
-        return LocalRotationPair(*_rsvd_angles(np.stack([r1, r2]))[3].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .core import (
     _wrap,
     det2,
     restricted_svd,
+    rotation,
 )
 
 __all__ = [
@@ -157,19 +158,18 @@ def optimal_entanglement_rate(gamma, k) -> EntanglementRatePlan:
     )
 
 
-def entanglement_rate(gamma, k, o1, o2) -> float:
+def entanglement_rate(gamma, k, rotations: LocalRotationPair) -> float:
     """Entanglement rate for arbitrary (generally suboptimal) pre-rotations.
 
-    ``o1`` and ``o2`` are the SO(2) rotations applied to the state before the
-    interaction; the rate is ``tr(o1^T L o2 Y)``.  Requires an entangled pure
-    state (the formula is singular for product states).
+    ``rotations`` are applied to the state before the interaction; the rate is
+    ``tr(R(phi1)^T L R(phi2) Y)``.  Requires an entangled pure state (the
+    formula is singular for product states).
     """
     flow_l = _flow_l(_as_k(k))
     y, product, _ = _y_stack(_one_cm(gamma, pure=True).cms)
     if product[0]:
         raise ValueError("entanglement_rate needs an entangled state (det C < 0)")
-    o1 = np.asarray(o1, dtype=float)
-    o2 = np.asarray(o2, dtype=float)
+    o1, o2 = rotation(rotations.phi1), rotation(rotations.phi2)
     return float(np.trace(o1.T @ flow_l @ o2 @ y[0]))
 
 

@@ -90,7 +90,7 @@ class TestRestrictedSVD:
         _, ref, _ = restricted_svd(k)
         for _ in range(20):
             pair = random_rotation_pair(rng)
-            _, svals, _ = restricted_svd(pair.block1.T @ k @ pair.block2)
+            _, svals, _ = restricted_svd(rotation(pair.phi1).T @ k @ rotation(pair.phi2))
             assert np.allclose([svals.s1, svals.s2], [ref.s1, ref.s2], atol=1e-12)
 
 
@@ -315,7 +315,7 @@ class TestCovarianceHelpers:
 class TestLocalRotationPair:
     def test_blocks_are_special_orthogonal(self, rng):
         pair = random_rotation_pair(rng)
-        for block in (pair.block1, pair.block2):
+        for block in (rotation(pair.phi1), rotation(pair.phi2)):
             assert np.allclose(block @ block.T, np.eye(2), atol=1e-15)
             assert np.linalg.det(block) == pytest.approx(1.0)
 
@@ -324,11 +324,6 @@ class TestLocalRotationPair:
         a_inv, b_inv = LocalRotationPair(-a.phi1, -a.phi2), LocalRotationPair(-b.phi1, -b.phi2)
         net = a.compose(b).compose(b_inv).compose(a_inv)
         assert np.allclose(net.matrix, np.eye(4), atol=1e-12)
-
-    def test_from_matrices_roundtrip(self, rng):
-        pair = random_rotation_pair(rng)
-        again = LocalRotationPair.from_matrices(pair.block1, pair.block2)
-        assert np.allclose(again.matrix, pair.matrix, atol=1e-12)
 
 
 class TestPureStandardForm:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from twomode.core import H0, two_mode_squeezed_cm
+from twomode.core import H0, LocalRotationPair, two_mode_squeezed_cm
 from twomode.measures import entanglement, negativity
 from twomode.rates import entanglement_rate, local_squeezing_parameter, optimal_entanglement_rate
 
@@ -12,7 +12,7 @@ QUERIES = [
     negativity,
     local_squeezing_parameter,
     lambda g: optimal_entanglement_rate(g, H0),
-    lambda g: entanglement_rate(g, H0, np.eye(2), np.eye(2)),
+    lambda g: entanglement_rate(g, H0, LocalRotationPair()),
 ]
 
 

@@ -14,6 +14,7 @@ from twomode.core import (
     H0,
     HBS,
     HTMS,
+    LocalRotationPair,
     NotPureError,
     apply_symplectic,
     evolve,
@@ -126,14 +127,12 @@ class TestGeneralEntanglementRate:
             plan = optimal_entanglement_rate(g, k)
             if plan.Y is None:
                 continue
-            value = entanglement_rate(g, k, plan.rotations.block1, plan.rotations.block2)
+            value = entanglement_rate(g, k, plan.rotations)
             assert value == pytest.approx(plan.rate, rel=1e-9, abs=1e-9)
 
     def test_identity_rotations_match_finite_difference(self):
-        from twomode.core import LocalRotationPair
-
         g = two_mode_squeezed_cm(0.05)
-        value = entanglement_rate(g, H0, np.eye(2), np.eye(2))
+        value = entanglement_rate(g, H0, LocalRotationPair())
         fd = fd_entanglement_rate(g, H0, LocalRotationPair())
         assert value == pytest.approx(fd, abs=1e-5)
 
@@ -146,12 +145,12 @@ class TestGeneralEntanglementRate:
                 continue
             for _ in range(100):
                 pair = random_rotation_pair(rng)
-                value = entanglement_rate(g, k, pair.block1, pair.block2)
+                value = entanglement_rate(g, k, pair)
                 assert value <= plan.rate + 1e-9
 
     def test_product_state_rejected(self):
         with pytest.raises(ValueError):
-            entanglement_rate(vacuum_cm(), H0, np.eye(2), np.eye(2))
+            entanglement_rate(vacuum_cm(), H0, LocalRotationPair())
 
 
 class TestSqueezingCapability:
@@ -261,4 +260,4 @@ class TestPurityPreconditions:
         with pytest.raises(NotPureError):
             optimal_entanglement_rate(mixed, H0)
         with pytest.raises(NotPureError):
-            entanglement_rate(mixed, H0, np.eye(2), np.eye(2))
+            entanglement_rate(mixed, H0, LocalRotationPair())

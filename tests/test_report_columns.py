@@ -260,7 +260,7 @@ class TestOneValidationPerReport:
         [
             optimal_entanglement_rate,
             optimal_squeezing_rate,
-            lambda g, k: entanglement_rate(g, k, np.eye(2), np.eye(2)),
+            lambda g, k: entanglement_rate(g, k, LocalRotationPair()),
             lambda g, k: report_columns(np.stack([g, g]), k),
         ],
         ids=["optimal_entanglement_rate", "optimal_squeezing_rate", "entanglement_rate", "report"],

@@ -19,6 +19,7 @@ from twomode.core import (
     k_from_dict,
     kmatrix,
     restricted_svd,
+    rotation,
     vacuum_cm,
 )
 from twomode.gates import BeamSplitterGate, GateSequence, RotationGate, TwoModeSqueezerGate, compile_to_native
@@ -95,7 +96,7 @@ class TestMinimalTime:
         """A squeezer can still simulate rotated, rescaled squeezers."""
         assert min_simulation_time(HTMS, 0.5 * HTMS, 1.0) == pytest.approx(0.5)
         pair = LocalRotationPair(0.3, 1.1)
-        rotated = pair.block1.T @ HTMS @ pair.block2
+        rotated = rotation(pair.phi1).T @ HTMS @ rotation(pair.phi2)
         assert min_simulation_time(HTMS, rotated, 2.0) == pytest.approx(2.0)
 
 
@@ -354,13 +355,13 @@ class TestOnePlanRule:
         a plan exists iff t >= t_min, the default t is the minimal one, and the plan
         realises the target."""
         pair = random_rotation_pair(rng)
-        natives = [HBS, HTMS, 2.0 * HBS, 0.6 * pair.block1.T @ HTMS @ pair.block2, np.zeros((2, 2))]
+        natives = [HBS, HTMS, 2.0 * HBS, 0.6 * rotation(pair.phi1).T @ HTMS @ rotation(pair.phi2), np.zeros((2, 2))]
         natives += [random_coupling(rng) for _ in range(4)]
         for k in natives:
             targets = [np.zeros((2, 2))]
             for _ in range(12):
                 pair = random_rotation_pair(rng)
-                targets.append(rng.uniform(0.0, 3.0) * pair.block1.T @ k @ pair.block2)
+                targets.append(rng.uniform(0.0, 3.0) * rotation(pair.phi1).T @ k @ rotation(pair.phi2))
             for kp, t_target in ((kp, t_target) for kp in targets for t_target in (0.0, 0.7)):
                 t_min = min_simulation_time(k, kp, t_target)
                 base = t_min or 1.0  # t = 0 is refused by the time rule

@@ -13,6 +13,7 @@ import pytest
 from helpers import random_pure_cm
 from twomode.core import (
     H0,
+    LocalRotationPair,
     NotPureError,
     pure_standard_form,
     valid_cm_stack,
@@ -35,7 +36,7 @@ SCALAR = {
     "squeezing": squeezing,
     "local_squeezing_parameter": local_squeezing_parameter,
     "optimal_entanglement_rate": lambda g: optimal_entanglement_rate(g, K),
-    "entanglement_rate": lambda g: entanglement_rate(g, K, np.eye(2), np.eye(2)),
+    "entanglement_rate": lambda g: entanglement_rate(g, K, LocalRotationPair()),
     "optimal_squeezing_rate": lambda g: optimal_squeezing_rate(g, K),
     "pure_standard_form": pure_standard_form,
     "extend_with_ancillas": lambda g: extend_with_ancillas(g, 1),
