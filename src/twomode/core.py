@@ -642,7 +642,7 @@ def pure_standard_form(gamma) -> PureStateStandardForm:
         # S_k only enter through S_k S_k^T = A (resp. B); fix the rotation
         # freedom by the canonical orientation described in the class docstring.
         return PureStateStandardForm(
-            S1=o1 @ np.diag(d1) @ J, S2=o2 @ np.diag(d2), r=0.0, is_product=True
+            S1=o1 @ np.diag(d1) @ J, S2=o2 @ np.diag(d2), r=float(_pure_r(det_c)), is_product=True
         )
 
     inner1, _, _, inner2 = _rsvd_angles((o1.T @ c @ o2) / np.outer(d1, d2))

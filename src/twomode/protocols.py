@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +35,7 @@ from .core import (
 )
 from .measures import report_columns
 from .rates import _rate_kernel, squeezing_capability
-from .simulate import Protocol
+from .simulate import _MAX_NODES, Protocol
 
 __all__ = [
     "NotPassiveError",
@@ -55,15 +53,15 @@ __all__ = [
     "write_text_atomic",
 ]
 
+#: Largest exponent whose ``math.exp`` is a finite float.
+_LOG_MAX = math.log(np.finfo(float).max)
+
 _FLIP = LocalRotationPair(math.pi / 2.0, 3.0 * math.pi / 2.0)
 
 CSV_HEADER = "t,E0,negativity,S,Q,rate"
 
 #: Largest condition number of a measured ancilla block.
 _COND_LIMIT = 1e12
-
-#: Longest float64 or intp array NumPy can address; a longer grid or step index is refused unallocated.
-_MAX_NODES = sys.maxsize // 8
 
 #: Nodes in the first scanned chunk of a stretch; each later chunk doubles.
 _FIRST_CHUNK = 16
@@ -84,11 +82,12 @@ def write_text_atomic(path, text: str) -> None:
     ``open(path, "w")`` would leave it, and an ``OSError`` names ``path``, not the temp file."""
     tmp = None
     try:
-        os.umask(umask := os.umask(0o077))  # read the umask: a new file gets 0o666 less it
-        mode = os.stat(path).st_mode & 0o777 if os.path.exists(path) else 0o666 & ~umask
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        name = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the kernel applies the umask
+        tmp = name
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fd, mode)
+            if os.path.exists(path):
+                os.fchmod(fd, os.stat(path).st_mode & 0o777)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -128,8 +127,10 @@ class Trajectory:
 
     def columns(self) -> dict[str, np.ndarray]:
         """Report columns ``t, E0, negativity, S, Q, rate`` over all nodes."""
-        cols = report_columns(self.cms, self.native_k)
-        return {"t": np.asarray(self.times, dtype=float), **cols}
+        times = np.asarray(self.times, dtype=float)
+        if len(times) != len(self.cms):
+            raise ValueError(f"trajectory has {len(times)} times but {len(self.cms)} CMs")
+        return {"t": times, **report_columns(self.cms, self.native_k)}
 
     def reports(self) -> list[dict]:
         """Per-node quantifiers: t, E0, negativity, S, Q and rate."""
@@ -367,6 +368,9 @@ def finite_time_bounds(k, t, r1: float = 0.0, r2: float = 0.0):
         if not all(map(math.isfinite, (x, r1, r2))):
             raise ValueError(f"bounds require finite t, r1 and r2, got t = {x}, r1 = {r1}, r2 = {r2}")
     cap = squeezing_capability(k)
+    for x in times:
+        if cap * x + r1 > _LOG_MAX:
+            raise OverflowError(f"squeezing bound exp((s1 - s2) t + r1) overflows at t = {x}, r1 = {r1}")
     bounds = [(math.exp(cap * x + r1), math.exp(cap * x + (r1 + r2) / 2.0)) for x in times]
     return bounds[0] if np.ndim(t) == 0 else ([s for s, _ in bounds], [n for _, n in bounds])
 

@@ -17,6 +17,7 @@ values of the two couplings.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -48,6 +49,9 @@ __all__ = [
 
 _DEG_TOL = 1e-12
 _SLACK = 1e-12
+
+#: Longest float64 or intp array NumPy can address; a longer grid or step index is refused unallocated.
+_MAX_NODES = sys.maxsize // 8
 
 
 class DegenerateHamiltonianError(ValueError):
@@ -354,6 +358,8 @@ def _trotterise(plan: SimulationPlan, slices: int, pending=None):
     terms = [row for row in plan.terms.tolist() if row[2] > 0.0]
     if not terms:
         return [], np.empty(0, dtype=np.intp), LocalRotationPair() if pending is None else pending
+    if slices * len(terms) > _MAX_NODES:
+        raise MemoryError(f"{slices} slices of {len(terms)} steps are too many to allocate")
     # Each step's control is the quotient of consecutive pre-rotations, the difference of their
     # angles; before the first, the pre-rotation that ``pending`` undoes.
     start = (0.0, 0.0, 0.0) if pending is None else (-pending.phi1, -pending.phi2, 0.0)

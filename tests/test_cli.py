@@ -230,6 +230,13 @@ class TestGateCommands:
         protocol = Protocol.from_dict(json.loads(out))
         assert protocol.total_time == pytest.approx(np.pi, abs=1e-9)
 
+    def test_slices_past_numpy_sizes_is_numeric_error(self, capsys, tmp_path):
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(json.dumps([{"kind": "bs", "t": 0.3}]))
+        argv = ["compile", "--hamiltonian", "h0", "--gate", str(seq_path), "--slices", str(10**22)]
+        message = "error: 10000000000000000000000 slices of 2 steps are too many to allocate\n"
+        assert run_cli(capsys, *argv) == (3, "", message)
+
     @pytest.mark.parametrize("slices", ["0", "-5"])
     @pytest.mark.parametrize(
         "gates",
@@ -277,6 +284,16 @@ class TestWrittenFiles:
         self._write(capsys, tmp_path, argv, name, 0o022)
         assert path.read_text() != "previous\n"
         assert os.stat(path).st_mode & 0o777 == mode
+
+    @pytest.mark.parametrize("argv, name", _WRITERS, ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_the_umask_is_never_set(self, capsys, tmp_path, monkeypatch, argv, name):
+        """Setting the process umask, even to read it, would change it for every thread."""
+        calls, real = [], os.umask
+        monkeypatch.setattr(os, "umask", lambda mask: calls.append(mask) or real(mask))
+        for _ in range(2):  # a new file, then a replaced one
+            target = tmp_path if argv[0] == "figures" else tmp_path / name
+            assert run_cli(capsys, *argv, str(target))[0] == 0
+        assert calls == []
 
     def test_missing_directory_names_the_given_path(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -510,6 +527,16 @@ class TestInputRange:
         assert (code, out) == (3, "")
         assert err.startswith("error: trajectory leaves the supported range")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("t, r1", [("1000", "0"), ("1e308", "0"), ("0", "800")])
+    def test_bounds_past_the_float_range_is_numeric_error(self, capsys, t, r1):
+        argv = ["bounds", "--hamiltonian", "h0", "--t", t, "--r1", r1]
+        message = f"error: squeezing bound exp((s1 - s2) t + r1) overflows at t = {float(t)}, r1 = {float(r1)}\n"
+        assert run_cli(capsys, *argv) == (3, "", message)
+
+    def test_bounds_at_the_float_range_edge(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--hamiltonian", "h0", "--t", "709")
+        assert code == 0 and json.loads(out)["S_bound"] == 8.218407461554972e307
 
     def test_long_flip_stays_in_range(self, capsys):
         """Under H0 the flip run to t = 7.5 ends within the range, at E0 near 7.5."""

@@ -42,6 +42,7 @@ from twomode.core import (
     vacuum_cm,
     valid_cm_stack,
 )
+from twomode.measures import entanglement
 
 finite_floats = st.floats(min_value=-25.0, max_value=25.0, allow_nan=False)
 
@@ -356,6 +357,17 @@ class TestPureStandardForm:
             assert np.max(np.abs(form.assemble() - g)) < 1e-8 * scale
             for s in (form.S1, form.S2):
                 assert np.linalg.det(s) == pytest.approx(1.0, abs=1e-9)
+
+    def test_r_is_the_entanglement_r(self, rng):
+        """Both branches read ``r`` through ``_pure_r``: bit-equal to ``entanglement().r``,
+        also on near-product states that take the product branch (``max|C| <= 1e-10``)."""
+        states = [random_pure_cm(rng) for _ in range(200)]
+        for eps in (2e-12, 1e-11, 2e-11, 4e-11, 1e-9, 1e-6):
+            local = np.diag(np.exp(np.repeat(rng.uniform(-0.5, 0.5, size=2), 2) * [1, -1, 1, -1]))
+            states.append(apply_symplectic(random_rotation_pair(rng).matrix @ local, two_mode_squeezed_cm(eps)))
+        assert any(pure_standard_form(g).is_product and entanglement(g).r > 0.0 for g in states)
+        for g in states:
+            assert pure_standard_form(g).r == entanglement(g).r
 
     def test_mixed_state_rejected(self):
         with pytest.raises(NotPureError):

@@ -1,5 +1,6 @@
 """Tests for protocol execution, finite-time strategies, bounds and measurements."""
 
+import re
 import sys
 
 import numpy as np
@@ -22,6 +23,7 @@ from twomode.protocols import (
     CSV_HEADER,
     NotPassiveError,
     SingularBlockError,
+    Trajectory,
     extend_with_ancillas,
     finite_time_bounds,
     flip_effective_coupling,
@@ -155,6 +157,15 @@ class TestNodeCounts:
             uniform_grid(1.2, 1e-18)
 
 
+class TestTrajectoryLengths:
+    def test_times_and_cms_of_different_lengths_are_refused(self, tmp_path):
+        traj = Trajectory(times=[0.0, 1.0], cms=np.stack([vacuum_cm()] * 3), native_k=H0)
+        for read in (traj.columns, traj.reports, traj.csv_text, lambda: traj.to_csv(tmp_path / "x.csv")):
+            with pytest.raises(ValueError, match="trajectory has 2 times but 3 CMs"):
+                read()
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestGreedyStrategy:
     def test_vacuum_rate_stays_unity(self):
         traj = greedy_rate_strategy(vacuum_cm(), H0, 0.03, 3e-5)
@@ -218,6 +229,16 @@ class TestBounds:
         assert finite_time_bounds(H0, np.array(times), 2.0, 1.0) == (s_bound, n_bound)
         with pytest.raises(ValueError, match="bounds require t >= 0, got -1.0"):
             finite_time_bounds(H0, [0.5, -1.0])
+
+    @pytest.mark.parametrize("t, r1", [(1000.0, 0.0), (1e308, 0.0), (0.0, 800.0), ([1.0, 710.0], 0.0)])
+    def test_past_the_float_range_is_refused(self, t, r1):
+        last = t[-1] if isinstance(t, list) else t
+        message = f"squeezing bound exp((s1 - s2) t + r1) overflows at t = {last}, r1 = {r1}"
+        with pytest.raises(OverflowError, match=re.escape(message)):
+            finite_time_bounds(H0, t, r1)
+
+    def test_at_the_float_range_edge(self):
+        assert finite_time_bounds(H0, 709.0) == (8.218407461554972e307, 8.218407461554972e307)
 
     def test_random_protocols_respect_bounds(self, rng):
         """No rotation schedule beats the negativity/squeezing bounds."""

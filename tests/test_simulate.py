@@ -237,6 +237,14 @@ class TestEffectiveHamiltonian:
 
 
 class TestPlanToProtocol:
+    def test_slices_past_numpy_sizes(self):
+        """A slice count whose step index NumPy cannot address is refused before anything is allocated."""
+        message = "10000000000000000000000 slices of 2 steps are too many to allocate"
+        with pytest.raises(MemoryError, match=message):
+            plan_to_protocol(synthesize_plan(H0, HTMS, 1.0), 10**22)
+        with pytest.raises(MemoryError, match=message):
+            compile_to_native(GateSequence([BeamSplitterGate(0.3)]), H0, 10**22)
+
     def test_single_term_shape(self, rng):
         k = random_coupling(rng)
         plan = synthesize_plan(k, k, 0.8)
