@@ -1,5 +1,5 @@
 """Finite-time strategies: protocol execution, flip strategy, greedy rate
-following, attainability bounds, ancilla extensions and Gaussian measurements.
+following, upper bounds, ancilla extensions and Gaussian measurements.
 
 A protocol alternates instantaneous local rotations with windows of the
 native coupling.  Running one from a pure state produces a trajectory: an
@@ -347,7 +347,7 @@ def greedy_rate_strategy(gamma0, k, t: float, dt: float = 1e-3) -> Trajectory:
 
 
 def finite_time_bounds(k, t, r1: float = 0.0, r2: float = 0.0):
-    """Attainability bounds after interaction time ``t`` from a squeezed product.
+    """Upper bounds after interaction time ``t`` from a squeezed product.
 
     The initial product state has single-mode squeezings ``e^{r1} >= e^{r2}``.
     Returns ``(S_bound, N_bound)``:

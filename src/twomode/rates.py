@@ -29,12 +29,15 @@ import numpy as np
 from .core import (
     DEGENERACY_TOL,
     J,
+    PRODUCT_R,
     SIGMA_Z,
     CMStack,
     LocalRotationPair,
     _as_k,
     _flow_l,
+    _is_product,
     _one_cm,
+    _pure_r,
     _rsvd_angles,
     _wrap,
     det2,
@@ -52,19 +55,15 @@ __all__ = [
     "optimal_squeezing_rate",
 ]
 
-#: Below this value of ``-det(C)`` the cross block counts as vanishing and the
-#: local squeezing parameter switches to the product-state form.
-_DETC_TOL = 1e-14
-
 _COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _y_stack(cms: np.ndarray):
-    """``(Y, product, _rsvd_angles(Y))`` with ``Y = sqrt(det A / -det C) C^T A^-1``
-    per CM; product rows hold no ``Y``."""
+    """``(Y, product, _rsvd_angles(Y))`` with ``Y = sqrt(det A / -det C) C^T A^-1`` per CM; rows
+    of product states, ``r < PRODUCT_R`` (:func:`~twomode.core._is_product`), hold no ``Y``."""
     a, c = cms[:, :2, :2], cms[:, :2, 2:]
     det_c = det2(c)
-    product = -det_c < _DETC_TOL
+    product = _is_product(det_c)
     scale = 1.0 / np.sqrt(det2(a) * np.where(product, 1.0, -det_c))
     adj_a = a.transpose(0, 2, 1)[:, ::-1, ::-1] * _COFACTOR_SIGNS  # [[a11, -a01], [-a10, a00]]
     y = scale[:, None, None] * (c.transpose(0, 2, 1) @ adj_a)
@@ -140,8 +139,8 @@ def optimal_entanglement_rate(gamma, k) -> EntanglementRatePlan:
     """Best achievable growth rate of the two-mode squeezing parameter.
 
     The optimal pre-rotations align the restricted SVD frames of the flow
-    generator ``L = J^T K`` and of the state matrix ``Y``; for (near-)product
-    states, where ``Y`` degenerates, they instead align the local squeezing
+    generator ``L = J^T K`` and of the state matrix ``Y``; for product
+    states (``r < PRODUCT_R``) they instead align the local squeezing
     axes of the two modes against the generator frame.
     """
     theta_l, s1, s2, psi_l = (float(x) for x in _rsvd_angles(_flow_l(_as_k(k))))
@@ -163,12 +162,14 @@ def entanglement_rate(gamma, k, rotations: LocalRotationPair) -> float:
 
     ``rotations`` are applied to the state before the interaction; the rate is
     ``tr(R(phi1)^T L R(phi2) Y)``.  Requires an entangled pure state (the
-    formula is singular for product states).
+    formula is singular for product states, ``r < PRODUCT_R``).
     """
     flow_l = _flow_l(_as_k(k))
-    y, product, _ = _y_stack(_one_cm(gamma, pure=True).cms)
+    cms = _one_cm(gamma, pure=True).cms
+    y, product, _ = _y_stack(cms)
     if product[0]:
-        raise ValueError("entanglement_rate needs an entangled state (det C < 0)")
+        r = float(_pure_r(det2(cms[0, :2, 2:])))
+        raise ValueError(f"entanglement_rate needs an entangled state: r = {r:.3g} is below PRODUCT_R = {PRODUCT_R:g}")
     o1, o2 = rotation(rotations.phi1), rotation(rotations.phi2)
     return float(np.trace(o1.T @ flow_l @ o2 @ y[0]))
 

@@ -47,7 +47,14 @@ __all__ = [
     "effective_hamiltonian",
 ]
 
-_DEG_TOL = 1e-12
+#: Relative gap ``(s1 - |s2|) / s1`` at or below which a coupling is degenerate, ``s1 = |s2|``.  Above it a
+#: plan misses a random target by up to 6e-16 / gap relative (rescaled and degenerate targets by 1e-15):
+#: 6e-7 at 1e-9, 6e-6 at the nearest bad gap, 1e-10.  Below it a coupling simulates only its rescalings, and
+#: misses those by at most ``_GAP_TOL * s1'``.  HTMS with ``b = -0.99999999`` (gap 1e-8) stays generic.
+_GAP_TOL = 1e-9
+
+#: Relative slack of the sufficient-time rule ``t_min <= t (1 + _SLACK)``.  Plans also drop rows of weight at
+#: most ``_SLACK``, a different fact: round-off rows reach 4.2e-15, real ones start at 1.2e-4 (20000 pairs).
 _SLACK = 1e-12
 
 #: Longest float64 or intp array NumPy can address; a longer grid or step index is refused unallocated.
@@ -79,34 +86,36 @@ def _rsvd_pair(k, k_target):
     return k, k_target, theta, psi, *map(RestrictedSingularValues, s1, s2)
 
 
-def can_simulate_efficiently(k, k_target) -> bool:
-    """Whether ``K`` simulates ``K_target`` at unit time cost.
+def _suffices(t_min: float, t: float) -> bool:
+    """The one rule for whether interaction time ``t`` suffices: ``t_min <= t (1 + _SLACK)``."""
+    return t_min <= t * (1.0 + _SLACK)
 
-    True iff ``s1 + s2 >= s1' + s2'`` and ``s1 - s2 >= s1' - s2'`` for the
-    restricted singular values of the two couplings (with a 1e-12 slack
-    toward acceptance).
-    """
+
+def can_simulate_efficiently(k, k_target) -> bool:
+    """Whether ``K`` simulates ``K_target`` at unit time cost: ``t = t_target`` suffices, that is
+    ``s1 + s2 >= s1' + s2'`` and ``s1 - s2 >= s1' - s2'`` for the restricted singular values.
+    False where :func:`min_simulation_time` raises :class:`DegenerateHamiltonianError`."""
     *_, s, sp = _rsvd_pair(k, k_target)
-    return bool(
-        s.s1 + s.s2 >= sp.s1 + sp.s2 - _SLACK and s.s1 - s.s2 >= sp.s1 - sp.s2 - _SLACK
-    )
+    try:
+        return _suffices(_min_time(s, sp, 1.0)[2], 1.0)
+    except DegenerateHamiltonianError:
+        return False
+
+
+def _degenerate(s) -> bool:
+    """The one rule for ``s1 = |s2|``: ``s1 - |s2| <= _GAP_TOL * s1``."""
+    return s.s1 - abs(s.s2) <= _GAP_TOL * s.s1
 
 
 def _degenerate_scale(s, sp, refusal: str = "can only simulate locally equivalent targets"):
-    """``None`` if ``s1 > |s2|``, else the scale ``rho >= 0`` with ``sp = rho * s``.
-
-    A coupling with ``s1 = |s2|`` (to 1e-12 of ``max(s1, 1)``) only simulates
-    positive rescalings of itself up to local rotations; any other target
-    ``sp``, or ``sp = None``, raises :class:`DegenerateHamiltonianError`.
-    """
-    if s.s1 - abs(s.s2) > _DEG_TOL * max(s.s1, 1.0):
+    """``None`` if ``K`` is not :func:`_degenerate`, else the scale ``rho >= 0`` with ``sp = rho * s``: a
+    degenerate coupling only simulates its positive rescalings up to local rotations, the zero target
+    and degenerate targets whose ``s2`` has its sign.  Any other ``sp``, or ``sp = None``, raises
+    :class:`DegenerateHamiltonianError`."""
+    if not _degenerate(s):
         return None
-    if sp is not None and s.s1 <= _DEG_TOL and sp.s1 <= _DEG_TOL:
-        return 0.0
-    if sp is not None and s.s1 > _DEG_TOL:
-        rho = sp.s1 / s.s1
-        if abs(sp.s2 - rho * s.s2) <= 1e-9 * max(1.0, sp.s1):
-            return rho
+    if sp is not None and (sp.s1 == 0.0 or s.s1 > 0.0 and _degenerate(sp) and (s.s2 < 0.0) == (sp.s2 < 0.0)):
+        return sp.s1 / s.s1 if sp.s1 else 0.0
     raise DegenerateHamiltonianError(f"coupling with s1 = |s2| {refusal}")
 
 
@@ -118,13 +127,12 @@ def _check_times(t_target: float, t: float | None = None) -> None:
         raise ValueError("total interaction time must be positive and finite")
 
 
-def _min_time(s, sp, t_target: float) -> tuple[float | None, float]:
-    """``(rho, t_min)``: :func:`_degenerate_scale` and :func:`min_simulation_time`
-    from the restricted singular values."""
+def _min_time(s, sp, t_target: float) -> tuple[float, float, float]:
+    """``(a, b, t_min)``: the target's ``s1 + s2`` and ``s1 - s2`` per unit of ``K``'s (both ``rho`` of
+    :func:`_degenerate_scale` if ``K`` is degenerate), and :func:`min_simulation_time`, ``t_target max(a, b)``."""
     rho = _degenerate_scale(s, sp)
-    if rho is not None:
-        return rho, rho * t_target
-    return rho, t_target * max((sp.s1 + sp.s2) / (s.s1 + s.s2), (sp.s1 - sp.s2) / (s.s1 - s.s2))
+    a, b = (rho, rho) if rho is not None else ((sp.s1 + sp.s2) / (s.s1 + s.s2), (sp.s1 - sp.s2) / (s.s1 - s.s2))
+    return a, b, t_target * max(a, b)
 
 
 def min_simulation_time(k, k_target, t_target: float) -> float:
@@ -137,7 +145,7 @@ def min_simulation_time(k, k_target, t_target: float) -> float:
     """
     *_, s, sp = _rsvd_pair(k, k_target)
     _check_times(t_target)
-    return _min_time(s, sp, t_target)[1]
+    return _min_time(s, sp, t_target)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -220,32 +228,16 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
     offset = [theta[0] - theta[1], psi[1] - psi[0]]
     angles = _wrap(np.array(_BASE_PAIRS) * [-1.0, 1.0] + offset)
 
-    rho, t_min = _min_time(s, sp, t_target)
+    a, b, t_min = _min_time(s, sp, t_target)
     if t is None:
         t = t_min or t_target or 1.0
-    if rho is not None:
-        # s1 = |s2|: each window is a rotated +-K, pair 0 is K' / rho; e is exactly 1 at t = rho t_target.
-        e, f = (rho * t_target) / t, 0.0
-    else:
-        kappa = t_target / t
-        s1p, s2p = sp.s1 * kappa, sp.s2 * kappa
-        denom = s.s1**2 - s.s2**2
-        e = (s.s1 * s1p - s.s2 * s2p) / denom
-        f = (s.s1 * s2p - s.s2 * s1p) / denom
-    if abs(e) + abs(f) > 1.0 + _SLACK:
+    if not _suffices(t_min, t):
         raise InfeasibleTimeError(f"requested time {t} is below the minimal simulation time {t_min}")
-
-    remainder = max(0.0, 1.0 - abs(e) - abs(f))
-    weights = [
-        max(e, 0.0) + remainder / 2.0,
-        max(-e, 0.0) + remainder / 2.0,
-        max(f, 0.0),
-        max(-f, 0.0),
-    ]
-
-    # Weights at round-off level (from remainder/2 and +-f) would only add
-    # Trotter windows of near-zero duration.
-    rows = np.column_stack([angles, weights])
+    # The pairs realise e (s1, s2) + f (s2, s1): s1 + s2 scaled by e + f = a kappa, s1 - s2 by e - f =
+    # b kappa, so e >= 0 and e + |f| = t_min / t.  For s1 = |s2|, a = b = rho and f = 0: e = 1 at t_min.
+    e, f = (a + b) * t_target / (2.0 * t), (a - b) * t_target / (2.0 * t)
+    remainder = max(0.0, 1.0 - e - abs(f))  # split between +K and -K, which cancel
+    rows = np.column_stack([angles, [e + remainder / 2.0, remainder / 2.0, max(f, 0.0), max(-f, 0.0)]])
     return SimulationPlan(k, k_target, float(t), float(t_target), rows[rows[:, 2] > _SLACK])
 
 

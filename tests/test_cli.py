@@ -15,7 +15,9 @@ from scipy.linalg import expm
 from helpers import random_pure_cm
 from twomode.cli import main, reproduce_figures
 from twomode.core import (
+    H0,
     HBS,
+    HTMS,
     J2,
     evolve,
     generator,
@@ -302,6 +304,47 @@ class TestWrittenFiles:
         assert run_cli(capsys, *argv, "--out", "nodir/x.csv") == (2, "", message)
         assert run_cli(capsys, "rsv", "--hamiltonian", "h0", "--out", "nodir/x.csv") == (2, "", message)
         assert os.listdir(tmp_path) == []
+
+
+class TestOneRulePerDecision:
+    @staticmethod
+    def _k_gap(tmp_path):
+        """``HTMS`` with ``|s2|`` short of ``s1`` by 1e-8: near degeneracy, whose minimal time
+        ``tmin`` prints as 1.000000005."""
+        k = tmp_path / "k_gap.json"
+        k.write_text(json.dumps({"a": 1, "b": -0.99999999, "c": 0, "d": 0}))
+        return str(k)
+
+    def test_plan_at_the_minimal_time(self, capsys, tmp_path):
+        """``plan`` runs at its default time, the minimal one: sufficiency is read from that time."""
+        pair = ("--hamiltonian", self._k_gap(tmp_path), "--target", "preset:htms", "--t", "1")
+        assert run_cli(capsys, "tmin", *pair) == (0, "1.000000005\n", "")
+        code, out, err = run_cli(capsys, "plan", *pair)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["t"] == 1.000000005
+
+    def test_compile_at_the_minimal_time(self, capsys, tmp_path):
+        """A compiled ``tms`` gate runs for its minimal time."""
+        gate = tmp_path / "tms.json"
+        gate.write_text(json.dumps([{"kind": "tms", "t": 1}]))
+        code, out, err = run_cli(capsys, "compile", "--hamiltonian", self._k_gap(tmp_path), "--gate", str(gate),
+                                 "--slices", "5")
+        assert (code, err) == (0, "")
+        assert sum(step["t"] for step in json.loads(out)["steps"]) == pytest.approx(1.000000005, rel=1e-12)
+
+    def test_simcheck_reads_the_minimal_time_at_any_scale(self, capsys, tmp_path):
+        """``1e-6 H0`` does not simulate ``1e-6 * 0.5 (1 + 1e-7) HTMS`` at unit cost: its
+        minimal time is 1.0000001, so ``simcheck`` says false and ``plan --total 1`` exits 3."""
+        k, target = tmp_path / "k.json", tmp_path / "target.json"
+        k.write_text(json.dumps(k_to_dict(1e-6 * H0)))
+        target.write_text(json.dumps(k_to_dict(1e-6 * 0.5 * (1 + 1e-7) * HTMS)))
+        pair = ("--hamiltonian", str(k), "--target", str(target))
+        code, out, _ = run_cli(capsys, "tmin", *pair, "--t", "1")
+        assert code == 0 and float(out) == pytest.approx(1.0000001, rel=1e-12)
+        code, out, _ = run_cli(capsys, "simcheck", *pair)
+        assert (code, json.loads(out)) == (0, {"efficient": False})
+        code, _, err = run_cli(capsys, "plan", *pair, "--total", "1")
+        assert code == 3 and "below the minimal simulation time" in err
 
 
 class TestExitCodes:

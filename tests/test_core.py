@@ -360,7 +360,7 @@ class TestPureStandardForm:
 
     def test_r_is_the_entanglement_r(self, rng):
         """Both branches read ``r`` through ``_pure_r``: bit-equal to ``entanglement().r``,
-        also on near-product states that take the product branch (``max|C| <= 1e-10``)."""
+        also on near-product states that take the product branch (``r < PRODUCT_R``)."""
         states = [random_pure_cm(rng) for _ in range(200)]
         for eps in (2e-12, 1e-11, 2e-11, 4e-11, 1e-9, 1e-6):
             local = np.diag(np.exp(np.repeat(rng.uniform(-0.5, 0.5, size=2), 2) * [1, -1, 1, -1]))

@@ -1,5 +1,5 @@
 """One spectral path: ``S``, ``Q``, ``lambda_min`` and the squeezing direction are read
-from the validation spectrum by every command, and the attainability bound has one formula."""
+from the validation spectrum by every command, and the upper bound has one formula."""
 
 import contextlib
 import csv

@@ -391,13 +391,30 @@ class TestInvariantEdges:
         assert np.linalg.eigvalsh(ext)[0] == pytest.approx(np.exp(-0.5))
 
 
+#: ``_neutral_flip_base``'s pair on the six plateau states of ``test_plateau_states_stay_pinned``, in
+#: draw order; the rate kernel's optimal pair on each of them is at least 0.14 rad away in an angle.
+_PLATEAU_LOCK_PAIRS = (
+    (0.7777775505574521, 1.8488300425626445),
+    (1.4826764731778845, 2.9285286601839746),
+    (0.7661351922134935, 2.2678860493858997),
+    (0.10517397162666398, -2.6473992614802486),
+    (1.0611465584593696, 1.6361829618033745),
+    (0.4434555434548937, 1.3032200437308301),
+)
+
+
 class TestGreedyLockRobustness:
     def test_plateau_states_stay_pinned(self, rng):
-        """Rotated/rescaled zero-l inputs keep the plateau rate under the walk."""
+        """Rotated/rescaled zero-l inputs keep the plateau rate under the walk, and the
+        lock-entry pair is the neutral base's own, not the kernel's degenerate optimum."""
+        from twomode.core import _flow_l, _rsvd_angles
+        from twomode.protocols import _neutral_flip_base
         from twomode.rates import squeezing_capability
 
+        pinned = iter(_PLATEAU_LOCK_PAIRS)
         for k in (H0, np.array([[0.8, 0.3], [-0.2, 0.5]])):
             cap = squeezing_capability(k)
+            theta_l, _, _, psi_l = (float(x) for x in _rsvd_angles(_flow_l(k)))
             plan_rate = None
             for trial in range(3):
                 r = rng.uniform(0.5, 2.0)
@@ -406,6 +423,8 @@ class TestGreedyLockRobustness:
                 g0 = apply_symplectic(
                     random_rotation_pair(rng).matrix @ frame, two_mode_squeezed_cm(seed / 2)
                 )
+                pair = _neutral_flip_base(g0, theta_l, psi_l)
+                assert (pair.phi1, pair.phi2) == pytest.approx(next(pinned), rel=0.0, abs=1e-12)
                 traj = greedy_rate_strategy(g0, k, 0.5, 1e-3)
                 rates = np.asarray(traj.columns()["rate"])
                 # Plateau: the optimal rate never drifts above capability + noise.

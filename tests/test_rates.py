@@ -14,6 +14,7 @@ from twomode.core import (
     H0,
     HBS,
     HTMS,
+    PRODUCT_R,
     LocalRotationPair,
     NotPureError,
     apply_symplectic,
@@ -23,7 +24,7 @@ from twomode.core import (
     two_mode_squeezed_cm,
     vacuum_cm,
 )
-from twomode.measures import squeezing
+from twomode.measures import entanglement, squeezing
 from twomode.rates import (
     entanglement_rate,
     local_squeezing_parameter,
@@ -149,8 +150,24 @@ class TestGeneralEntanglementRate:
                 assert value <= plan.rate + 1e-9
 
     def test_product_state_rejected(self):
-        with pytest.raises(ValueError):
+        """The refusal names the rule it applies: the state's ``r`` against ``PRODUCT_R``."""
+        with pytest.raises(ValueError, match=r"r = 0 is below PRODUCT_R = 1e-07$"):
             entanglement_rate(vacuum_cm(), H0, LocalRotationPair())
+        with pytest.raises(ValueError, match=r"r = 2e-08 is below PRODUCT_R = 1e-07$"):
+            entanglement_rate(two_mode_squeezed_cm(1e-8), H0, LocalRotationPair())
+
+
+class TestOneProductRule:
+    def test_standard_form_and_kernel_agree_near_product_states(self, rng):
+        """``pure_standard_form`` and the rate kernel read one rule, ``r < PRODUCT_R``, on
+        ``two_mode_squeezed_cm(eps)`` under local squeezing and rotation, eps from 1e-9 to 1e-6."""
+        for eps in np.logspace(-9.0, -6.0, 13):
+            for _ in range(8):
+                local = np.diag(np.exp(np.repeat(rng.uniform(-1.0, 1.0, size=2), 2) * [1, -1, 1, -1]))
+                g = apply_symplectic(random_rotation_pair(rng).matrix @ local, two_mode_squeezed_cm(eps))
+                product = pure_standard_form(g).is_product
+                assert product == (optimal_entanglement_rate(g, random_coupling(rng)).Y is None)
+                assert product == (entanglement(g).r < PRODUCT_R)
 
 
 class TestSqueezingCapability:

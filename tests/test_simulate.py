@@ -37,6 +37,9 @@ from twomode.simulate import (
 )
 
 
+#: ``HTMS`` with ``|s2|`` short of ``s1`` by 1e-8 relative: near degeneracy, but not in it.
+K_GAP = kmatrix(a=1.0, b=-0.99999999)
+
 #: Plan rows ``(phi1, phi2, weight)`` whose angles carry ``-0.0``.
 _NEGATIVE_ZERO_ROWS = np.array([(-0.0, 0.0, 0.5), (0.3, -0.0, 0.25), (-0.0, -0.0, 0.25)])
 
@@ -53,16 +56,27 @@ class TestSimulabilityCondition:
         k = random_coupling(rng)
         assert can_simulate_efficiently(k, k)
 
-    def test_equivalent_to_unit_minimal_time(self, rng):
-        """Efficiency at unit cost is the same statement as t_min <= 1."""
+    @pytest.mark.parametrize("c", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_equivalent_to_unit_minimal_time(self, rng, c):
+        """Efficiency at unit cost is the same statement as t_min <= 1, and as a plan
+        at ``t = 1`` existing, with both couplings at any common scale ``c``; also for
+        targets rescaled to ``t_min = 1 -+ 1e-7``."""
         for _ in range(300):
-            k = random_coupling(rng)
-            kp = random_coupling(rng)
+            k = c * random_coupling(rng)
+            kp = c * random_coupling(rng)
             _, s, _ = restricted_svd(k)
-            if s.s1 - abs(s.s2) < 1e-6:
+            if s.s1 - abs(s.s2) < 1e-6 * c:
                 continue
-            efficient = can_simulate_efficiently(k, kp)
-            assert efficient == (min_simulation_time(k, kp, 1.0) <= 1.0 + 1e-12)
+            t_min = min_simulation_time(k, kp, 1.0)
+            for target in (kp, kp * ((1.0 - 1e-7) / t_min), kp * ((1.0 + 1e-7) / t_min)):
+                efficient = can_simulate_efficiently(k, target)
+                assert efficient == (min_simulation_time(k, target, 1.0) <= 1.0 + 1e-12)
+                try:
+                    synthesize_plan(k, target, 1.0, t=1.0)
+                except InfeasibleTimeError:
+                    assert not efficient
+                else:
+                    assert efficient
 
 
 class TestMinimalTime:
@@ -364,7 +378,7 @@ class TestOnePlanRule:
         realises the target."""
         pair = random_rotation_pair(rng)
         natives = [HBS, HTMS, 2.0 * HBS, 0.6 * rotation(pair.phi1).T @ HTMS @ rotation(pair.phi2), np.zeros((2, 2))]
-        natives += [random_coupling(rng) for _ in range(4)]
+        natives += [random_coupling(rng) for _ in range(4)] + [K_GAP]
         for k in natives:
             targets = [np.zeros((2, 2))]
             for _ in range(12):
