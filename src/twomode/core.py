@@ -15,8 +15,7 @@ Conventions used throughout the package:
 
 Because ``M^2 = alpha * I`` with ``alpha = -det(K)``, the exponential has the
 closed form ``S(t) = cosh(sqrt(alpha) t) I + sinh(sqrt(alpha) t)/sqrt(alpha) M``,
-which is hyperbolic for ``alpha > 0``, trigonometric for ``alpha < 0`` and
-linear in the degenerate limit ``alpha -> 0``.
+which is hyperbolic for ``alpha > 0`` and trigonometric for ``alpha < 0``.
 
 All operations here are pure functions over immutable inputs; nothing keeps
 shared mutable state, so everything is safe to call concurrently.
@@ -86,9 +85,6 @@ HBS = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 #: Two-mode squeezing coupling ``X1 X2 - P1 P2``.
 HTMS = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-#: Relative tolerance below which ``|det K|`` counts as zero in ``evolve``.
-_ALPHA_TOL = 1e-12
 
 #: Allowed deviation of ``det(gamma)`` from 1 for a CM to count as pure.
 PURITY_TOL = 1e-9
@@ -177,17 +173,24 @@ def _as_k(k) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def rotation(phi: float) -> np.ndarray:
-    """SO(2) rotation ``[[cos, -sin], [sin, cos]]`` acting on one mode."""
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
+def rotation(phi) -> np.ndarray:
+    """SO(2) rotations ``[[cos, -sin], [sin, cos]]`` of one mode, one per angle in ``phi``: an array
+    of shape ``np.shape(phi) + (2, 2)``, so one angle gives one 2x2 matrix."""
+    phi = np.asarray(phi, dtype=float)
+    m = np.empty(phi.shape + (2, 2))
+    np.cos(phi, out=m[..., 0, 0])
+    np.sin(phi, out=m[..., 1, 0])
+    np.negative(m[..., 1, 0], out=m[..., 0, 1])
+    m[..., 1, 1] = m[..., 0, 0]
+    return m
 
 
-def _pair_matrix(phi1: float, phi2: float) -> np.ndarray:
-    """The 4x4 matrix ``R(phi1) (+) R(phi2)``."""
-    m = np.zeros((4, 4))
-    m[:2, :2] = rotation(phi1)
-    m[2:, 2:] = rotation(phi2)
+def _pair_matrix(phi) -> np.ndarray:
+    """The 4x4 matrices ``R(phi1) (+) R(phi2)`` of an ``(..., 2)`` array of angle pairs."""
+    r = rotation(phi)
+    m = np.zeros(r.shape[:-3] + (4, 4))
+    m[..., :2, :2] = r[..., 0, :, :]
+    m[..., 2:, 2:] = r[..., 1, :, :]
     return m
 
 
@@ -204,7 +207,7 @@ class LocalRotationPair:
 
     @property
     def matrix(self) -> np.ndarray:
-        return _pair_matrix(self.phi1, self.phi2)
+        return _pair_matrix([self.phi1, self.phi2])
 
     def compose(self, other: "LocalRotationPair") -> "LocalRotationPair":
         """Pair equivalent to applying ``other`` first, then ``self``."""
@@ -284,9 +287,8 @@ def restricted_svd(k) -> RestrictedSVD:
     deterministic.
     """
     theta, s1, s2, psi = _rsvd_angles(_as_k(k))
-    return RestrictedSVD(
-        rotation(theta), RestrictedSingularValues(float(s1), float(s2)), rotation(psi)
-    )
+    r, s = rotation(np.array([theta, psi]))
+    return RestrictedSVD(r, RestrictedSingularValues(float(s1), float(s2)), s)
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +326,14 @@ def generator(k) -> Generator:
 
 
 def _cosh_sinc(alpha: float, t):
-    """Return ``(cosh(w t), sinh(w t)/w)`` for ``w = sqrt(alpha)``, ``t`` scalar or array.
-
-    Both branches of the square root and the removable singularity at
-    ``alpha = 0`` are handled; the degenerate branch uses a short Taylor
-    expansion so the crossover at ``|alpha| ~ 1e-12`` is seamless.
-    """
-    if alpha > _ALPHA_TOL:
-        w = math.sqrt(alpha)
+    """Return ``(cosh(w t), sinh(w t)/w)`` for ``w = sqrt(alpha)``, ``t`` scalar or array: the exact
+    branch, hyperbolic or trigonometric, for every ``alpha != 0``, however small, and ``(1, t)`` at 0."""
+    if alpha == 0.0:
+        return np.ones_like(t), t
+    w = math.sqrt(abs(alpha))
+    if alpha > 0.0:
         return np.cosh(w * t), np.sinh(w * t) / w
-    if alpha < -_ALPHA_TOL:
-        w = math.sqrt(-alpha)
-        return np.cos(w * t), np.sin(w * t) / w
-    x = alpha * t * t
-    c = 1.0 + x / 2.0 + x * x / 24.0
-    s = t * (1.0 + x / 6.0 + x * x / 120.0)
-    return c, s
+    return np.cos(w * t), np.sin(w * t) / w
 
 
 def evolve(k, t) -> np.ndarray:
@@ -646,7 +640,7 @@ def pure_standard_form(gamma) -> PureStateStandardForm:
 
     # R(theta_k) diagonalises A and B with descending eigenvalues (w1_k, w2_k).
     theta, w1, w2, _ = _rsvd_angles(np.stack([a, b]) / (1.0 if product else cosh_r))
-    o1, o2 = rotation(theta[0]), rotation(theta[1])
+    o1, o2 = rotation(theta)
     d1, d2 = np.sqrt(np.maximum(np.stack([w1, w2], axis=1), 1e-300))
     if product:
         # S_k only enter through S_k S_k^T = A (resp. B); fix the rotation
@@ -654,5 +648,6 @@ def pure_standard_form(gamma) -> PureStateStandardForm:
         s1, s2 = o1 @ np.diag(d1) @ J, o2 @ np.diag(d2)
     else:
         inner1, _, _, inner2 = _rsvd_angles((o1.T @ c @ o2) / np.outer(d1, d2))
-        s1, s2 = o1 @ np.diag(d1) @ rotation(inner1), o2 @ np.diag(d2) @ rotation(-inner2)
+        r1, r2 = rotation(np.array([inner1, -inner2]))
+        s1, s2 = o1 @ np.diag(d1) @ r1, o2 @ np.diag(d2) @ r2
     return PureStateStandardForm(S1=s1, S2=s2, r=float(_pure_r(det_c)), is_product=product)

@@ -189,16 +189,16 @@ def run_protocol(gamma0, protocol: Protocol) -> Trajectory:
     product of the step matrices ``M = S(duration) R`` ("rotation, then
     flow"); the trailing ``final`` rotation is applied to the last node.
     Each distinct step, a row of the protocol's ``table``, is fused here,
-    the flows of all rows from one stacked :func:`~twomode.core.evolve`, and
-    the protocol's ``index`` drives the factor scan :func:`_prefix_scan`.
+    the flows of all rows from one stacked :func:`~twomode.core.evolve` and
+    their rotations from one stacked ``_pair_matrix``, and the protocol's
+    ``index`` drives the factor scan :func:`_prefix_scan`.
     """
     k = _as_k(protocol.native_k)
     gamma0 = assert_valid_cm(gamma0)
     rows, index = protocol.table, protocol.index
     durations = np.ascontiguousarray(rows[:, 2])
     times = np.cumsum(np.concatenate([[0.0], durations[index]]))
-    rotations = [_pair_matrix(phi1, phi2) for phi1, phi2 in rows[:, :2].tolist()]
-    cms = _prefix_scan(evolve(k, durations) @ np.reshape(rotations, (-1, 4, 4)), index, gamma0)
+    cms = _prefix_scan(evolve(k, durations) @ _pair_matrix(rows[:, :2]), index, gamma0)
     cms[-1] = apply_symplectic(protocol.final.matrix, cms[-1])
     return Trajectory(times, cms, k)
 
@@ -315,7 +315,7 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
         gamma = cms[i]
         _, _, l, phi = _rate_kernel(gamma[None], theta_l, psi_l)
         if l[0] > lock_band:
-            cms[i + 1] = apply_symplectic(flows[slot[i]] @ _pair_matrix(*phi[0].tolist()), gamma)
+            cms[i + 1] = apply_symplectic(flows[slot[i]] @ _pair_matrix(phi[0]), gamma)
             i += 1
             if coasting(l, phi)[0]:
                 i = stretch(flows, i, coasting)

@@ -170,7 +170,7 @@ def entanglement_rate(gamma, k, rotations: LocalRotationPair) -> float:
     if product[0]:
         r = float(_pure_r(det2(cms[0, :2, 2:])))
         raise ValueError(f"entanglement_rate needs an entangled state: r = {r:.3g} is below PRODUCT_R = {PRODUCT_R:g}")
-    o1, o2 = rotation(rotations.phi1), rotation(rotations.phi2)
+    o1, o2 = rotation([rotations.phi1, rotations.phi2])
     return float(np.trace(o1.T @ flow_l @ o2 @ y[0]))
 
 

@@ -94,11 +94,11 @@ def _suffices(t_min: float, t: float) -> bool:
 def can_simulate_efficiently(k, k_target) -> bool:
     """Whether ``K`` simulates ``K_target`` at unit time cost: ``t = t_target`` suffices, that is
     ``s1 + s2 >= s1' + s2'`` and ``s1 - s2 >= s1' - s2'`` for the restricted singular values.
-    False where :func:`min_simulation_time` raises :class:`DegenerateHamiltonianError`."""
+    False where :func:`min_simulation_time` raises :class:`DegenerateHamiltonianError` or overflows."""
     *_, s, sp = _rsvd_pair(k, k_target)
     try:
         return _suffices(_min_time(s, sp, 1.0)[2], 1.0)
-    except DegenerateHamiltonianError:
+    except (DegenerateHamiltonianError, OverflowError):
         return False
 
 
@@ -129,10 +129,14 @@ def _check_times(t_target: float, t: float | None = None) -> None:
 
 def _min_time(s, sp, t_target: float) -> tuple[float, float, float]:
     """``(a, b, t_min)``: the target's ``s1 + s2`` and ``s1 - s2`` per unit of ``K``'s (both ``rho`` of
-    :func:`_degenerate_scale` if ``K`` is degenerate), and :func:`min_simulation_time`, ``t_target max(a, b)``."""
+    :func:`_degenerate_scale` if ``K`` is degenerate), and :func:`min_simulation_time`, ``t_target max(a, b)``.
+    A ``t_min`` past the float range raises ``OverflowError``."""
     rho = _degenerate_scale(s, sp)
     a, b = (rho, rho) if rho is not None else ((sp.s1 + sp.s2) / (s.s1 + s.s2), (sp.s1 - sp.s2) / (s.s1 - s.s2))
-    return a, b, t_target * max(a, b)
+    if not math.isfinite(t_min := t_target * max(a, b)):
+        raise OverflowError(f"minimal simulation time t_target * max(a, b) overflows: t_target = {t_target:g}, "
+                            f"a = {a:g}, b = {b:g}")
+    return a, b, t_min
 
 
 def min_simulation_time(k, k_target, t_target: float) -> float:
@@ -246,10 +250,8 @@ def effective_hamiltonian(plan: SimulationPlan) -> np.ndarray:
     if plan.t_target == 0.0:  # kappa = 0: the plan realises the zero coupling, whatever its target
         raise ValueError("a plan with t_target = 0 determines no effective coupling")
     k = _as_k(plan.native_k)
-    acc = np.zeros((2, 2))
-    for phi1, phi2, weight in plan.terms.tolist():
-        acc += weight * (rotation(phi1).T @ k @ rotation(phi2))
-    return acc / plan.kappa
+    r1, r2 = rotation(plan.terms[:, :2]).swapaxes(0, 1)
+    return (plan.terms[:, 2, None, None] * (r1.swapaxes(-1, -2) @ k @ r2)).sum(axis=0) / plan.kappa
 
 
 # ---------------------------------------------------------------------------

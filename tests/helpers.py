@@ -1,5 +1,7 @@
 """Shared random generators and independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 
 from twomode.core import LocalRotationPair, apply_symplectic, assert_valid_cm, evolve, vacuum_cm
@@ -19,6 +21,20 @@ def random_rows(rng, durations):
     """Protocol rows ``(phi1, phi2, duration)``: one random rotation pair per duration."""
     pairs = [(random_rotation_pair(rng), float(d)) for d in durations]
     return [(pair.phi1, pair.phi2, d) for pair, d in pairs]
+
+
+def reference_rotation(phi):
+    """One 2x2 rotation ``[[cos, -sin], [sin, cos]]`` from ``math.cos`` and ``math.sin``."""
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c, -s], [s, c]])
+
+
+def reference_pair_matrix(phi1, phi2):
+    """One 4x4 ``R(phi1) (+) R(phi2)`` from two :func:`reference_rotation` calls."""
+    m = np.zeros((4, 4))
+    m[:2, :2] = reference_rotation(phi1)
+    m[2:, 2:] = reference_rotation(phi2)
+    return m
 
 
 def random_symplectic(rng, factors=3, tmax=1.0):
@@ -243,10 +259,9 @@ def reference_run_protocol(gamma0, protocol):
     fused = {}
     for i, (phi1, phi2, duration) in enumerate(rows, start=1):
         if (phi1, phi2, duration) not in fused:
-            rotation = LocalRotationPair(phi1, phi2).matrix
-            fused[phi1, phi2, duration] = evolve(protocol.native_k, duration) @ rotation
+            fused[phi1, phi2, duration] = evolve(protocol.native_k, duration) @ reference_pair_matrix(phi1, phi2)
         cms[i] = gamma = apply_symplectic(fused[phi1, phi2, duration], gamma)
-    cms[-1] = apply_symplectic(protocol.final.matrix, cms[-1])
+    cms[-1] = apply_symplectic(reference_pair_matrix(protocol.final.phi1, protocol.final.phi2), cms[-1])
     return np.cumsum([0.0, *(duration for _, _, duration in rows)]), cms
 
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -438,6 +439,17 @@ class TestNumericContract:
         assert code == expected
         assert out == ""
 
+    def test_overflowing_minimal_time_is_named(self, capsys, tmp_path):
+        """``tmin`` and ``plan`` refuse a minimal time past the float range by name, not as a non-finite result."""
+        big, tiny = tmp_path / "big.json", tmp_path / "tiny.json"
+        big.write_text(json.dumps(k_to_dict(1e300 * HTMS)))
+        tiny.write_text(json.dumps(k_to_dict(1e-320 * H0)))
+        for native, target, t in (("h0", big, "1e10"), (tiny, "h0", "1")):
+            for command in ("tmin", "plan"):
+                code, out, err = run_cli(capsys, command, "--hamiltonian", str(native), "--target", str(target), "--t", t)
+                assert (code, out) == (3, "")
+                assert err.startswith("error: minimal simulation time t_target * max(a, b) overflows: t_target = ")
+
     _TEMPLATES = (
         ("tmin", "--hamiltonian", "h0", "--target", "htms", "--t={}"),
         ("plan", "--hamiltonian", "h0", "--target", "htms", "--t={}", "--total={}"),
@@ -449,22 +461,35 @@ class TestNumericContract:
         ("rates", "--hamiltonian", "h0", "--state", "squeezed:{},{}"),
         ("rates", "--hamiltonian", "htms", "--state", "tms:{}"),
     )
+    #: ``{K}`` is a JSON coupling file ``{"a": x, "b": y, "c": 0, "d": 0}`` with two drawn floats.
+    _JSON_TEMPLATES = (
+        ("evolve", "--hamiltonian", "{K}", "--t={}"),
+        ("tmin", "--hamiltonian", "{K}", "--target", "{K}", "--t={}"),
+        ("plan", "--hamiltonian", "{K}", "--target", "{K}", "--t={}"),
+        ("simcheck", "--hamiltonian", "{K}", "--target", "{K}"),
+    )
     _FLOATS = st.one_of(
         st.floats(allow_nan=True, allow_infinity=True),
         st.floats(min_value=-30.0, max_value=30.0),
         st.sampled_from([1e308, -1e308, 5e-324, 0.0, 800.0, 1e6]),
     )
 
-    @settings(max_examples=300, deadline=None)
+    def _argument(self, data, arg, folder):
+        if arg != "{K}":
+            return arg.format(*(repr(data.draw(self._FLOATS)) for _ in range(arg.count("{}"))))
+        path = os.path.join(folder, f"k{len(os.listdir(folder))}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"a": data.draw(self._FLOATS), "b": data.draw(self._FLOATS), "c": 0, "d": 0}, fh)
+        return path
+
+    @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_random_float_arguments(self, data):
-        """Any float argument gives exit 0, 2 or 3, and exit 0 prints strict JSON."""
-        template = data.draw(st.sampled_from(self._TEMPLATES))
-        argv = [
-            arg.format(*(repr(data.draw(self._FLOATS)) for _ in range(arg.count("{}"))))
-            for arg in template
-        ]
-        code, out = run_cli_code(argv)
+        """Any float argument or JSON coupling entry gives exit 0, 2 or 3, and exit 0 prints strict JSON."""
+        template = data.draw(st.sampled_from(self._TEMPLATES + self._JSON_TEMPLATES))
+        with tempfile.TemporaryDirectory() as folder:
+            argv = [self._argument(data, arg, folder) for arg in template]
+            code, out = run_cli_code(argv)
         assert code in (0, 2, 3), argv
         if code == 0:
             json.loads(out, parse_constant=_reject_constant)

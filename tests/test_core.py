@@ -1,5 +1,7 @@
 """Unit tests for the phase-space core: factorisations, flows, canonical forms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from helpers import (
     random_pure_cm,
     random_rotation_pair,
     random_symplectic,
+    reference_pair_matrix,
+    reference_rotation,
 )
 from twomode.core import (
     H0,
@@ -22,6 +26,7 @@ from twomode.core import (
     SIGMA_Z,
     LocalRotationPair,
     NotPureError,
+    _pair_matrix,
     _rsvd_angles,
     apply_symplectic,
     assert_valid_cm,
@@ -159,6 +164,45 @@ class TestGenerator:
         assert np.allclose(gen.L_tilde, -J @ gen.L.T @ J.T, atol=1e-14)
 
 
+def _batches(rng, shape):
+    """Angles of magnitude 1e-300 to 1e300, both signs, and exact zeros of both signs, in batches of
+    ``shape``; a shape of size 0 gets one empty batch."""
+    magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, 200)
+    angles = np.concatenate([magnitudes * rng.choice([-1.0, 1.0], 200), [0.0, -0.0]])
+    size = math.prod(shape)
+    return np.resize(angles, (-(-len(angles) // size) if size else 1,) + shape)
+
+
+class TestStackedRotations:
+    """``rotation`` and ``_pair_matrix`` are batches of one: every entry has the bits of the scalar
+    ``math.cos`` / ``math.sin`` reference, at any batch shape."""
+
+    @pytest.mark.parametrize("shape", [(), (0,), (7,), (7, 2)])
+    def test_rotation_matches_scalar_reference(self, rng, shape):
+        for phi in _batches(rng, shape):
+            got = rotation(phi)
+            assert got.shape == shape + (2, 2)
+            want = [reference_rotation(x) for x in np.ravel(phi).tolist()]
+            assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (0,), (7,), (7, 2)])
+    def test_pair_matrix_matches_scalar_reference(self, rng, shape):
+        for phi in _batches(rng, shape + (2,)):
+            got = _pair_matrix(phi)
+            assert got.shape == shape + (4, 4)
+            want = [reference_pair_matrix(*pair) for pair in phi.reshape(-1, 2).tolist()]
+            assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
+
+    def test_signed_zeros(self):
+        """``-sin(+0)`` is ``-0`` and ``-sin(-0)`` is ``+0``, as in the scalar form."""
+        plus, minus = rotation(np.array([0.0, -0.0]))
+        assert np.signbit(plus).tolist() == [[False, True], [False, False]]
+        assert np.signbit(minus).tolist() == [[False, False], [True, False]]
+        pair = _pair_matrix([0.0, -0.0])
+        assert np.signbit(pair[:2, :2]).tolist() == np.signbit(plus).tolist()
+        assert np.signbit(pair[2:, 2:]).tolist() == np.signbit(minus).tolist()
+
+
 class TestEvolve:
     def test_matches_exponential_oracle(self, rng):
         """Closed-form flow equals scaling-and-squaring expm over random inputs."""
@@ -172,11 +216,14 @@ class TestEvolve:
             assert np.linalg.det(s) == pytest.approx(1.0, abs=1e-9 * scale**4)
 
     def test_degenerate_alpha_branch(self):
-        """Near alpha = 0 the Taylor branch joins the exact branches smoothly."""
+        """Every alpha != 0 takes its exact branch, however small and however long the time."""
         for eps in (0.0, 1e-13, -1e-13, 1e-9, -1e-9):
             k = kmatrix(a=1.0, b=eps)  # det K = eps
             s = evolve(k, 1.7)
             assert np.max(np.abs(s - expm(generator(k).M * 1.7))) < 1e-11
+        for k, t in ((3e-7 * HTMS, 1e7), (kmatrix(a=1.0, b=1e-13), 1e6), (kmatrix(a=1.0, b=-1e-13), 1e6)):
+            s = evolve(k, t)
+            assert np.max(np.abs(s - expm(generator(k).M * t))) <= 1e-9 * np.max(np.abs(s))
 
     def test_h0_flow_shape(self):
         t = 0.7

@@ -185,7 +185,7 @@ def _coasting_loop(gamma0, k, times, tol):
         after_identity = identity
         identity = abs(math.sin((phi1 + phi2) / 2)) + abs(math.sin((phi1 - phi2) / 2)) <= tol
         coasted[i] = after_identity and identity
-        rotation = np.eye(4) if coasted[i] else _pair_matrix(phi1, phi2)
+        rotation = np.eye(4) if coasted[i] else _pair_matrix([phi1, phi2])
         cms[i + 1] = apply_symplectic(evolve(k, dt) @ rotation, cms[i])
     return cms, coasted
 

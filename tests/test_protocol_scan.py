@@ -17,6 +17,7 @@ from helpers import (
     random_rotation_pair,
     random_rows,
     random_symplectic,
+    reference_protocol_dict,
     reference_run_protocol,
 )
 from twomode.core import (
@@ -98,6 +99,15 @@ class TestScanMatchesLoop:
             plan = synthesize_plan(H0, target, 0.4)
             for gamma0 in _start_states(rng):
                 assert_matches_reference(gamma0, plan_to_protocol(plan, slices))
+
+    def test_all_distinct_rows(self, rng):
+        """A 10^4-step JSON protocol whose rows are all distinct, as ``run --strategy file:`` reads one."""
+        rows = random_rows(rng, rng.uniform(0.0, 1e-3, size=10_000))
+        data = reference_protocol_dict(random_coupling(rng), rows, random_rotation_pair(rng))
+        protocol = Protocol.from_dict(data)
+        assert len(protocol.table) == 10_000
+        for gamma0 in _start_states(rng)[1:3]:
+            assert_matches_reference(gamma0, protocol)
 
     def test_compile_to_native(self, rng):
         for native in (H0, random_coupling(rng)):

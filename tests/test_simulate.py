@@ -7,7 +7,14 @@ import pytest
 
 import twomode.gates
 import twomode.simulate
-from helpers import random_coupling, random_rotation_pair, random_rows, reference_plan_schedule, reference_protocol_dict
+from helpers import (
+    random_coupling,
+    random_rotation_pair,
+    random_rows,
+    reference_plan_schedule,
+    reference_protocol_dict,
+    reference_rotation,
+)
 from twomode.core import (
     H0,
     HBS,
@@ -112,6 +119,14 @@ class TestMinimalTime:
         pair = LocalRotationPair(0.3, 1.1)
         rotated = rotation(pair.phi1).T @ HTMS @ rotation(pair.phi2)
         assert min_simulation_time(HTMS, rotated, 2.0) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("k, k_target, t_target", [(H0, 1e300 * HTMS, 1e10), (1e-320 * H0, H0, 1.0)])
+    def test_overflowing_minimal_time_is_refused(self, k, k_target, t_target):
+        """A minimal time past the float range is refused, not returned as inf or as a plan with t = inf."""
+        for query in (min_simulation_time, synthesize_plan):
+            with pytest.raises(OverflowError, match="minimal simulation time"):
+                query(k, k_target, t_target)
+        assert can_simulate_efficiently(k, k_target) is False
 
 
 class TestSynthesizePlan:
@@ -230,6 +245,18 @@ class TestEffectiveHamiltonian:
         for k in (H0, HBS):
             with pytest.raises(ValueError, match="t_target = 0"):
                 effective_hamiltonian(synthesize_plan(k, HBS, 0.0))
+
+    def test_matches_per_term_loop(self, rng):
+        """The stacked sum has the bits of ``sum_i w_i R1_i^T K R2_i`` accumulated term by term from zero."""
+        pairs = [(H0, HTMS), (H0, H0), (HBS, 0.5 * HBS), (HTMS, -HTMS)]
+        pairs += [(random_coupling(rng), random_coupling(rng)) for _ in range(50)]
+        for k, kp in pairs:
+            for t in (None, 2.0 * min_simulation_time(k, kp, 0.7)):
+                plan = synthesize_plan(k, kp, 0.7, t)
+                acc = np.zeros((2, 2))
+                for phi1, phi2, weight in plan.terms.tolist():
+                    acc += weight * (reference_rotation(phi1).T @ k @ reference_rotation(phi2))
+                assert effective_hamiltonian(plan).tobytes() == (acc / plan.kappa).tobytes()
 
     def test_identity_plan(self, rng):
         k = random_coupling(rng)
