@@ -3,10 +3,12 @@ following, upper bounds, ancilla extensions and Gaussian measurements.
 
 A protocol alternates instantaneous local rotations with windows of the
 native coupling.  Running one from a pure state produces a trajectory: an
-``(N, 4, 4)`` stack of covariance matrices.  For every strategy, the per-node
-quantifiers (entanglement, negativity, squeezing, instantaneous optimal rate)
-come on request from one validated pass of :func:`~twomode.measures.report_columns`,
-so long runs stay cheap when only the final state matters.
+``(N, 4, 4)`` stack of covariance matrices.  :func:`run_protocol` forms only
+the final node at once and the stack on its first read, and for every strategy
+the per-node quantifiers (entanglement, negativity, squeezing, instantaneous
+optimal rate) come on request from one validated pass of
+:func:`~twomode.measures.report_columns`, so long runs stay cheap when only the
+final state matters.
 """
 
 from __future__ import annotations
@@ -104,26 +106,44 @@ def csv_text(header: str, columns) -> str:
     return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
+class _NodeStack:
+    """The ``cms`` field of :class:`Trajectory`: an array, or a :class:`_Pending` stack formed on the first read."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("cms")  # no class-level default, so the field stays required
+        cms = vars(obj)["cms"]
+        if isinstance(cms, _Pending):
+            cms = vars(obj)["cms"] = cms.form()
+        return cms
+
+    def __set__(self, obj, value):
+        vars(obj)["cms"] = value
+
+
 @dataclass
 class Trajectory:
     """Time-ordered covariance matrices produced by a strategy.
 
     ``cms`` is an ``(N, 4, 4)`` array; :meth:`columns` reports it, rate included.
+    :func:`run_protocol` forms its last node, ``final``, at once and the others
+    on the first read of ``cms``; ``final`` and ``len()`` never form them.
     ``lock_stretches`` holds the greedy walk's ``(first node, last node)`` pairs
     of the stretches held in its lock band, and is None for every other strategy.
     """
 
     times: np.ndarray
-    cms: np.ndarray
+    cms: np.ndarray = _NodeStack()
     native_k: np.ndarray
     lock_stretches: list[tuple[int, int]] | None = None
 
     def __len__(self) -> int:
-        return len(self.cms)
+        return len(vars(self)["cms"])
 
     @property
     def final(self) -> np.ndarray:
-        return self.cms[-1]
+        cms = vars(self)["cms"]
+        return cms.final if isinstance(cms, _Pending) else cms[-1]
 
     def columns(self) -> dict[str, np.ndarray]:
         """Report columns ``t, E0, negativity, S, Q, rate`` over all nodes."""
@@ -147,21 +167,12 @@ class Trajectory:
         write_text_atomic(path, self.csv_text())
 
 
-def _prefix_scan(table: np.ndarray, index, gamma0: np.ndarray) -> np.ndarray:
-    """CMs ``P_i gamma0 P_i^T`` for ``i = 0 .. len(index)``, ``P_i = table[index[i-1]] ... table[index[0]]``.
+def _carry_pass(table: np.ndarray, index, gamma0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(blocks, carries)``, the first pass of :func:`_prefix_scan`.
 
-    ``table`` holds step matrices, and ``index`` must point into it: the
-    gather is not bounds-checked, since a checked one into ``out`` buffers a
-    copy of the whole stack.  The scan carries factors, not CMs: node ``i``
-    is the Gram product ``X_i X_i^T`` of ``X_i = P_i F``, with ``F`` the
-    Cholesky factor of ``gamma0``; node 0 is ``gamma0`` itself.  A two-level
-    scan (Blelloch, CMU-CS-90-190): the ``n = len(index) + 1`` step matrices
-    (identity first) are gathered into ``ceil(n / w)`` chunks of
-    ``w = isqrt(n)``, padded with the identity; the prefixes inside every
-    chunk are formed by ``w - 1`` matmuls stacked across chunks, and one pass
-    over the chunks multiplies them by the running factor and writes the
-    chunk's Gram products in place, so no second stack of ``n`` matrices is
-    held.
+    ``blocks`` is the ``(ceil(n / w), w, 4, 4)`` buffer of the prefixes inside
+    every chunk, gathered behind an identity and padded with identities; ``carries[c]`` is the factor
+    ``P F`` that enters chunk ``c``, ``F`` the Cholesky factor of ``gamma0``.
     """
     n = len(index) + 1
     w = math.isqrt(n)
@@ -171,15 +182,63 @@ def _prefix_scan(table: np.ndarray, index, gamma0: np.ndarray) -> np.ndarray:
     blocks = cms.reshape(-1, w, 4, 4)
     for j in range(1, w):
         np.matmul(blocks[:, j], blocks[:, j - 1], out=blocks[:, j])
-    total = np.linalg.cholesky(gamma0)
-    transposed = np.empty((w, 4, 4))
-    for block in blocks:
-        factors = block @ total
-        total = factors[-1]
-        np.copyto(transposed, factors.transpose(0, 2, 1))
-        np.matmul(factors, transposed, out=block)
+    carries = np.empty((len(blocks), 1, 4, 4))
+    carries[0] = np.linalg.cholesky(gamma0)
+    for c in range(1, len(blocks)):
+        np.matmul(blocks[c - 1, -1:], carries[c - 1], out=carries[c])
+    return blocks, carries
+
+
+def _gram(factors: np.ndarray, out=None) -> np.ndarray:
+    """The Gram products ``X X^T`` of a stack of factors, exactly symmetric."""
+    return np.matmul(factors, np.ascontiguousarray(factors.transpose(0, 2, 1)), out=out)
+
+
+def _gram_pass(blocks: np.ndarray, carries: np.ndarray, n: int, gamma0: np.ndarray) -> np.ndarray:
+    """The second pass of :func:`_prefix_scan`: every chunk's Gram products, in place; node 0 is ``gamma0``."""
+    for block, carry in zip(blocks, carries):
+        _gram(block @ carry, out=block)
+    cms = blocks.reshape(-1, 4, 4)
     cms[0] = gamma0
     return cms[:n]
+
+
+def _prefix_scan(table: np.ndarray, index, gamma0: np.ndarray) -> np.ndarray:
+    """CMs ``P_i gamma0 P_i^T`` for ``i = 0 .. len(index)``, ``P_i = table[index[i-1]] ... table[index[0]]``.
+
+    ``table`` holds step matrices, and ``index`` must point into it: the
+    gather is not bounds-checked, since a checked one into ``out`` buffers a
+    copy of the whole stack.  The scan carries factors, not CMs: node ``i``
+    is the Gram product ``X_i X_i^T`` of ``X_i = P_i F``, with ``F`` the
+    Cholesky factor of ``gamma0``; node 0 is ``gamma0`` itself.  A two-level
+    scan (Blelloch, CMU-CS-90-190) in two passes.  :func:`_carry_pass`
+    gathers the ``n = len(index) + 1`` step matrices (identity first) into
+    ``ceil(n / w)`` chunks of ``w = isqrt(n)``, padded with the identity,
+    forms the prefixes inside every chunk by ``w - 1`` matmuls stacked across
+    chunks, and chains the factor entering each chunk.  :func:`_gram_pass`
+    multiplies every chunk by its factor and writes the chunk's Gram products
+    in place, so no second stack of ``n`` matrices is held.
+    """
+    return _gram_pass(*_carry_pass(table, index, gamma0), len(index) + 1, gamma0)
+
+
+@dataclass
+class _Pending:
+    """A protocol's node stack after the carry pass: its ``final`` node is formed, the others are not."""
+
+    blocks: np.ndarray
+    carries: np.ndarray
+    gamma0: np.ndarray
+    n: int
+    final: np.ndarray
+
+    def __len__(self) -> int:
+        return self.n
+
+    def form(self) -> np.ndarray:
+        cms = _gram_pass(self.blocks, self.carries, self.n, self.gamma0)
+        cms[-1] = self.final
+        return cms
 
 
 def run_protocol(gamma0, protocol: Protocol) -> Trajectory:
@@ -191,16 +250,22 @@ def run_protocol(gamma0, protocol: Protocol) -> Trajectory:
     Each distinct step, a row of the protocol's ``table``, is fused here,
     the flows of all rows from one stacked :func:`~twomode.core.evolve` and
     their rotations from one stacked ``_pair_matrix``, and the protocol's
-    ``index`` drives the factor scan :func:`_prefix_scan`.
+    ``index`` drives the carry pass of the factor scan :func:`_prefix_scan`.
+    The last node is the Gram product of the last chunk's factor; the
+    trajectory runs the scan's Gram pass, for the other nodes, on the first
+    read of its ``cms``.
     """
     k = _as_k(protocol.native_k)
     gamma0 = assert_valid_cm(gamma0)
     rows, index = protocol.table, protocol.index
     durations = np.ascontiguousarray(rows[:, 2])
     times = np.cumsum(np.concatenate([[0.0], durations[index]]))
-    cms = _prefix_scan(evolve(k, durations) @ _pair_matrix(rows[:, :2]), index, gamma0)
-    cms[-1] = apply_symplectic(protocol.final.matrix, cms[-1])
-    return Trajectory(times, cms, k)
+    n = len(index) + 1
+    blocks, carries = _carry_pass(evolve(k, durations) @ _pair_matrix(rows[:, :2]), index, gamma0)
+    c, j = divmod(n - 1, blocks.shape[1])
+    last = _gram(blocks[c, j : j + 1] @ carries[c])[0] if n > 1 else gamma0
+    final = apply_symplectic(protocol.final.matrix, last)
+    return Trajectory(times, _Pending(blocks, carries, gamma0, n, final), k)
 
 
 def flip_effective_coupling(k) -> np.ndarray:

@@ -133,7 +133,8 @@ def _min_time(s, sp, t_target: float) -> tuple[float, float, float]:
     A ``t_min`` past the float range raises ``OverflowError``."""
     rho = _degenerate_scale(s, sp)
     a, b = (rho, rho) if rho is not None else ((sp.s1 + sp.s2) / (s.s1 + s.s2), (sp.s1 - sp.s2) / (s.s1 - s.s2))
-    if not math.isfinite(t_min := t_target * max(a, b)):
+    # A zero-length target needs no time, also where max(a, b) overflows and 0 * inf would be NaN.
+    if not math.isfinite(t_min := t_target * (max(a, b) if t_target else 0.0)):
         raise OverflowError(f"minimal simulation time t_target * max(a, b) overflows: t_target = {t_target:g}, "
                             f"a = {a:g}, b = {b:g}")
     return a, b, t_min
@@ -239,7 +240,7 @@ def synthesize_plan(k, k_target, t_target: float, t: float | None = None) -> Sim
         raise InfeasibleTimeError(f"requested time {t} is below the minimal simulation time {t_min}")
     # The pairs realise e (s1, s2) + f (s2, s1): s1 + s2 scaled by e + f = a kappa, s1 - s2 by e - f =
     # b kappa, so e >= 0 and e + |f| = t_min / t.  For s1 = |s2|, a = b = rho and f = 0: e = 1 at t_min.
-    e, f = (a + b) * t_target / (2.0 * t), (a - b) * t_target / (2.0 * t)
+    e, f = ((a + b) * t_target / (2.0 * t), (a - b) * t_target / (2.0 * t)) if t_target else (0.0, 0.0)
     remainder = max(0.0, 1.0 - e - abs(f))  # split between +K and -K, which cancel
     rows = np.column_stack([angles, [e + remainder / 2.0, remainder / 2.0, max(f, 0.0), max(-f, 0.0)]])
     return SimulationPlan(k, k_target, float(t), float(t_target), rows[rows[:, 2] > _SLACK])
@@ -315,7 +316,7 @@ class Protocol:
 
     @property
     def total_time(self) -> float:
-        return float(sum(self.steps[:, 2].tolist()))
+        return float(sum(self.table[self.index, 2].tolist()))
 
     def to_dict(self) -> dict:
         return {

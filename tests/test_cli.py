@@ -449,6 +449,8 @@ class TestNumericContract:
                 code, out, err = run_cli(capsys, command, "--hamiltonian", str(native), "--target", str(target), "--t", t)
                 assert (code, out) == (3, "")
                 assert err.startswith("error: minimal simulation time t_target * max(a, b) overflows: t_target = ")
+        code, out, _ = run_cli(capsys, "tmin", "--hamiltonian", str(tiny), "--target", "h0", "--t", "0")
+        assert (code, out) == (0, "0.0\n")  # a zero-length target needs no time, whatever the ratio
 
     _TEMPLATES = (
         ("tmin", "--hamiltonian", "h0", "--target", "htms", "--t={}"),

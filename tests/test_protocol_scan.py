@@ -3,7 +3,9 @@
 The scan forms ``P_i gamma0 P_i^T`` from chunked prefix products, so its
 rounding differs from stepping one CM at a time; every node must agree with
 ``helpers.reference_run_protocol`` to 1e-10 of that node's largest entry, be
-exactly symmetric, and the time grid must be bit-identical.
+exactly symmetric, and the time grid must be bit-identical.  ``run_protocol``
+forms its final node at once and the others on the first read of ``cms``:
+``final`` and ``len()`` run no Gram pass, and ``final`` is the scan's last node.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import twomode.protocols
 from helpers import (
     random_coupling,
     random_pure_cm,
@@ -23,7 +26,9 @@ from helpers import (
 from twomode.core import (
     H0,
     HTMS,
+    _pair_matrix,
     apply_symplectic,
+    evolve,
     squeezed_product_cm,
     two_mode_squeezed_cm,
     vacuum_cm,
@@ -142,3 +147,52 @@ class TestScanPadsItsOwnIdentity:
         ref = np.array(ref)
         err = np.max(np.abs(cms - ref), axis=(1, 2))
         assert np.all(err <= _REL * np.max(np.abs(ref), axis=(1, 2)))
+
+
+def _deferral_protocol(rng, kind):
+    """Flip, plan, compile, a 10^3-row all-distinct, an empty and a one-step protocol."""
+    if kind == "flip":
+        return flip_strategy(H0, 1.0, 500)
+    if kind == "plan":
+        return plan_to_protocol(synthesize_plan(H0, random_coupling(rng), 0.4), 50)
+    if kind == "compile":
+        return compile_to_native(decompose_gate(random_symplectic(rng, factors=2, tmax=0.5)), H0, slices=100)
+    if kind == "distinct":
+        rows = random_rows(rng, rng.uniform(0.0, 1e-3, size=1000))
+        return Protocol.from_dict(reference_protocol_dict(random_coupling(rng), rows, random_rotation_pair(rng)))
+    rows = random_rows(rng, [0.01])[: 1 if kind == "one step" else 0]
+    return Protocol(random_coupling(rng), rows, np.arange(len(rows)), random_rotation_pair(rng))
+
+
+@pytest.mark.parametrize("kind", ["flip", "plan", "compile", "distinct", "empty", "one step"])
+class TestDeferredNodes:
+    def test_final_and_len_form_no_stack(self, monkeypatch, rng, kind):
+        protocol = _deferral_protocol(rng, kind)
+        gamma0 = random_pure_cm(rng)
+        monkeypatch.setattr(twomode.protocols, "_gram_pass", lambda *args: pytest.fail("the node stack was formed"))
+        traj = run_protocol(gamma0, protocol)
+        assert len(traj) == len(protocol.index) + 1
+        _, cms = reference_run_protocol(gamma0, protocol)
+        assert np.max(np.abs(traj.final - cms[-1])) <= _REL * np.max(np.abs(cms[-1]))
+
+    def test_final_is_the_scans_last_node(self, rng, kind):
+        """``final`` has the bits of the scan's last node, rotated, and ``cms[-1]`` has the bits of ``final``."""
+        protocol = _deferral_protocol(rng, kind)
+        gamma0 = random_pure_cm(rng)
+        table = protocol.table
+        steps = evolve(protocol.native_k, np.ascontiguousarray(table[:, 2])) @ _pair_matrix(table[:, :2])
+        last = apply_symplectic(protocol.final.matrix, _prefix_scan(steps, protocol.index, gamma0)[-1])
+        traj = run_protocol(gamma0, protocol)
+        final = traj.final.copy()
+        assert final.tobytes() == last.tobytes()
+        assert traj.cms[-1].tobytes() == final.tobytes() == traj.final.tobytes()
+        formed_first = run_protocol(gamma0, protocol)
+        assert formed_first.cms.tobytes() == traj.cms.tobytes()
+        assert formed_first.final.tobytes() == final.tobytes()
+
+    def test_cms_is_formed_once(self, monkeypatch, rng, kind):
+        traj = run_protocol(random_pure_cm(rng), _deferral_protocol(rng, kind))
+        cms = traj.cms
+        monkeypatch.setattr(twomode.protocols, "_gram_pass", lambda *args: pytest.fail("the node stack was formed again"))
+        assert traj.cms is cms and len(traj) == len(cms)
+        assert traj.final.tobytes() == cms[-1].tobytes()

@@ -128,6 +128,16 @@ class TestMinimalTime:
                 query(k, k_target, t_target)
         assert can_simulate_efficiently(k, k_target) is False
 
+    @pytest.mark.parametrize("k, k_target", [(1e-320 * H0, H0), (H0, 1e300 * HTMS), (H0, HTMS), (HTMS, 0.5 * HTMS)])
+    def test_zero_length_target_needs_no_time(self, k, k_target):
+        """``t_target = 0`` needs no time and plans ``+K`` against ``-K``, also where ``max(a, b)`` overflows."""
+        for t_target in (0.0, -0.0):
+            t_min = min_simulation_time(k, k_target, t_target)
+            assert t_min == 0.0 and np.signbit(t_min) == np.signbit(t_target)
+            plan = synthesize_plan(k, k_target, t_target)
+            assert (plan.t, plan.kappa) == (1.0, 0.0)
+            assert plan.terms[:, 2].tolist() == [0.5, 0.5] and np.isfinite(plan.terms).all()
+
 
 class TestSynthesizePlan:
     def test_squeezer_plan_weights(self):
