@@ -299,14 +299,14 @@ def _cmd_run(args):
 # ---------------------------------------------------------------------------
 
 
-def _figure_rows(gamma0, k, times, r1: float, r2: float) -> list:
-    """The figure columns in ``_FIG_HEADER`` order."""
-    greedy = greedy_rate_walk(gamma0, k, times).columns()
-    tms = _flow_trajectory(gamma0, flip_effective_coupling(k), times, k).columns()
-    bare = _flow_trajectory(gamma0, k, times, k).columns()
+def _figure_rows(gamma0, times, r1: float, r2: float) -> list:
+    """The figure columns in ``_FIG_HEADER`` order, under the position-position coupling ``H0``."""
+    greedy = greedy_rate_walk(gamma0, H0, times).columns()
+    tms = _flow_trajectory(gamma0, flip_effective_coupling(H0), times, H0).columns()
+    bare = _flow_trajectory(gamma0, H0, times, H0).columns()
     columns = [times] + [c[key] for key in ("E0", "rate") for c in (greedy, tms, bare)]
-    cap = np.full(len(times), squeezing_capability(k))
-    return columns + [cap, finite_time_bounds(k, times.tolist(), r1, r2)[1]]
+    cap = np.full(len(times), squeezing_capability(H0))
+    return columns + [cap, finite_time_bounds(H0, times.tolist(), r1, r2)[1]]
 
 
 def reproduce_figures(which: str, outdir: str) -> str:
@@ -324,14 +324,14 @@ def reproduce_figures(which: str, outdir: str) -> str:
     if which == "fig1":
         gamma0 = squeezed_product_cm(0.0, 2.5)
         times = np.round(np.arange(0, 1500 + 1) * 1e-3, 9)
-        columns = _figure_rows(gamma0, H0, times, 2.5, 0.0)
+        columns = _figure_rows(gamma0, times, 2.5, 0.0)
     elif which == "fig3":
         s_r = np.diag([math.e, 1.0 / math.e, math.e, 1.0 / math.e])
         gamma0 = apply_symplectic(s_r, two_mode_squeezed_cm(0.5e-3))
         fine = np.arange(0, 100 + 1) * 1e-4
         coarse = 0.01 + np.arange(1, 990 + 1) * 1e-3
         times = np.round(np.concatenate([fine, coarse]), 9)
-        columns = _figure_rows(gamma0, H0, times, 2.0, 2.0)
+        columns = _figure_rows(gamma0, times, 2.0, 2.0)
     else:
         raise ValueError(f"unknown figure {which!r}; choose fig1 or fig3")
     path = os.path.join(outdir, f"{which}.csv")

@@ -37,7 +37,7 @@ from .core import (
     evolve,
     restricted_svd,
 )
-from .simulate import Protocol, _degenerate_scale, _trotterise, synthesize_plan
+from .simulate import DegenerateHamiltonianError, Protocol, _degenerate, _trotterise, synthesize_plan
 
 __all__ = [
     "RotationGate",
@@ -359,7 +359,8 @@ def compile_to_native(seq: GateSequence, k, slices: int = 200) -> Protocol:
     if slices < 1:
         raise ValueError("slices must be >= 1")
     k = _as_k(k)
-    _degenerate_scale(restricted_svd(k).svals, None, "cannot simulate beam splitters and squeezers")
+    if _degenerate(restricted_svd(k).svals):
+        raise DegenerateHamiltonianError("coupling with s1 = |s2| cannot simulate beam splitters and squeezers")
 
     rows, parts, pending = [], [], LocalRotationPair()
     for gate in seq.gates:

@@ -2,13 +2,13 @@
 following, upper bounds, ancilla extensions and Gaussian measurements.
 
 A protocol alternates instantaneous local rotations with windows of the
-native coupling.  Running one from a pure state produces a trajectory: an
-``(N, 4, 4)`` stack of covariance matrices.  :func:`run_protocol` forms only
-the final node at once and the stack on its first read, and for every strategy
-the per-node quantifiers (entanglement, negativity, squeezing, instantaneous
-optimal rate) come on request from one validated pass of
-:func:`~twomode.measures.report_columns`, so long runs stay cheap when only the
-final state matters.
+native coupling.  Running one from a pure state, one CM, produces a trajectory:
+an ``(N, 4, 4)`` stack of covariance matrices.  :func:`run_protocol` forms only
+the final node at once, and the trajectory's ``cms`` property the stack on its
+first read.  For every strategy the per-node quantifiers (entanglement,
+negativity, squeezing, instantaneous optimal rate) come on request from one
+validated pass of :func:`~twomode.measures.report_columns`, so long runs stay
+cheap when only the final state matters.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .core import (
     NotPassiveError,
     _as_k,
     _flow_l,
+    _one_cm,
     _pair_matrix,
     _rsvd_angles,
     _wrap,
@@ -33,7 +34,6 @@ from .core import (
     assert_valid_cm,
     evolve,
     pure_standard_form,
-    valid_cm_stack,
 )
 from .measures import report_columns
 from .rates import _rate_kernel, squeezing_capability
@@ -106,44 +106,32 @@ def csv_text(header: str, columns) -> str:
     return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
-class _NodeStack:
-    """The ``cms`` field of :class:`Trajectory`: an array, or a :class:`_Pending` stack formed on the first read."""
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError("cms")  # no class-level default, so the field stays required
-        cms = vars(obj)["cms"]
-        if isinstance(cms, _Pending):
-            cms = vars(obj)["cms"] = cms.form()
-        return cms
-
-    def __set__(self, obj, value):
-        vars(obj)["cms"] = value
-
-
-@dataclass
 class Trajectory:
     """Time-ordered covariance matrices produced by a strategy.
 
-    ``cms`` is an ``(N, 4, 4)`` array; :meth:`columns` reports it, rate included.
-    :func:`run_protocol` forms its last node, ``final``, at once and the others
-    on the first read of ``cms``; ``final`` and ``len()`` never form them.
+    ``cms`` is an ``(N, 4, 4)`` array, a property without a setter; :meth:`columns`
+    reports it, rate included.  :func:`run_protocol` forms its last node, ``final``,
+    at once and the others on the first read of ``cms``; ``final`` and ``len()``
+    never form them.
     ``lock_stretches`` holds the greedy walk's ``(first node, last node)`` pairs
     of the stretches held in its lock band, and is None for every other strategy.
     """
 
-    times: np.ndarray
-    cms: np.ndarray = _NodeStack()
-    native_k: np.ndarray
-    lock_stretches: list[tuple[int, int]] | None = None
+    def __init__(self, times, cms, native_k, lock_stretches: list[tuple[int, int]] | None = None):
+        self.times, self._cms, self.native_k, self.lock_stretches = times, cms, native_k, lock_stretches
+
+    @property
+    def cms(self) -> np.ndarray:
+        if isinstance(self._cms, _Pending):
+            self._cms = self._cms.form()
+        return self._cms
 
     def __len__(self) -> int:
-        return len(vars(self)["cms"])
+        return len(self._cms)
 
     @property
     def final(self) -> np.ndarray:
-        cms = vars(self)["cms"]
-        return cms.final if isinstance(cms, _Pending) else cms[-1]
+        return self._cms.final if isinstance(self._cms, _Pending) else self._cms[-1]
 
     def columns(self) -> dict[str, np.ndarray]:
         """Report columns ``t, E0, negativity, S, Q, rate`` over all nodes."""
@@ -292,7 +280,7 @@ def flip_strategy(k, t: float, steps: int) -> Protocol:
     dt = t / steps
     index = np.full(steps, 1, dtype=np.intp)
     index[0] = 0
-    rows = [(0.0, 0.0, dt), (_FLIP.phi1, _FLIP.phi2, dt)][: min(steps, 2)]
+    rows = [(0.0, 0.0, dt), (_FLIP.phi1, _FLIP.phi2, dt)]
     m, two_pi = (steps - 1) % 4, 2.0 * math.pi
     final = LocalRotationPair((-m * _FLIP.phi1) % two_pi, (-m * _FLIP.phi2) % two_pi)
     return Protocol(k, rows, index, final)
@@ -352,7 +340,7 @@ def greedy_rate_walk(gamma0, k, times, lock_band: float | None = None) -> Trajec
     if lock_band is None:
         lock_band = 20.0 * float(np.max(np.diff(times))) if times.size > 1 else 0.0
     cms, last = np.empty((times.size, 4, 4)), times.size - 1
-    cms[0] = valid_cm_stack(gamma0, pure=True).cms[0]
+    cms[0] = _one_cm(gamma0, pure=True).cms[0]
     theta_l, _, _, psi_l = (float(x) for x in _rsvd_angles(_flow_l(k)))
     dts, slot = np.unique(np.diff(times), return_inverse=True)
     flows = evolve(k, dts)

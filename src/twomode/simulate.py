@@ -11,7 +11,8 @@ where the weights ``p_i`` are the time fractions spent in each window, the
 and ``kappa = t_target / t`` is the ratio of simulated time to interaction
 time.  Whether a target can be reached, at what minimal cost, and with which
 explicit rotation schedule, is decided entirely by the restricted singular
-values of the two couplings.
+values of the two couplings.  One rule, :func:`_degenerate`, decides
+``s1 = |s2|``: such a ``K`` simulates only its rescalings, and compiles nothing.
 """
 
 from __future__ import annotations
@@ -107,18 +108,6 @@ def _degenerate(s) -> bool:
     return s.s1 - abs(s.s2) <= _GAP_TOL * s.s1
 
 
-def _degenerate_scale(s, sp, refusal: str = "can only simulate locally equivalent targets"):
-    """``None`` if ``K`` is not :func:`_degenerate`, else the scale ``rho >= 0`` with ``sp = rho * s``: a
-    degenerate coupling only simulates its positive rescalings up to local rotations, the zero target
-    and degenerate targets whose ``s2`` has its sign.  Any other ``sp``, or ``sp = None``, raises
-    :class:`DegenerateHamiltonianError`."""
-    if not _degenerate(s):
-        return None
-    if sp is not None and (sp.s1 == 0.0 or s.s1 > 0.0 and _degenerate(sp) and (s.s2 < 0.0) == (sp.s2 < 0.0)):
-        return sp.s1 / s.s1 if sp.s1 else 0.0
-    raise DegenerateHamiltonianError(f"coupling with s1 = |s2| {refusal}")
-
-
 def _check_times(t_target: float, t: float | None = None) -> None:
     """The time rule of both queries: ``t_target`` finite and >= 0, ``t``, if given, finite and > 0."""
     if not 0.0 <= t_target < math.inf:
@@ -128,11 +117,17 @@ def _check_times(t_target: float, t: float | None = None) -> None:
 
 
 def _min_time(s, sp, t_target: float) -> tuple[float, float, float]:
-    """``(a, b, t_min)``: the target's ``s1 + s2`` and ``s1 - s2`` per unit of ``K``'s (both ``rho`` of
-    :func:`_degenerate_scale` if ``K`` is degenerate), and :func:`min_simulation_time`, ``t_target max(a, b)``.
-    A ``t_min`` past the float range raises ``OverflowError``."""
-    rho = _degenerate_scale(s, sp)
-    a, b = (rho, rho) if rho is not None else ((sp.s1 + sp.s2) / (s.s1 + s.s2), (sp.s1 - sp.s2) / (s.s1 - s.s2))
+    """``(a, b, t_min)``: the target's ``s1 + s2`` and ``s1 - s2`` per unit of ``K``'s, and
+    :func:`min_simulation_time`, ``t_target max(a, b)``.  A :func:`_degenerate` ``K`` only simulates its
+    positive rescalings ``sp = rho * s`` up to local rotations, the zero target and degenerate targets
+    whose ``s2`` has its sign, and then ``a = b = rho``; any other target raises
+    :class:`DegenerateHamiltonianError`.  A ``t_min`` past the float range raises ``OverflowError``."""
+    if not _degenerate(s):
+        a, b = (sp.s1 + sp.s2) / (s.s1 + s.s2), (sp.s1 - sp.s2) / (s.s1 - s.s2)
+    elif sp.s1 == 0.0 or s.s1 > 0.0 and _degenerate(sp) and (s.s2 < 0.0) == (sp.s2 < 0.0):
+        a = b = sp.s1 / s.s1 if sp.s1 else 0.0
+    else:
+        raise DegenerateHamiltonianError("coupling with s1 = |s2| can only simulate locally equivalent targets")
     # A zero-length target needs no time, also where max(a, b) overflows and 0 * inf would be NaN.
     if not math.isfinite(t_min := t_target * (max(a, b) if t_target else 0.0)):
         raise OverflowError(f"minimal simulation time t_target * max(a, b) overflows: t_target = {t_target:g}, "

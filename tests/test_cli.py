@@ -20,6 +20,7 @@ from twomode.core import (
     HBS,
     HTMS,
     J2,
+    RestrictedSingularValues,
     evolve,
     generator,
     k_to_dict,
@@ -451,6 +452,18 @@ class TestNumericContract:
                 assert err.startswith("error: minimal simulation time t_target * max(a, b) overflows: t_target = ")
         code, out, _ = run_cli(capsys, "tmin", "--hamiltonian", str(tiny), "--target", "h0", "--t", "0")
         assert (code, out) == (0, "0.0\n")  # a zero-length target needs no time, whatever the ratio
+
+    def test_non_finite_result_is_refused_unwritten(self, capsys, tmp_path, monkeypatch):
+        """A NaN in a payload exits 3 before anything reaches stdout or ``--out``."""
+        import twomode.cli
+
+        nan = RestrictedSingularValues(float("nan"), float("nan"))
+        monkeypatch.setattr(twomode.cli, "restricted_svd", lambda k: (None, nan, None))
+        out = tmp_path / "rsv.json"
+        for extra in ((), ("--out", str(out))):
+            code, stdout, err = run_cli(capsys, "rsv", "--hamiltonian", "h0", *extra)
+            assert (code, stdout, err) == (3, "", "error: result is not finite\n")
+        assert os.listdir(tmp_path) == []
 
     _TEMPLATES = (
         ("tmin", "--hamiltonian", "h0", "--target", "htms", "--t={}"),

@@ -1,10 +1,11 @@
-"""Scalar state queries answer for one CM and refuse a stack of them."""
+"""Scalar state queries and the trajectory producers answer for one CM and refuse a stack of them."""
 
 import numpy as np
 import pytest
 
 from twomode.core import H0, LocalRotationPair, two_mode_squeezed_cm
 from twomode.measures import entanglement, negativity
+from twomode.protocols import flip_strategy, greedy_rate_walk, run_protocol
 from twomode.rates import entanglement_rate, local_squeezing_parameter, optimal_entanglement_rate
 
 QUERIES = [
@@ -13,6 +14,8 @@ QUERIES = [
     local_squeezing_parameter,
     lambda g: optimal_entanglement_rate(g, H0),
     lambda g: entanglement_rate(g, H0, LocalRotationPair()),
+    lambda g: run_protocol(g, flip_strategy(H0, 0.1, 4)),
+    lambda g: greedy_rate_walk(g, H0, np.linspace(0.0, 0.1, 5)),
 ]
 
 

@@ -163,7 +163,6 @@ class TestOneValidationPerReport:
         import twomode.cli
         import twomode.core
         import twomode.measures
-        import twomode.protocols
 
         shapes = []
 
@@ -172,7 +171,7 @@ class TestOneValidationPerReport:
                 shapes.append(np.shape(cms))
             return valid_cm_stack(cms, pure)
 
-        for module in (twomode.core, twomode.protocols, twomode.measures, twomode.cli):
+        for module in (twomode.core, twomode.measures, twomode.cli):
             monkeypatch.setattr(module, "valid_cm_stack", recording)
         return shapes
 

@@ -19,7 +19,7 @@ from twomode.core import (
     valid_cm_stack,
 )
 from twomode.measures import entanglement, negativity, report_columns, squeezing
-from twomode.protocols import extend_with_ancillas, flip_strategy, greedy_rate_walk, run_protocol
+from twomode.protocols import Trajectory, extend_with_ancillas, flip_strategy, greedy_rate_walk, run_protocol
 from twomode.rates import (
     entanglement_rate,
     local_squeezing_parameter,
@@ -53,7 +53,9 @@ QUERIES = {
 
 def _leaves(result):
     """The arrays and numbers of a result, in order, for a bitwise comparison."""
-    if dataclasses.is_dataclass(result):
+    if isinstance(result, Trajectory):
+        result = (result.times, result.cms, result.native_k, result.lock_stretches)
+    elif dataclasses.is_dataclass(result):
         result = dataclasses.astuple(result)
     if isinstance(result, dict):
         result = list(result.values())
@@ -87,11 +89,12 @@ def test_a_mixed_stack_is_refused_from_its_dets(monkeypatch):
         assert str(exc.value) == str(raw.value) == "state is not pure: det(gamma) = 5.0625"
 
 
-@pytest.mark.parametrize("name", SCALAR)
+@pytest.mark.parametrize("name", [*SCALAR, "run_protocol", "greedy_rate_walk"])
 def test_a_scalar_query_refuses_a_longer_stack(rng, name):
+    """A one-CM query, scalar or one that starts a trajectory, refuses a stack of two."""
     stack = valid_cm_stack(np.stack([random_pure_cm(rng), random_pure_cm(rng)]))
     with pytest.raises(ValueError, match=r"^covariance matrix must be 4x4, got \(2, 4, 4\)$"):
-        SCALAR[name](stack)
+        QUERIES[name](stack)
 
 
 def test_a_validated_stack_is_read_only(rng):
